@@ -78,7 +78,6 @@ from .verdict import (
     verify_certificate,
 )
 from .witness import (
-    StabilizerConfig,
     WitnessCertificate,
     chain_generic_matrix,
     corollary_stabilize,

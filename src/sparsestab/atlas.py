@@ -20,6 +20,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from . import jsonio
 from .errors import CapabilityError, ValidationError
@@ -109,13 +110,15 @@ def enumerate_patterns(n: int, filter=None, sample: int | None = None, seed: int
     )
 
 
-def _classify_key(args):
-    n, key, config, seed = args
-    p = key_to_pattern(n, key)
-    verdict = classify(p, config, seed)
-    if verdict.tag == UNKNOWN and n <= FULL_ENUMERATION_CAP:
-        verdict = classify(p, config.scaled_oracle(10), seed)
-    return key, verdict
+def _classify_key(n: int, config: EngineConfig, seed: int, key: int) -> StabilityVerdict:
+    """Classify one representative with a 10x oracle budget.
+
+    The gap set is tiny at desk scale, so an Unknown is recorded only after
+    the larger search.  The oracle draws its starts by restart index, so
+    the default-budget search is a prefix of this one: every verdict it
+    would reach comes out the same, with one oracle pass less per Unknown.
+    """
+    return classify(key_to_pattern(n, key), config.scaled_oracle(10), seed)
 
 
 def _header(n: int, seed: int, config: EngineConfig) -> dict:
@@ -174,6 +177,12 @@ def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
     return header, records
 
 
+def _drop_torn_tail(path) -> None:
+    """Cut the file back to its last complete line."""
+    with open(path, "rb+") as fh:
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+
+
 def classify_atlas(
     n: int,
     config: EngineConfig | None = None,
@@ -187,8 +196,10 @@ def classify_atlas(
     its canonical key in a shared verdict memo, so the neighbor scan costs
     no extra classifications.  With a path the records stream-append in
     key order; re-running against an existing file resumes after the last
-    written key.
+    written key; a record torn by a kill mid-write is dropped and redone.
     """
+    if not 1 <= n <= FULL_ENUMERATION_CAP:
+        raise CapabilityError(f"atlas classification needs 1 <= n <= {FULL_ENUMERATION_CAP}")
     config = config or EngineConfig()
     reps = list(_scan_orbits(n))
     tag_memo: dict[int, str] = {}
@@ -199,6 +210,7 @@ def classify_atlas(
     if path is not None:
         expected = _header(n, seed, config)
         if os.path.exists(path):
+            _drop_torn_tail(path)
             header, old_records = load_atlas(path)
             if header != expected:
                 raise ValidationError(
@@ -215,14 +227,8 @@ def classify_atlas(
 
     def verdict_of(key: int) -> StabilityVerdict:
         if key not in verdict_memo:
-            p = key_to_pattern(n, key)
-            verdict = classify(p, config, seed)
-            if verdict.tag == UNKNOWN and n <= FULL_ENUMERATION_CAP:
-                # the gap set is tiny at desk scale; spend a 10x oracle
-                # budget before recording an Unknown
-                verdict = classify(p, config.scaled_oracle(10), seed)
-            verdict_memo[key] = verdict
-            tag_memo[key] = verdict.tag
+            verdict_memo[key] = _classify_key(n, config, seed, key)
+            tag_memo[key] = verdict_memo[key].tag
         return verdict_memo[key]
 
     def tag_of(key: int) -> str:
@@ -233,9 +239,8 @@ def classify_atlas(
     if workers > 1:
         todo = [key for key, _ in reps if key not in existing]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, verdict in pool.map(
-                _classify_key, [(n, key, config, seed) for key in todo], chunksize=16
-            ):
+            verdicts = pool.map(partial(_classify_key, n, config, seed), todo, chunksize=16)
+            for key, verdict in zip(todo, verdicts):
                 verdict_memo[key] = verdict
                 tag_memo[key] = verdict.tag
 

@@ -128,9 +128,12 @@ def _load_pattern(path: str):
 
 
 def _config(args) -> EngineConfig:
-    return EngineConfig(
-        tolerance=args.tol, oracle_restarts=args.restarts, oracle_steps=args.steps
-    )
+    try:
+        return EngineConfig(
+            tolerance=args.tol, oracle_restarts=args.restarts, oracle_steps=args.steps
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc))
 
 
 def _emit(args, text: str, out) -> None:
@@ -177,7 +180,7 @@ def _cmd_witness(args, out) -> int:
     if chain is None:
         _emit(args, "no nested chain: the pattern is not chain-certifiably stable", out)
         return EXIT_UNKNOWN
-    cert = synthesize_stable_witness(p, config.stabilizer(), seed=args.seed, chain=chain)
+    cert = synthesize_stable_witness(p, config.tolerance, seed=args.seed, chain=chain)
     if args.format == "json":
         _emit(args, json.dumps(jsonio.certificate_to_dict(cert), sort_keys=True), out)
     else:

@@ -36,7 +36,6 @@ from .numerics import (
 )
 from .patterns import CANONICAL_N_CAP, SparsityPattern, canonical_form
 from .witness import (
-    StabilizerConfig,
     WitnessCertificate,
     ordering_conjugation,
     synthesize_stable_witness,
@@ -61,21 +60,11 @@ class EngineConfig:
     tolerance: float = DEFAULT_TOLERANCE
     oracle_restarts: int = 64
     oracle_steps: int = 400
-    t_start: float = 1.0
-    t_factor: float = 0.5
-    t_cap: int = 200
-    jitter_attempts: int = 32
-    retry_cap: int = 64
 
-    def stabilizer(self) -> StabilizerConfig:
-        return StabilizerConfig(
-            tolerance=self.tolerance,
-            t_start=self.t_start,
-            t_factor=self.t_factor,
-            t_cap=self.t_cap,
-            jitter_attempts=self.jitter_attempts,
-            retry_cap=self.retry_cap,
-        )
+    def __post_init__(self):
+        bad = [name for name, value in vars(self).items() if not value > 0]
+        if bad:
+            raise ValueError(f"EngineConfig fields must be positive: {bad}")
 
     def scaled_oracle(self, factor: int) -> "EngineConfig":
         return replace(self, oracle_restarts=self.oracle_restarts * factor)
@@ -251,7 +240,7 @@ def classify(
         try:
             cert = synthesize_stable_witness(
                 p,
-                config.stabilizer(),
+                config.tolerance,
                 seed=derive_seed(seed, p.n, pattern_key, "witness"),
                 chain=chain,
             )

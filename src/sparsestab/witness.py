@@ -3,9 +3,10 @@
 The pipeline: a nested-chain certificate orders the vertices so that every
 prefix supports a cycle decomposition; a random integer matrix on the
 pattern is screened (exactly) until the reordered matrix has all leading
-principal minors nonzero; a diagonal matrix with hierarchically scaled
-entries then pushes the spectrum into the open left half-plane.  Every
-claim in the resulting certificate re-verifies from primitive operations.
+principal minors nonzero; a diagonal stabilizer is then built one vertex
+at a time (Fisher & Fuller 1958), each step keeping the leading block
+Hurwitz.  Every claim in the resulting certificate re-verifies from
+primitive operations.
 """
 
 from __future__ import annotations
@@ -32,22 +33,8 @@ from .numerics import (
 from .patterns import Permutation, SparsityPattern, all_permutations
 
 PERMUTATION_SCAN_CAP = 8
-
-
-@dataclass(frozen=True)
-class StabilizerConfig:
-    """Knobs for the diagonal stabilizer cascade.
-
-    The scale parameter starts at t_start and shrinks by t_factor up to
-    t_cap times; jitter_attempts randomized retries run before giving up.
-    """
-
-    tolerance: float = DEFAULT_TOLERANCE
-    t_start: float = 1.0
-    t_factor: float = 0.5
-    t_cap: int = 200
-    jitter_attempts: int = 32
-    retry_cap: int = 64  # resampling budget for the generic chain matrix
+RESAMPLE_CAP = 64  # random matrices drawn before a chain is declared degenerate
+HALVING_CAP = 64  # halvings of one stabilizer entry before giving up
 
 
 @dataclass(frozen=True)
@@ -106,101 +93,73 @@ def ordering_conjugation(A: ExactMatrix, ordering) -> ExactMatrix:
 
 
 def chain_generic_matrix(
-    p: SparsityPattern, chain: ChainCertificate, seed: int, config: StabilizerConfig | None = None
+    p: SparsityPattern, chain: ChainCertificate, seed: int
 ) -> ExactMatrix:
     """Random integer matrix on the pattern whose chain-ordered conjugation
     has all leading principal minors nonzero (screened exactly).
 
     Rejection sampling: each prefix minor vanishes only on a hypersurface,
-    so acceptance is fast for any valid chain; exhausting the retry budget
-    is treated as a bug signal.
+    so acceptance is fast for any valid chain; exhausting the resampling
+    budget is treated as a bug signal.
     """
-    config = config or StabilizerConfig()
     if not verify_chain(p, chain):
         raise ValueError("chain certificate does not verify against the pattern")
     rng = random.Random(seed)
-    for _ in range(config.retry_cap):
+    for _ in range(RESAMPLE_CAP):
         A = random_pattern_matrix(p, rng)
         minors = leading_principal_minors(ordering_conjugation(A, chain.ordering))
         if all(m != 0 for m in minors):
             return A
     raise SynthesisError(
-        f"no generic matrix with nonzero prefix minors in {config.retry_cap} samples"
+        f"no generic matrix with nonzero prefix minors in {RESAMPLE_CAP} samples"
     )
 
 
-def _cascade_diagonal(signs, t):
-    return np.array([s * t ** (k + 1) for k, s in enumerate(signs)], dtype=float)
-
-
-def diagonal_stabilize(A, config: StabilizerConfig | None = None) -> np.ndarray:
+def diagonal_stabilize(A, tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
     """Find a diagonal D with D @ A Hurwitz, given nonzero leading minors.
 
-    Hierarchical scaling: D(t) = diag(s_1 t, s_2 t^2, ..., s_n t^n) with
-    s_k = -sign(det_k / det_{k-1}).  As t shrinks the eigenvalues of
-    D(t) @ A split by scale and track the successive minor ratios, whose
-    signs the s_k flip negative, so some t in the geometric schedule works.
-    Because eigenvalue magnitudes also shrink with t, a candidate that is
-    negative but inside the tolerance band is rescaled by a positive factor
-    (scaling D scales the spectrum of D @ A linearly).  A randomized
-    magnitude jitter with the same signs is the last resort.
+    Sequential construction (Fisher & Fuller 1958; Ballantine 1970): with
+    d_1..d_{k-1} making the leading (k-1)-block of D @ A Hurwitz, a small
+    enough d_k keeps those k-1 eigenvalues in the left half-plane and adds
+    one near d_k * r_k, where r_k = det_k / det_{k-1} is the exact ratio of
+    leading minors.  So d_k starts at -sign(r_k) / (2 |r_k|) and is halved
+    until the leading k-block reports Hurwitz at the tolerance.  The block
+    is then scaled by the positive factor that puts its abscissa at -1
+    (the spectrum of c * D @ A is c times that of D @ A), so later steps
+    never start from a margin inside the tolerance band.
     """
-    config = config or StabilizerConfig()
     M = np.asarray(A, dtype=float)
     n = M.shape[0]
-    exact = ExactMatrix.from_floats(M)
-    minors = leading_principal_minors(exact)
+    minors = leading_principal_minors(ExactMatrix.from_floats(M))
     if any(m == 0 for m in minors):
         bad = [k + 1 for k, m in enumerate(minors) if m == 0]
-        raise ValueError(f"leading principal minors {bad} vanish; cascade needs all nonzero")
-    signs = []
+        raise ValueError(f"leading principal minors {bad} vanish; stabilizer needs all nonzero")
+    d = np.zeros(n)
     prev = Fraction(1)
-    for m in minors:
-        signs.append(-1.0 if m / prev > 0 else 1.0)
-        prev = m
-
-    def attempt(d):
-        report = spectral_abscissa(np.diag(d) @ M, config.tolerance)
-        if report.hurwitz:
-            return d
-        if report.abscissa < 0:
-            # negative but inside the tolerance band: blow the whole
-            # spectrum up by a positive factor and re-verify
-            scale = min(1e-3 / -report.abscissa, 1e15)
-            d2 = d * scale
-            if spectral_abscissa(np.diag(d2) @ M, config.tolerance).hurwitz:
-                return d2
-        return None
-
-    t = config.t_start
-    for _ in range(config.t_cap):
-        found = attempt(_cascade_diagonal(signs, t))
-        if found is not None:
-            return found
-        t *= config.t_factor
-
-    rng = random.Random(0xD1A6)
-    t = config.t_start
-    for _ in range(config.jitter_attempts):
-        jitter = np.array([rng.uniform(0.2, 1.0) for _ in range(n)])
-        found = attempt(_cascade_diagonal(signs, t) * jitter)
-        if found is not None:
-            return found
-        t *= config.t_factor
-    raise StabilizationError(
-        f"no stabilizing diagonal after {config.t_cap} scale steps "
-        f"and {config.jitter_attempts} jittered retries"
-    )
+    for k in range(n):
+        ratio = float(minors[k] / prev)
+        prev = minors[k]
+        d[k] = -math.copysign(0.5 / abs(ratio), ratio)
+        for _ in range(HALVING_CAP + 1):
+            report = spectral_abscissa(d[: k + 1, None] * M[: k + 1, : k + 1], tolerance)
+            if report.hurwitz:
+                break
+            d[k] /= 2
+        else:
+            raise StabilizationError(
+                f"leading block {k + 1} not Hurwitz after {HALVING_CAP} halvings"
+            )
+        d[: k + 1] /= -report.abscissa
+    return d
 
 
-def corollary_stabilize(A, config: StabilizerConfig | None = None):
+def corollary_stabilize(A, tolerance: float = DEFAULT_TOLERANCE):
     """Scan relabelings for all-nonzero leading minors, then stabilize.
 
     Returns (sigma, D) where D @ A is Hurwitz, or None when no relabeling
     produces nonzero minors.  None proves nothing: the minor condition is
     sufficient, not necessary, so A may still be diagonally stabilizable.
     """
-    config = config or StabilizerConfig()
     M = np.asarray(A, dtype=float)
     n = M.shape[0]
     if n > PERMUTATION_SCAN_CAP:
@@ -210,13 +169,13 @@ def corollary_stabilize(A, config: StabilizerConfig | None = None):
         B = conjugate_by_permutation(exact, sigma)
         if any(m == 0 for m in leading_principal_minors(B)):
             continue
-        d1 = diagonal_stabilize(B.to_floats(), config)
+        d1 = diagonal_stabilize(B.to_floats(), tolerance)
         # transport back: D = P^{-1} D_1 P puts entry k at position
         # sigma^{-1}(k), and D @ A is similar to D_1 @ B
         d = np.empty(n)
         for a in range(1, n + 1):
             d[a - 1] = d1[sigma(a) - 1]
-        report = spectral_abscissa(np.diag(d) @ M, config.tolerance)
+        report = spectral_abscissa(np.diag(d) @ M, tolerance)
         if not report.hurwitz:
             raise StabilizationError("transported stabilizer failed verification (bug)")
         return sigma, d
@@ -225,7 +184,7 @@ def corollary_stabilize(A, config: StabilizerConfig | None = None):
 
 def synthesize_stable_witness(
     p: SparsityPattern,
-    config: StabilizerConfig | None = None,
+    tolerance: float = DEFAULT_TOLERANCE,
     seed: int = 0,
     chain: ChainCertificate | None = None,
 ) -> WitnessCertificate:
@@ -235,20 +194,19 @@ def synthesize_stable_witness(
     with diagnostics when stabilization fails (which signals a bug, not an
     unstable pattern).
     """
-    config = config or StabilizerConfig()
     if chain is None:
         chain = find_nested_chain(p)
     if chain is None:
         raise ValueError("pattern admits no nested chain; nothing to synthesize")
-    A = chain_generic_matrix(p, chain, seed, config)
+    A = chain_generic_matrix(p, chain, seed)
     ordered = ordering_conjugation(A, chain.ordering)
     minors = leading_principal_minors(ordered)
-    d_ordered = diagonal_stabilize(ordered.to_floats(), config)
+    d_ordered = diagonal_stabilize(ordered.to_floats(), tolerance)
     stabilizer = np.empty(p.n)
     for k, vertex in enumerate(chain.ordering):
         stabilizer[vertex - 1] = d_ordered[k]
     witness = A.to_floats()
-    spectral = spectral_abscissa(np.diag(stabilizer) @ witness, config.tolerance)
+    spectral = spectral_abscissa(np.diag(stabilizer) @ witness, tolerance)
     if not spectral.hurwitz:
         raise SynthesisError(
             f"stabilized witness not Hurwitz (abscissa {spectral.abscissa:g})"

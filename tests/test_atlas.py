@@ -14,6 +14,7 @@ from sparsestab import (
     query_atlas,
     validate_structure_theorem,
 )
+import sparsestab.atlas as atlas_module
 from sparsestab.atlas import config_hash
 from sparsestab.patterns import key_orbit, key_to_pattern, pattern_to_key
 from sparsestab.verdict import PROVED_STABLE, PROVED_UNSTABLE, EngineConfig
@@ -133,6 +134,16 @@ class TestPersistence:
         classify_atlas(2, path=part)
         assert part.read_bytes() == full.read_bytes()
 
+    def test_resume_after_torn_line(self, tmp_path):
+        full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
+        classify_atlas(2, path=full)
+        lines = full.read_bytes().splitlines(keepends=True)
+        part.write_bytes(b"".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
+        with pytest.raises(ValidationError):
+            load_atlas(part)
+        classify_atlas(2, path=part)
+        assert part.read_bytes() == full.read_bytes()
+
     def test_mismatched_parameters_rejected(self, tmp_path):
         path = tmp_path / "n2.jsonl"
         classify_atlas(2, path=path, seed=0)
@@ -141,6 +152,23 @@ class TestPersistence:
 
     def test_config_hash_depends_on_fields(self):
         assert config_hash(EngineConfig()) != config_hash(EngineConfig(oracle_restarts=2))
+
+    def test_one_classification_per_representative(self, monkeypatch):
+        calls = []
+
+        def counting(p, config, seed):
+            calls.append((pattern_to_key(p), config.oracle_restarts))
+            return classify(p, config, seed)
+
+        monkeypatch.setattr(atlas_module, "classify", counting)
+        records = classify_atlas(3)
+        assert sorted(key for key, _ in calls) == [r.key for r in records]
+        assert {restarts for _, restarts in calls} == {10 * EngineConfig().oracle_restarts}
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_size_outside_enumeration_rejected(self, n):
+        with pytest.raises(CapabilityError):
+            classify_atlas(n)
 
     def test_parallel_workers_agree(self, tmp_path):
         serial = classify_atlas(2, seed=5)

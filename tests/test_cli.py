@@ -157,6 +157,16 @@ class TestErrorPaths:
         code, _ = run(["atlas", "query"])
         assert code == 10
 
+    @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--restarts", "-3"), ("--steps", "0")])
+    def test_nonpositive_engine_setting(self, fig2_right_file, flag, value):
+        code, text = run(["analyze", fig2_right_file, flag, value])
+        assert code == 10 and text == ""
+
+    @pytest.mark.parametrize("n", ["0", "5"])
+    def test_atlas_classify_size_out_of_range(self, n):
+        code, _ = run(["atlas", "classify", "-n", n])
+        assert code == 13
+
 
 class TestSchemas:
     def test_text_output_stable_under_fixed_seed(self, fig2_right_file):

@@ -91,6 +91,19 @@ class TestClassify:
                 assert classify(q, SMALL).tag == base
 
 
+class TestEngineConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("tolerance", -1.0), ("tolerance", float("nan")), ("oracle_restarts", -3), ("oracle_steps", 0)],
+    )
+    def test_nonpositive_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(**{field: value})
+
+    def test_fields(self):
+        assert list(vars(EngineConfig())) == ["tolerance", "oracle_restarts", "oracle_steps"]
+
+
 class TestOracle:
     def test_diagonal_pattern_found(self):
         result = oracle_search(SparsityPattern.diagonal(2), SMALL)

@@ -8,6 +8,9 @@ import pytest
 
 from sparsestab import (
     ExactMatrix,
+    check_scc_sink,
+    classify,
+    verify_certificate,
     Permutation,
     SparsityPattern,
     chain_generic_matrix,
@@ -20,6 +23,8 @@ from sparsestab import (
     spectral_abscissa,
     synthesize_stable_witness,
 )
+from sparsestab.patterns import key_to_pattern
+from sparsestab.verdict import CHAIN_FOUND, PROVED_STABLE
 from sparsestab.witness import ordering_conjugation
 
 from conftest import FIG2_RIGHT, SIGMA_ALPHA
@@ -225,3 +230,48 @@ class TestSynthesis:
         assert np.array_equal(a.witness, b.witness)
         assert np.array_equal(a.stabilizer, b.stabilizer)
         assert a.minors == b.minors
+
+
+# Chain patterns (n, key) whose witness synthesis failed under the former
+# all-at-once diagonal scaling, so they fell through to the oracle.
+SCALING_FAILURES = [
+    (10, 956079013550381011003549157521),
+    (10, 946878156393089088176739748007),
+    (10, 1154219152970802027816349429835),
+    (10, 1194653103408410158457250513046),
+    (11, 542778593454123618950317815473505345),
+    (11, 2426310552917574898162732336770974786),
+    (11, 1558031183191366280410633156797209907),
+    (11, 218361488129048160783139297066573397),
+    (12, 4423723991177905517582187710915824048180225),
+    (12, 4704765947778450669712270904794631383395353),
+    (12, 2788955333322938774125560212523429549047874),
+    (12, 13300022394719475146650412328092813454584835),
+    (12, 12567481880957777540870196004858145961415072),
+]
+
+
+def _random_chain_pattern(rng, n):
+    while True:
+        free = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < 0.3}
+        free |= {(v, v) for v in rng.sample(range(1, n + 1), 2)}
+        p = SparsityPattern(n, frozenset(free))
+        if not check_scc_sink(p) and find_nested_chain(p) is not None:
+            return p
+
+
+def _assert_chain_certified(p):
+    v = classify(p)
+    assert (v.tag, v.reason) == (PROVED_STABLE, CHAIN_FOUND), v.diagnostics
+    assert verify_certificate(v, p)
+
+
+class TestChainPatternsAlwaysCertified:
+    @pytest.mark.parametrize("n,key", SCALING_FAILURES)
+    def test_former_scaling_failures(self, n, key):
+        _assert_chain_certified(key_to_pattern(n, key))
+
+    def test_seeded_sample_at_n14(self):
+        rng = random.Random(1)
+        for _ in range(10):
+            _assert_chain_certified(_random_chain_pattern(rng, 14))
