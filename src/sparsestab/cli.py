@@ -77,16 +77,21 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master random seed")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--out", help="write output to this path instead of stdout")
+
+    def engine(p):
+        # only the subcommands that build an EngineConfig take its settings
         p.add_argument("--tol", type=float, default=1e-9, help="Hurwitz tolerance")
         p.add_argument("--restarts", type=int, default=64, help="oracle restarts")
         p.add_argument("--steps", type=int, default=400, help="oracle steps per restart")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write output to this path instead of stdout")
 
     for name in ("analyze", "witness", "oracle", "canon"):
         p = sub.add_parser(name)
         p.add_argument("pattern_file")
         common(p)
+        if name != "canon":
+            engine(p)
 
     p = sub.add_parser("identities")
     p.add_argument("--trials", type=int, default=100)
@@ -109,6 +114,8 @@ def _build_parser() -> _Parser:
         if name == "classify":
             ap.add_argument("--workers", type=int, default=1)
         common(ap)
+        if name in ("classify", "validate"):
+            engine(ap)
     return parser
 
 

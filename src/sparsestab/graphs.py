@@ -15,6 +15,12 @@ permutation of its vertex set supported on free entries, which is the same
 thing as a perfect matching of the bipartite graph rows x cols restricted
 to the subset.  Testing it is therefore a maximum-matching call rather than
 an explicit cycle search.
+
+The chain search works top down on bitmasks: rows are int bitmasks of
+their free columns, a set T - v starts from T's perfect matching with row
+v and column v removed and needs at most one augmenting path, and the
+search stops at the first complete chain instead of deciding all 2^n
+subsets.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 from .errors import CapabilityError
 from .patterns import SparsityPattern
 
-CHAIN_N_CAP = 24  # the nested-chain DP walks all 2^n vertex subsets
+CHAIN_N_CAP = 24  # the nested-chain search memoises 2^n vertex subsets in a bytearray
 
 
 @dataclass(frozen=True)
@@ -137,6 +143,49 @@ def check_scc_sink(p: SparsityPattern) -> frozenset[int]:
     return strongly_connected_components(p).violating_vertices
 
 
+def _row_masks(p: SparsityPattern) -> list[int]:
+    """rows[i] is the bitmask of the free columns of row i + 1 (bit j - 1
+    for column j)."""
+    rows = [0] * p.n
+    for i, j in p.free:
+        rows[i - 1] |= 1 << (j - 1)
+    return rows
+
+
+def _augment(rows, cols, row_of, row, seen) -> bool:
+    """Kuhn's augmenting path from the unmatched ``row`` to a free column.
+
+    ``cols`` is the bitmask of columns in play and ``row_of[c]`` the row
+    matched into column c, or -1.  Columns are tried in increasing order;
+    ``seen`` is a one-item list holding the columns already tried in this
+    search.  Rewires ``row_of`` along the path and returns True, or
+    returns False and leaves the matching unchanged.
+    """
+    while True:
+        free = rows[row] & cols & ~seen[0]
+        if not free:
+            return False
+        bit = free & -free
+        seen[0] |= bit
+        col = bit.bit_length() - 1
+        if row_of[col] < 0 or _augment(rows, cols, row_of, row_of[col], seen):
+            row_of[col] = row
+            return True
+
+
+def _perfect_matching(rows, cols: int) -> list[int] | None:
+    """Column -> row perfect matching of the rows and columns in ``cols``,
+    rows matched in increasing order, or None when none exists."""
+    row_of = [-1] * len(rows)
+    m = cols
+    while m:
+        bit = m & -m
+        m ^= bit
+        if not _augment(rows, cols, row_of, bit.bit_length() - 1, [0]):
+            return None
+    return row_of
+
+
 def _max_matching(p: SparsityPattern, subset) -> dict[int, int] | None:
     """Perfect matching rows(subset) -> cols(subset) on free entries.
 
@@ -144,34 +193,15 @@ def _max_matching(p: SparsityPattern, subset) -> dict[int, int] | None:
     order, so the result is deterministic.  Returns the row -> col map, or
     None when no perfect matching exists.
     """
-    verts = sorted(subset)
-    vset = set(verts)
-    cols_of = {v: [j for j in sorted(p.row_targets(v)) if j in vset] for v in verts}
-    # quick reject: an empty row or an uncovered column kills feasibility
-    if any(not cols_of[v] for v in verts):
+    cols = 0
+    for v in subset:
+        if not 1 <= v <= p.n:
+            return None  # a vertex outside the pattern has no free entries
+        cols |= 1 << (v - 1)
+    row_of = _perfect_matching(_row_masks(p), cols)
+    if row_of is None:
         return None
-    covered = set()
-    for v in verts:
-        covered.update(cols_of[v])
-    if covered != vset:
-        return None
-
-    match_col = {}  # col -> row
-
-    def try_augment(row, seen):
-        for col in cols_of[row]:
-            if col in seen:
-                continue
-            seen.add(col)
-            if col not in match_col or try_augment(match_col[col], seen):
-                match_col[col] = row
-                return True
-        return False
-
-    for row in verts:
-        if not try_augment(row, set()):
-            return None
-    return {row: col for col, row in match_col.items()}
+    return {row + 1: col + 1 for col, row in enumerate(row_of) if row >= 0}
 
 
 def has_principal_matching(p: SparsityPattern, subset) -> bool:
@@ -247,49 +277,70 @@ def check_necessary(p: SparsityPattern) -> int | None:
     return None
 
 
+def _drop_vertex(rows, sub, row_of, v) -> list[int] | None:
+    """Perfect matching of ``sub`` = T - v from a perfect matching of T.
+
+    Dropping row v and column v leaves every other row matched except the
+    one that was matched into column v, and frees the column row v held.
+    One augmenting path (Berge 1957) decides whether the rest is perfect.
+    """
+    row_of = row_of.copy()
+    r = row_of[v]
+    row_of[v] = -1
+    if r == v:
+        return row_of
+    row_of[row_of.index(v)] = -1
+    return row_of if _augment(rows, sub, row_of, r, [0]) else None
+
+
 def find_nested_chain(p: SparsityPattern) -> ChainCertificate | None:
     """Search for an ordering whose every prefix is Hamiltonian-decomposable.
 
-    Subset DP: reachable(emptyset) = true, reachable(S) = feasible(S) and
-    some reachable(S minus v).  Masks are visited in increasing numeric
-    order, which dominates the subset order, and feasibility (a matching
-    call) is only evaluated for masks with a reachable child.  Backtracking
-    peels the smallest removable vertex, so certificates are deterministic.
-    Success proves the pattern stable.
+    A nonempty vertex set T is reachable when it has a cycle cover and
+    either is a single vertex or some T - v is reachable.  The search runs
+    depth first from the full vertex set, tries v in increasing order and
+    stops at the first reachable T - v, so the last vertex of the ordering
+    is the smallest removable one, and so on down: certificates are
+    deterministic.  The cycle cover of T - v comes from T's perfect
+    matching by one augmenting path.  Sets found unreachable are memoised,
+    so no set is searched twice.  Success proves the pattern stable.
     """
     n = p.n
     if n > CHAIN_N_CAP:
         raise CapabilityError(
-            f"nested-chain DP allocates 2^n entries; n={n} exceeds cap {CHAIN_N_CAP}"
+            f"nested-chain search allocates 2^n entries; n={n} exceeds cap {CHAIN_N_CAP}"
         )
-    size = 1 << n
-    reachable = bytearray(size)
-    reachable[0] = 1
-    verts_of = lambda mask: [v + 1 for v in range(n) if mask >> v & 1]
-    for mask in range(1, size):
-        has_child = False
+    rows = _row_masks(p)
+    full = (1 << n) - 1
+    row_of = _perfect_matching(rows, full)
+    if row_of is None:
+        return None
+    failed = bytearray(1 << n)
+    ordering = []
+
+    def reach(mask, row_of) -> bool:
+        # mask has the perfect matching row_of; on success ordering holds
+        # a chain of mask, first vertex first
+        if mask & (mask - 1) == 0:
+            ordering.append(mask.bit_length())
+            return True
         m = mask
         while m:
-            low = m & -m
-            if reachable[mask ^ low]:
-                has_child = True
-                break
-            m ^= low
-        if has_child and _max_matching(p, verts_of(mask)) is not None:
-            reachable[mask] = 1
-    full = size - 1
-    if not reachable[full]:
-        return None
+            bit = m & -m
+            m ^= bit
+            sub = mask ^ bit
+            if failed[sub]:
+                continue
+            v = bit.bit_length() - 1
+            rest = _drop_vertex(rows, sub, row_of, v)
+            if rest is not None and reach(sub, rest):
+                ordering.append(v + 1)
+                return True
+            failed[sub] = 1
+        return False
 
-    ordering = [0] * n
-    mask = full
-    for k in range(n, 0, -1):
-        for v in range(1, n + 1):
-            bit = 1 << (v - 1)
-            if mask & bit and reachable[mask ^ bit]:
-                ordering[k - 1] = v
-                mask ^= bit
-                break
+    if not reach(full, row_of):
+        return None
     prefix_cycles = []
     for k in range(1, n + 1):
         mapping = _max_matching(p, ordering[:k])

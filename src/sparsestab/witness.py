@@ -102,14 +102,23 @@ def chain_generic_matrix(
     so acceptance is fast for any valid chain; exhausting the resampling
     budget is treated as a bug signal.
     """
+    return _screened_matrix(p, chain, seed)[0]
+
+
+def _screened_matrix(
+    p: SparsityPattern, chain: ChainCertificate, seed: int
+) -> tuple[ExactMatrix, ExactMatrix, list[Fraction]]:
+    """chain_generic_matrix's sample A, with its chain-ordered conjugation
+    and that conjugation's exact leading minors, so synthesis reuses them."""
     if not verify_chain(p, chain):
         raise ValueError("chain certificate does not verify against the pattern")
     rng = random.Random(seed)
     for _ in range(RESAMPLE_CAP):
         A = random_pattern_matrix(p, rng)
-        minors = leading_principal_minors(ordering_conjugation(A, chain.ordering))
+        ordered = ordering_conjugation(A, chain.ordering)
+        minors = leading_principal_minors(ordered)
         if all(m != 0 for m in minors):
-            return A
+            return A, ordered, minors
     raise SynthesisError(
         f"no generic matrix with nonzero prefix minors in {RESAMPLE_CAP} samples"
     )
@@ -129,11 +138,16 @@ def diagonal_stabilize(A, tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
     never start from a margin inside the tolerance band.
     """
     M = np.asarray(A, dtype=float)
-    n = M.shape[0]
     minors = leading_principal_minors(ExactMatrix.from_floats(M))
     if any(m == 0 for m in minors):
         bad = [k + 1 for k, m in enumerate(minors) if m == 0]
         raise ValueError(f"leading principal minors {bad} vanish; stabilizer needs all nonzero")
+    return _stabilize(M, minors, tolerance)
+
+
+def _stabilize(M: np.ndarray, minors, tolerance: float) -> np.ndarray:
+    """diagonal_stabilize's sequential step, given M's exact leading minors."""
+    n = M.shape[0]
     d = np.zeros(n)
     prev = Fraction(1)
     for k in range(n):
@@ -198,10 +212,8 @@ def synthesize_stable_witness(
         chain = find_nested_chain(p)
     if chain is None:
         raise ValueError("pattern admits no nested chain; nothing to synthesize")
-    A = chain_generic_matrix(p, chain, seed)
-    ordered = ordering_conjugation(A, chain.ordering)
-    minors = leading_principal_minors(ordered)
-    d_ordered = diagonal_stabilize(ordered.to_floats(), tolerance)
+    A, ordered, minors = _screened_matrix(p, chain, seed)
+    d_ordered = _stabilize(ordered.to_floats(), minors, tolerance)
     stabilizer = np.empty(p.n)
     for k, vertex in enumerate(chain.ordering):
         stabilizer[vertex - 1] = d_ordered[k]

@@ -162,6 +162,36 @@ class TestErrorPaths:
         code, text = run(["analyze", fig2_right_file, flag, value])
         assert code == 10 and text == ""
 
+    @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--restarts", "64"), ("--steps", "400")])
+    @pytest.mark.parametrize("command", ["canon", "identities", "atlas enumerate", "atlas query"])
+    def test_engine_setting_where_unread_is_usage_error(
+        self, fig2_right_file, tmp_path, command, flag, value
+    ):
+        argv = {
+            "canon": ["canon", fig2_right_file],
+            "identities": ["identities", "--trials", "1", "--n", "2"],
+            "atlas enumerate": ["atlas", "enumerate", "-n", "1"],
+            "atlas query": ["atlas", "query", "--atlas", str(tmp_path / "a.jsonl")],
+        }[command]
+        assert run(argv)[0] != 10
+        code, text = run(argv + [flag, value])
+        assert code == 10 and text == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "PATTERN"],
+            ["witness", "PATTERN"],
+            ["oracle", "PATTERN"],
+            ["atlas", "classify", "-n", "1"],
+            ["atlas", "validate", "-n", "1"],
+        ],
+    )
+    def test_engine_settings_taken_where_read(self, fig2_right_file, argv):
+        argv = [fig2_right_file if a == "PATTERN" else a for a in argv]
+        code, _ = run(argv + ["--tol", "1e-8", "--restarts", "4", "--steps", "50"])
+        assert code in (0, 2)
+
     @pytest.mark.parametrize("n", ["0", "5"])
     def test_atlas_classify_size_out_of_range(self, n):
         code, _ = run(["atlas", "classify", "-n", n])

@@ -5,6 +5,7 @@ import pytest
 
 from sparsestab import (
     CapabilityError,
+    ChainCertificate,
     Permutation,
     SparsityPattern,
     apply_permutation,
@@ -18,6 +19,7 @@ from sparsestab import (
     transpose_pattern,
     verify_chain,
 )
+from sparsestab.patterns import key_to_pattern
 
 from conftest import FIG2_LEFT, FIG2_RIGHT, FIG3, FIG4, SCC_EXAMPLE, SIGMA_ALPHA, SIGMA_BETA
 
@@ -31,6 +33,30 @@ def random_pattern(n, rng, density=0.4):
             for j in range(1, n + 1)
             if rng.random() < density
         ),
+    )
+
+
+def reference_chain(p):
+    """The bottom-up subset rule: a set is reachable when it has a cycle
+    cover and a reachable child; the chain peels the smallest removable
+    vertex from the full set."""
+    n = p.n
+    reachable = {0}
+    for mask in range(1, 1 << n):
+        verts = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
+        if any(mask ^ 1 << (v - 1) in reachable for v in verts) and has_principal_matching(p, verts):
+            reachable.add(mask)
+    mask = (1 << n) - 1
+    if mask not in reachable:
+        return None
+    ordering = []
+    while mask:
+        v = next(v for v in range(1, n + 1) if mask >> (v - 1) & 1 and mask ^ 1 << (v - 1) in reachable)
+        ordering.insert(0, v)
+        mask ^= 1 << (v - 1)
+    return ChainCertificate(
+        ordering=tuple(ordering),
+        prefix_cycles=tuple(extract_cycle_decomposition(p, ordering[:k]) for k in range(1, n + 1)),
     )
 
 
@@ -208,6 +234,33 @@ class TestNestedChain:
     def test_capability_cap(self):
         with pytest.raises(CapabilityError):
             find_nested_chain(SparsityPattern.empty(25))
+
+
+class TestChainSearchMatchesReference:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_pattern(self, n):
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for key in range(1 << len(cells)):
+            p = SparsityPattern(n, frozenset(c for b, c in enumerate(cells) if key >> b & 1))
+            assert find_nested_chain(p) == reference_chain(p)
+
+    def test_seeded_random_patterns(self):
+        rng = random.Random(47)
+        without = 0
+        for _ in range(300):
+            p = random_pattern(rng.randint(4, 8), rng, density=rng.uniform(0.2, 0.6))
+            chain = find_nested_chain(p)
+            assert chain == reference_chain(p)
+            without += chain is None
+        assert 100 <= without <= 200
+
+    def test_no_chain_beside_a_dense_block(self):
+        # the n=4 gap pattern (key 4780) has no chain, so the block-diagonal
+        # union with a full 12-block has none either
+        gap = key_to_pattern(4, 4780)
+        block = {(i, j) for i in range(5, 17) for j in range(5, 17)}
+        assert find_nested_chain(gap) is None
+        assert find_nested_chain(SparsityPattern(16, gap.free | block)) is None
 
 
 class TestCycleExtraction:

@@ -271,7 +271,8 @@ class TestChainPatternsAlwaysCertified:
     def test_former_scaling_failures(self, n, key):
         _assert_chain_certified(key_to_pattern(n, key))
 
-    def test_seeded_sample_at_n14(self):
+    @pytest.mark.parametrize("n", [*range(10, 17), 20])
+    def test_seeded_sample(self, n):
         rng = random.Random(1)
-        for _ in range(10):
-            _assert_chain_certified(_random_chain_pattern(rng, 14))
+        for _ in range(20):
+            _assert_chain_certified(_random_chain_pattern(rng, n))
