@@ -49,8 +49,6 @@ class AtlasRecord:
     pattern: SparsityPattern
     orbit_size: int
     verdict: StabilityVerdict
-    dimension: int
-    codimension: int
     minimal_stable: bool
     maximal_unstable: bool
 
@@ -58,23 +56,32 @@ class AtlasRecord:
     def key(self) -> int:
         return pattern_to_key(self.pattern)
 
+    @property
+    def dimension(self) -> int:
+        return self.pattern.dimension
+
+    @property
+    def codimension(self) -> int:
+        return self.pattern.codimension
+
 
 def config_hash(config: EngineConfig) -> str:
     payload = json.dumps(vars(config), sort_keys=True, default=str)
     return hashlib.blake2b(payload.encode(), digest_size=6).hexdigest()
 
 
-def _scan_orbits(n: int):
-    """Yield (canonical_key, orbit_size) over all 2^(n^2) patterns."""
-    total_bits = n * n
-    seen = bytearray(1 << total_bits)
-    for key in range(1 << total_bits):
-        if seen[key]:
-            continue
-        orbit = key_orbit(n, key)
-        for img in orbit:
-            seen[img] = 1
-        yield key, len(orbit)
+def _scan_orbits(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Every orbit as (canonical key, orbit size) in key order, and the
+    canonical key of each of the 2^(n^2) raw keys."""
+    canon = [-1] * (1 << (n * n))
+    reps = []
+    for key in range(len(canon)):
+        if canon[key] < 0:
+            orbit = key_orbit(n, key)
+            for img in orbit:
+                canon[img] = key
+            reps.append((key, len(orbit)))
+    return reps, canon
 
 
 def enumerate_patterns(n: int, filter=None, sample: int | None = None, seed: int = 0):
@@ -85,7 +92,7 @@ def enumerate_patterns(n: int, filter=None, sample: int | None = None, seed: int
     and deduplicated until the budget is spent.  Larger n is out of reach.
     """
     if n <= FULL_ENUMERATION_CAP:
-        for key, orbit_size in _scan_orbits(n):
+        for key, orbit_size in _scan_orbits(n)[0]:
             p = key_to_pattern(n, key)
             if filter is None or filter(p):
                 yield p, orbit_size
@@ -133,8 +140,7 @@ def _header(n: int, seed: int, config: EngineConfig) -> dict:
 def _record_to_dict(rec: AtlasRecord) -> dict:
     return {
         "key": rec.key,
-        "n": rec.pattern.n,
-        "free": [list(pair) for pair in rec.pattern.sorted_free()],
+        **jsonio.pattern_to_dict(rec.pattern),
         "orbit_size": rec.orbit_size,
         "dimension": rec.dimension,
         "codimension": rec.codimension,
@@ -145,26 +151,17 @@ def _record_to_dict(rec: AtlasRecord) -> dict:
 
 
 def _record_from_dict(d: dict) -> AtlasRecord:
-    v = d["verdict"]
-    verdict = StabilityVerdict(
-        tag=v["tag"],
-        reason=v["reason"],
-        k=v.get("k"),
-        violating=frozenset(v["violating"]) if "violating" in v else None,
-    )
     return AtlasRecord(
-        pattern=SparsityPattern.from_pairs(d["n"], d["free"]),
+        pattern=jsonio.pattern_from_dict(d),
         orbit_size=d["orbit_size"],
-        verdict=verdict,
-        dimension=d["dimension"],
-        codimension=d["codimension"],
+        verdict=jsonio.verdict_from_dict(d["verdict"]),
         minimal_stable=d["minimal_stable"],
         maximal_unstable=d["maximal_unstable"],
     )
 
 
 def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
-    """Read a persisted atlas; certificates are not reconstructed."""
+    """Read a persisted atlas, every verdict with its evidence."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
@@ -172,7 +169,8 @@ def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
     try:
         header = json.loads(lines[0])
         records = [_record_from_dict(json.loads(line)) for line in lines[1:]]
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # any decode failure; JSONDecodeError is a ValueError
         raise ValidationError(f"malformed atlas file {path}: {exc}")
     return header, records
 
@@ -193,17 +191,17 @@ def classify_atlas(
     """Classify every orbit representative and mark minimal/maximal.
 
     A child (one free entry removed) or parent (one added) is looked up by
-    its canonical key in a shared verdict memo, so the neighbor scan costs
-    no extra classifications.  With a path the records stream-append in
-    key order; re-running against an existing file resumes after the last
-    written key; a record torn by a kill mid-write is dropped and redone.
+    its canonical key, read from the orbit scan's table, in the one verdict
+    memo, so the neighbor scan costs no extra classifications.  With a path
+    the records stream-append in key order; re-running against an existing
+    file resumes after the last written key, its records' verdicts seeding
+    the memo; a record torn by a kill mid-write is dropped and redone.
     """
     if not 1 <= n <= FULL_ENUMERATION_CAP:
         raise CapabilityError(f"atlas classification needs 1 <= n <= {FULL_ENUMERATION_CAP}")
     config = config or EngineConfig()
-    reps = list(_scan_orbits(n))
-    tag_memo: dict[int, str] = {}
-    verdict_memo: dict[int, StabilityVerdict] = {}
+    reps, canon = _scan_orbits(n)
+    verdicts: dict[int, StabilityVerdict] = {}
 
     existing: dict[int, AtlasRecord] = {}
     fh = None
@@ -219,67 +217,43 @@ def classify_atlas(
                 )
             for rec in old_records:
                 existing[rec.key] = rec
-                tag_memo[rec.key] = rec.verdict.tag
+                verdicts[rec.key] = rec.verdict
             fh = open(path, "a", encoding="utf-8")
         else:
             fh = open(path, "w", encoding="utf-8")
             fh.write(json.dumps(expected, sort_keys=True) + "\n")
 
-    def verdict_of(key: int) -> StabilityVerdict:
-        if key not in verdict_memo:
-            verdict_memo[key] = _classify_key(n, config, seed, key)
-            tag_memo[key] = verdict_memo[key].tag
-        return verdict_memo[key]
-
-    def tag_of(key: int) -> str:
-        if key not in tag_memo:
-            verdict_of(key)
-        return tag_memo[key]
+    def tag_of(raw: int) -> str:
+        key = canon[raw]
+        if key not in verdicts:
+            verdicts[key] = _classify_key(n, config, seed, key)
+        return verdicts[key].tag
 
     if workers > 1:
         todo = [key for key, _ in reps if key not in existing]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = pool.map(partial(_classify_key, n, config, seed), todo, chunksize=16)
-            for key, verdict in zip(todo, verdicts):
-                verdict_memo[key] = verdict
-                tag_memo[key] = verdict.tag
+            verdicts.update(
+                zip(todo, pool.map(partial(_classify_key, n, config, seed), todo, chunksize=16))
+            )
 
-    canon_cache: dict[int, int] = {}
-
-    def canon_key(key: int) -> int:
-        if key not in canon_cache:
-            canon_cache[key] = min(key_orbit(n, key))
-        return canon_cache[key]
-
-    total_bits = n * n
+    bits = [1 << b for b in range(n * n)]
     records: list[AtlasRecord] = []
     try:
         for key, orbit_size in reps:
             if key in existing:
                 records.append(existing[key])
                 continue
-            p = key_to_pattern(n, key)
-            verdict = verdict_of(key)
-            stable = verdict.tag == PROVED_STABLE
-            unstable = verdict.tag == PROVED_UNSTABLE
-            children = [
-                canon_key(key ^ (1 << b)) for b in range(total_bits) if key >> b & 1
-            ]
-            parents = [
-                canon_key(key | (1 << b)) for b in range(total_bits) if not key >> b & 1
-            ]
-            minimal_stable = stable and all(
-                tag_of(c) != PROVED_STABLE for c in children
+            tag = tag_of(key)
+            minimal_stable = tag == PROVED_STABLE and all(
+                tag_of(key ^ bit) != PROVED_STABLE for bit in bits if key & bit
             )
-            maximal_unstable = unstable and all(
-                tag_of(q) == PROVED_STABLE for q in parents
+            maximal_unstable = tag == PROVED_UNSTABLE and all(
+                tag_of(key | bit) == PROVED_STABLE for bit in bits if not key & bit
             )
             rec = AtlasRecord(
-                pattern=p,
+                pattern=key_to_pattern(n, key),
                 orbit_size=orbit_size,
-                verdict=verdict,
-                dimension=p.dimension,
-                codimension=p.codimension,
+                verdict=verdicts[key],
                 minimal_stable=minimal_stable,
                 maximal_unstable=maximal_unstable,
             )

@@ -48,6 +48,7 @@ from .verdict import (
     EngineConfig,
     classify,
     oracle_search,
+    verify_certificate,
 )
 from .witness import synthesize_stable_witness
 
@@ -306,13 +307,21 @@ def _cmd_atlas(args, out) -> int:
         )
         return 0
     if args.atlas_command == "validate":
+        config = _config(args)
         if args.atlas:
             _, records = load_atlas(args.atlas)
         else:
-            records = classify_atlas(args.n, _config(args), seed=args.seed)
+            records = classify_atlas(args.n, config, seed=args.seed)
         report = validate_structure_theorem(records, args.n)
-        _emit(args, report.summary(), out)
-        return 0 if report.all_passed else 1
+        failing = [
+            r.key for r in records if not verify_certificate(r.verdict, r.pattern, config.tolerance)
+        ]
+        verified = len(records) - len(failing)
+        lines = [report.summary(), f"  re-verified {verified} of {len(records)} records"]
+        if failing:
+            lines.append(f"  failing keys: {failing}")
+        _emit(args, "\n".join(lines), out)
+        return 0 if report.all_passed and not failing else 1
     if args.atlas_command == "query":
         if not args.atlas:
             raise _UsageError("atlas query needs --atlas PATH")

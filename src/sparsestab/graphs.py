@@ -61,72 +61,35 @@ class ChainCertificate:
 
 
 def strongly_connected_components(p: SparsityPattern) -> SccReport:
-    """Tarjan's algorithm on the digraph view of the pattern."""
+    """Components from the reflexive transitive closure of the pattern.
+
+    Warshall's closure runs on the row bitmasks; u and v share a component
+    when each reaches the other.  Taking v in increasing order and skipping
+    placed vertices yields the components sorted by smallest vertex.
+    """
     n = p.n
-    adj = {v: sorted(p.row_targets(v)) for v in range(1, n + 1)}
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
+    rows = _row_masks(p)
+    reach = [row | 1 << v for v, row in enumerate(rows)]
+    for k in range(n):
+        for v in range(n):
+            if reach[v] >> k & 1:
+                reach[v] |= reach[k]
+    comp_of = [-1] * n
     components = []
-    counter = [0]
-
-    def connect(root):
-        # Iterative DFS; patterns are small but recursion limits are cheap
-        # to avoid.
-        work = [(root, iter(adj[root]))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-
-    for v in range(1, n + 1):
-        if v not in index:
-            connect(v)
-
-    components.sort(key=min)
-    comp_of = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    cond = set()
-    for i, j in p.free:
-        a, b = comp_of[i], comp_of[j]
-        if a != b:
-            cond.add((a, b))
     violating = set()
-    for comp in components:
-        if not any((v, v) in p.free for v in comp):
-            violating.update(comp)
+    for v in range(n):
+        if comp_of[v] >= 0:
+            continue
+        comp = [u for u in range(n) if reach[v] >> u & 1 and reach[u] >> v & 1]
+        for u in comp:
+            comp_of[u] = len(components)
+        members = frozenset(u + 1 for u in comp)
+        components.append(members)
+        if not any(rows[u] >> u & 1 for u in comp):
+            violating |= members
+    cond = {
+        (comp_of[i - 1], comp_of[j - 1]) for i, j in p.free if comp_of[i - 1] != comp_of[j - 1]
+    }
     return SccReport(
         components=tuple(components),
         condensation_edges=frozenset(cond),

@@ -13,7 +13,7 @@ import numpy as np
 
 from .numerics import DEFAULT_TOLERANCE, ExactMatrix, SpectralReport
 from .patterns import SparsityPattern
-from .verdict import StabilityVerdict
+from .verdict import OracleStats, StabilityVerdict
 from .witness import WitnessCertificate
 
 
@@ -55,13 +55,16 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
     }
 
 
-def certificate_from_dict(d: dict, tolerance: float = DEFAULT_TOLERANCE) -> WitnessCertificate:
+def _spectral_from_dict(d: dict, tolerance: float) -> SpectralReport:
     abscissa = float(d["abscissa"])
-    spectral = SpectralReport(
+    return SpectralReport(
         eigenvalues=tuple(complex(re, im) for re, im in d["eigenvalues"]),
         abscissa=abscissa,
         hurwitz=abscissa < -tolerance,
     )
+
+
+def certificate_from_dict(d: dict, tolerance: float = DEFAULT_TOLERANCE) -> WitnessCertificate:
     return WitnessCertificate(
         pattern=pattern_from_dict(d["pattern"]),
         ordering=tuple(d["ordering"]),
@@ -71,7 +74,7 @@ def certificate_from_dict(d: dict, tolerance: float = DEFAULT_TOLERANCE) -> Witn
         witness=np.array(d["witness"], dtype=float),
         stabilizer=np.array(d["stabilizer"], dtype=float),
         minors=tuple(Fraction(m) for m in d["minors"]),
-        spectral=spectral,
+        spectral=_spectral_from_dict(d, tolerance),
     )
 
 
@@ -97,3 +100,20 @@ def verdict_to_dict(v: StabilityVerdict) -> dict:
     if v.diagnostics:
         out["diagnostics"] = list(v.diagnostics)
     return out
+
+
+def verdict_from_dict(d: dict) -> StabilityVerdict:
+    """The inverse of verdict_to_dict, evidence included."""
+    oracle = d.get("oracle")
+    stats = d.get("oracle_stats")
+    return StabilityVerdict(
+        tag=d["tag"],
+        reason=d["reason"],
+        k=d.get("k"),
+        violating=frozenset(d["violating"]) if "violating" in d else None,
+        certificate=certificate_from_dict(d["certificate"]) if "certificate" in d else None,
+        oracle_matrix=np.array(oracle["matrix"], dtype=float) if oracle else None,
+        oracle_spectral=_spectral_from_dict(oracle, DEFAULT_TOLERANCE) if oracle else None,
+        oracle_stats=OracleStats(stats["restarts"], stats["best_abscissa"]) if stats else None,
+        diagnostics=tuple(d.get("diagnostics", ())),
+    )

@@ -87,13 +87,6 @@ class ExactMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
         )
 
-    def scale_rows(self, diag) -> "ExactMatrix":
-        """diag(d) @ self for a length-n vector d."""
-        d = [Fraction(x) for x in diag]
-        if len(d) != self.n:
-            raise ValueError("size mismatch")
-        return ExactMatrix([[d[i] * x for x in row] for i, row in enumerate(self.rows)])
-
     def principal_submatrix(self, index_set) -> "ExactMatrix":
         """Rows and columns restricted to a 1-based index subset."""
         idx = sorted(index_set)

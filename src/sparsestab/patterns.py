@@ -88,23 +88,6 @@ class Permutation:
             rows[self.mapping[j - 1] - 1][j - 1] = 1
         return rows
 
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Disjoint-cycle form, each cycle led by its smallest element."""
-        seen = set()
-        out = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            v = self(start)
-            while v != start:
-                cyc.append(v)
-                seen.add(v)
-                v = self(v)
-            out.append(tuple(cyc))
-        return tuple(out)
-
 
 def all_permutations(n: int):
     """All permutations of {1..n} in lexicographic one-line order."""
@@ -150,14 +133,8 @@ class SparsityPattern:
     def codimension(self) -> int:
         return self.n * self.n - len(self.free)
 
-    def has_entry(self, i: int, j: int) -> bool:
-        return (i, j) in self.free
-
     def sorted_free(self) -> list[tuple[int, int]]:
         return sorted(self.free)
-
-    def row_targets(self, i: int) -> frozenset[int]:
-        return frozenset(j for (a, j) in self.free if a == i)
 
     def bitkey(self) -> int:
         """Row-major bit string as an integer, cell (1,1) most significant.

@@ -217,12 +217,7 @@ def classify(
     config = config or EngineConfig()
     violating = check_scc_sink(p)
     if violating:
-        has_any_sink = any((i, i) in p.free for i in range(1, p.n + 1))
-        return StabilityVerdict(
-            tag=PROVED_UNSTABLE,
-            reason=SCC_WITHOUT_SINK if has_any_sink else NO_SINK,
-            violating=violating,
-        )
+        return StabilityVerdict(tag=PROVED_UNSTABLE, reason=_sink_reason(p), violating=violating)
     k = check_necessary(p)
     if k is not None:
         return StabilityVerdict(tag=PROVED_UNSTABLE, reason=NO_HAMILTONIAN_K, k=k)
@@ -271,6 +266,13 @@ def classify(
     return StabilityVerdict(
         tag=UNKNOWN, reason=EXHAUSTED, oracle_stats=stats, diagnostics=tuple(diagnostics)
     )
+
+
+def _sink_reason(p: SparsityPattern) -> str:
+    """The reason a failed sink check names: NoSink when no diagonal entry
+    is free."""
+    has_any_sink = any((i, i) in p.free for i in range(1, p.n + 1))
+    return SCC_WITHOUT_SINK if has_any_sink else NO_SINK
 
 
 def _classify_args(args):
@@ -357,7 +359,10 @@ def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float =
     """True iff every claim re-verifies from primitive operations.
 
     Accepts a WitnessCertificate or a whole StabilityVerdict (the pattern
-    argument is required for verdicts that do not embed a certificate).
+    argument is required for verdicts that do not embed a certificate, and
+    a certificate built on another pattern fails).  An instability verdict
+    must name its exact evidence: the violating vertices of the sink check,
+    or a size k in 1..n with no Hamiltonian k-subgraph.
     """
     if isinstance(obj, WitnessCertificate):
         return not certificate_failures(obj, tolerance)
@@ -365,6 +370,8 @@ def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float =
         v = obj
         if v.tag == PROVED_STABLE:
             if v.certificate is not None:
+                if p is not None and v.certificate.pattern != p:
+                    return False
                 return not certificate_failures(v.certificate, tolerance)
             if v.oracle_matrix is None or p is None:
                 raise ValidationError("stable verdict carries no evidence")
@@ -375,9 +382,11 @@ def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float =
             if p is None:
                 raise ValidationError("verifying an instability verdict needs the pattern")
             if v.reason in (NO_SINK, SCC_WITHOUT_SINK):
-                return bool(check_scc_sink(p))
+                violating = check_scc_sink(p)
+                return bool(violating) and v.violating == violating and v.reason == _sink_reason(p)
             if v.reason == NO_HAMILTONIAN_K:
-                return v.k is not None and hamiltonian_k_exists(p, v.k) is None
+                in_range = isinstance(v.k, int) and 1 <= v.k <= p.n
+                return in_range and hamiltonian_k_exists(p, v.k) is None
             return False
         if v.tag == UNKNOWN:
             if p is None:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -13,9 +14,11 @@ from sparsestab import (
     load_atlas,
     query_atlas,
     validate_structure_theorem,
+    verify_certificate,
 )
 import sparsestab.atlas as atlas_module
 from sparsestab.atlas import config_hash
+from sparsestab.jsonio import verdict_to_dict
 from sparsestab.patterns import key_orbit, key_to_pattern, pattern_to_key
 from sparsestab.verdict import PROVED_STABLE, PROVED_UNSTABLE, EngineConfig
 
@@ -120,6 +123,20 @@ class TestPersistence:
         assert [r.verdict.tag for r in loaded] == [r.verdict.tag for r in records]
         assert [r.minimal_stable for r in loaded] == [r.minimal_stable for r in records]
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_loaded_records_keep_their_evidence(self, tmp_path, n):
+        path = tmp_path / f"n{n}.jsonl"
+        records = classify_atlas(n, path=path)
+        lines = path.read_text().splitlines()[1:]
+        _, loaded = load_atlas(path)
+        assert len(loaded) == len(records) == len(lines)
+        for rec, line in zip(loaded, lines):
+            stored = json.loads(line)
+            assert verdict_to_dict(rec.verdict) == stored["verdict"]
+            assert json.dumps(atlas_module._record_to_dict(rec), sort_keys=True) == line
+            assert verify_certificate(rec.verdict, rec.pattern)
+        assert any(rec.verdict.certificate is not None for rec in loaded)
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         classify_atlas(2, path=a, seed=3)
@@ -164,6 +181,21 @@ class TestPersistence:
         records = classify_atlas(3)
         assert sorted(key for key, _ in calls) == [r.key for r in records]
         assert {restarts for _, restarts in calls} == {10 * EngineConfig().oracle_restarts}
+
+    def test_resume_classifies_only_missing_keys(self, tmp_path, monkeypatch):
+        full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
+        records = classify_atlas(3, path=full)
+        part.write_text("".join(full.read_text().splitlines(keepends=True)[:21]))
+        calls = []
+
+        def counting(p, config, seed):
+            calls.append(pattern_to_key(p))
+            return classify(p, config, seed)
+
+        monkeypatch.setattr(atlas_module, "classify", counting)
+        classify_atlas(3, path=part)
+        assert sorted(calls) == [r.key for r in records[20:]]
+        assert part.read_bytes() == full.read_bytes()
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_size_outside_enumeration_rejected(self, n):

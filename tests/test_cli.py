@@ -129,10 +129,48 @@ class TestAtlasCommands:
 
     def test_validate_without_file_builds_in_memory(self):
         code, text = run(["atlas", "validate", "-n", "2"])
-        assert code == 0 and "PASS" in text
+        assert code == 0 and "PASS" in text and "re-verified 9 of 9 records" in text
+
+    def test_validate_reverifies_every_record(self, atlas2_lines, tmp_path):
+        path = tmp_path / "n2.jsonl"
+        path.write_text("\n".join(atlas2_lines) + "\n")
+        code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
+        assert code == 0 and "re-verified 9 of 9 records" in text
+        records = [json.loads(line) for line in atlas2_lines[1:]]
+        rec = next(r for r in records if "certificate" in r["verdict"])
+        rec["verdict"]["certificate"]["stabilizer"][0] *= -1
+        path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in records]) + "\n")
+        code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
+        assert code == 1 and "FAIL" not in text
+        assert f"failing keys: [{rec['key']}]" in text
+
+
+@pytest.fixture(scope="module")
+def atlas2_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("atlas") / "n2.jsonl"
+    assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0
+    return path.read_text().splitlines()
+
+
+MALFORMED_RECORDS = {
+    "out_of_range_pair": lambda rec: {**rec, "free": [[9, 9]]},
+    "non_object_line": lambda rec: [1, 2],
+    "violating_not_a_list": lambda rec: {**rec, "verdict": {**rec["verdict"], "violating": 5}},
+    "verdict_not_an_object": lambda rec: {**rec, "verdict": rec["verdict"]["tag"]},
+}
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("case", list(MALFORMED_RECORDS))
+    def test_malformed_atlas_record(self, atlas2_lines, tmp_path, case):
+        records = [json.loads(line) for line in atlas2_lines[1:]]
+        rec = next(r for r in records if "violating" in r["verdict"])
+        bad = json.dumps(MALFORMED_RECORDS[case](rec))
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([atlas2_lines[0], bad]) + "\n")
+        code, _ = run(["atlas", "query", "--atlas", str(path)])
+        assert code == 12
+
     def test_missing_file(self):
         code, _ = run(["analyze", "/definitely/not/there.mask"])
         assert code == 11

@@ -7,6 +7,7 @@ from sparsestab import (
     CapabilityError,
     ChainCertificate,
     Permutation,
+    SccReport,
     SparsityPattern,
     apply_permutation,
     check_necessary,
@@ -57,6 +58,36 @@ def reference_chain(p):
     return ChainCertificate(
         ordering=tuple(ordering),
         prefix_cycles=tuple(extract_cycle_decomposition(p, ordering[:k]) for k in range(1, n + 1)),
+    )
+
+
+def reference_scc(p):
+    """Components by a reachability search from every vertex, ordered by
+    smallest vertex, with the condensation and the sink bookkeeping."""
+    reach = {}
+    for v in range(1, p.n + 1):
+        seen, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for i, j in p.free:
+                if i == u and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach[v] = seen
+    components, comp_of = [], {}
+    for v in range(1, p.n + 1):
+        if v not in comp_of:
+            comp = frozenset(u for u in reach[v] if v in reach[u])
+            comp_of.update((u, len(components)) for u in comp)
+            components.append(comp)
+    return SccReport(
+        components=tuple(components),
+        condensation_edges=frozenset(
+            (comp_of[i], comp_of[j]) for i, j in p.free if comp_of[i] != comp_of[j]
+        ),
+        violating_vertices=frozenset(
+            v for comp in components if not any((u, u) in p.free for u in comp) for v in comp
+        ),
     )
 
 
@@ -124,6 +155,25 @@ class TestScc:
                 n, frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
             )
             assert check_scc_sink(p) == frozenset(range(1, n + 1))
+
+
+class TestSccMatchesReference:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_pattern(self, n):
+        for key in range(1 << (n * n)):
+            p = key_to_pattern(n, key)
+            assert strongly_connected_components(p) == reference_scc(p)
+
+    def test_seeded_random_patterns(self):
+        rng = random.Random(53)
+        split = violating = 0
+        for _ in range(300):
+            p = random_pattern(rng.randint(4, 12), rng, density=rng.uniform(0.05, 0.4))
+            report = strongly_connected_components(p)
+            assert report == reference_scc(p)
+            split += len(report.components) > 1
+            violating += bool(report.violating_vertices)
+        assert 150 <= split <= 280 and 150 <= violating <= 280
 
 
 class TestPrincipalMatching:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,3 +195,28 @@ class TestVerifyCertificate:
         assert verify_certificate(u, FIG2_LEFT)
         with pytest.raises(ValidationError):
             verify_certificate(u)  # instability re-check needs the pattern
+
+    @pytest.mark.parametrize(
+        "reason,violating",
+        [
+            ("NoSink", {1, 2, 3, 4}),  # FIG3 has a self-loop at 5
+            ("SccWithoutSink", {5}),
+            ("SccWithoutSink", {1, 2, 3}),
+            ("SccWithoutSink", None),
+        ],
+    )
+    def test_sink_verdict_must_name_its_evidence(self, reason, violating):
+        genuine = classify(FIG3, SMALL)
+        assert verify_certificate(genuine, FIG3)
+        forged = replace(genuine, reason=reason, violating=violating and frozenset(violating))
+        assert not verify_certificate(forged, FIG3)
+
+    @pytest.mark.parametrize("k", [0, 4, "2"])
+    def test_hamiltonian_size_out_of_range_fails(self, k):
+        v = classify(FIG2_LEFT, SMALL)
+        assert not verify_certificate(replace(v, k=k), FIG2_LEFT)
+
+    def test_certificate_for_another_pattern_fails(self):
+        v = classify(FIG2_RIGHT, SMALL)
+        assert verify_certificate(v, FIG2_RIGHT)
+        assert not verify_certificate(v, SparsityPattern.full(3))
