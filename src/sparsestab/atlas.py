@@ -151,13 +151,17 @@ def _record_to_dict(rec: AtlasRecord) -> dict:
 
 
 def _record_from_dict(d: dict) -> AtlasRecord:
-    return AtlasRecord(
+    rec = AtlasRecord(
         pattern=jsonio.pattern_from_dict(d),
         orbit_size=d["orbit_size"],
         verdict=jsonio.verdict_from_dict(d["verdict"]),
         minimal_stable=d["minimal_stable"],
         maximal_unstable=d["maximal_unstable"],
     )
+    for name in ("key", "dimension", "codimension"):
+        if d[name] != getattr(rec, name):
+            raise ValidationError(f"record {name} {d[name]!r} disagrees with its pattern")
+    return rec
 
 
 def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
@@ -169,7 +173,7 @@ def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
     try:
         header = json.loads(lines[0])
         records = [_record_from_dict(json.loads(line)) for line in lines[1:]]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
         # any decode failure; JSONDecodeError is a ValueError
         raise ValidationError(f"malformed atlas file {path}: {exc}")
     return header, records

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .graphs import find_nested_chain
 from .identities import run_identity_suites
-from .patterns import canonical_form, parse_pattern, serialize_pattern
+from .patterns import canonical_form, key_orbit, parse_pattern, serialize_pattern
 from .verdict import (
     PROVED_STABLE,
     PROVED_UNSTABLE,
@@ -276,6 +276,12 @@ def _cmd_identities(args, out) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+def _orbit_agrees(rec) -> bool:
+    """The record's key is its orbit's minimum and its orbit size the orbit's."""
+    orbit = key_orbit(rec.pattern.n, rec.key)
+    return rec.key == min(orbit) and rec.orbit_size == len(orbit)
+
+
 def _cmd_atlas(args, out) -> int:
     if args.atlas_command == "enumerate":
         rows = []
@@ -314,7 +320,10 @@ def _cmd_atlas(args, out) -> int:
             records = classify_atlas(args.n, config, seed=args.seed)
         report = validate_structure_theorem(records, args.n)
         failing = [
-            r.key for r in records if not verify_certificate(r.verdict, r.pattern, config.tolerance)
+            r.key
+            for r in records
+            if not verify_certificate(r.verdict, r.pattern, config.tolerance)
+            or not _orbit_agrees(r)
         ]
         verified = len(records) - len(failing)
         lines = [report.summary(), f"  re-verified {verified} of {len(records)} records"]

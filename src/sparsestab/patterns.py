@@ -22,9 +22,13 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import CapabilityError, PatternFormatError
 
-CANONICAL_N_CAP = 8  # canonical_form scans the full 2*n! orbit
+CANONICAL_N_CAP = 8  # orbit keys are uint64, which holds n^2 <= 64 bits
+
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 _FREE_CHARS = {"*", "∗"}  # ASCII star plus the typographic one
 _ZERO_CHARS = {"0", "."}
@@ -167,38 +171,40 @@ def key_to_pattern(n: int, key: int) -> SparsityPattern:
     return SparsityPattern.from_pairs(n, free)
 
 
-@lru_cache(maxsize=8)
-def symmetry_bit_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    """Bit-position remaps for every (permutation, transpose?) symmetry.
+@lru_cache(maxsize=None)
+def _image_table(n: int) -> np.ndarray:
+    """uint8 [n^2, 2*n!]: entry [pos, g] is where symmetry g sends bit
+    position pos (row-major, 0-based).
 
-    Entry g of the result maps old bit position (row-major, 0-based) to its
-    image position; the group has 2 * n! elements.
+    Column 2*r + t is the r-th permutation in lexicographic order, after a
+    transpose when t is 1, so column 0 is the identity.
     """
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    plain = perms[:, rows] * n + perms[:, cols]
+    transposed = perms[:, cols] * n + perms[:, rows]
+    table = np.ascontiguousarray(np.stack([plain, transposed], axis=1).reshape(-1, n * n).T)
+    table.flags.writeable = False  # cached, so shared by every caller
+    return table
+
+
+def _orbit_keys(n: int, key: int) -> np.ndarray:
+    """The images of a pattern key under the 2*n! symmetries, in table order."""
+    if n > CANONICAL_N_CAP:
+        raise CapabilityError(f"orbit keys are uint64; n={n} exceeds cap {CANONICAL_N_CAP}")
     total = n * n
-    maps = []
-    for perm in itertools.permutations(range(n)):
-        for transposed in (False, True):
-            table = []
-            for pos in range(total):
-                i, j = pos // n, pos % n
-                if transposed:
-                    i, j = j, i
-                table.append(perm[i] * n + perm[j])
-            maps.append(tuple(table))
-    return tuple(maps)
+    table = _image_table(n)
+    weight = _BITS[total - 1 :: -1]  # weight[pos] is the key bit of position pos
+    keys = np.zeros(table.shape[1], dtype=np.uint64)
+    for pos in range(total):
+        if key >> (total - 1 - pos) & 1:
+            keys |= weight[table[pos]]
+    return keys
 
 
 def key_orbit(n: int, key: int) -> set[int]:
     """All distinct images of a pattern key under relabeling and transpose."""
-    total = n * n
-    images = set()
-    bits = [pos for pos in range(total) if key >> (total - 1 - pos) & 1]
-    for table in symmetry_bit_maps(n):
-        img = 0
-        for pos in bits:
-            img |= 1 << (total - 1 - table[pos])
-        images.add(img)
-    return images
+    return set(_orbit_keys(n, key).tolist())
 
 
 # --- parsing / serialization ---
@@ -306,36 +312,16 @@ class PatternOrbitInfo:
 def canonical_form(p: SparsityPattern) -> PatternOrbitInfo:
     """Minimize p over all relabelings and the transpose.
 
-    The scan is exhaustive over the 2 * n! symmetries, so n is capped.
+    The first symmetry reaching the minimum gives the relabeling, and the
+    orbit size is the group order over the stabilizer of p.
     """
-    if p.n > CANONICAL_N_CAP:
-        raise CapabilityError(
-            f"canonical_form scans 2*n! symmetries; n={p.n} exceeds cap {CANONICAL_N_CAP}"
-        )
     n = p.n
-    total = n * n
-    bits = [(i - 1) * n + (j - 1) for (i, j) in p.free]
-    best_key = None
-    best = None  # (perm tuple, transposed)
-    keys = set()
-    tables = symmetry_bit_maps(n)
-    # tables interleave (perm, transpose=False), (perm, transpose=True) in
-    # lexicographic perm order; mirror that order here for determinism
-    for g, perm in enumerate(itertools.permutations(range(n))):
-        for t_idx, transposed in enumerate((False, True)):
-            table = tables[2 * g + t_idx]
-            img = 0
-            for pos in bits:
-                img |= 1 << (total - 1 - table[pos])
-            keys.add(img)
-            if best_key is None or img < best_key:
-                best_key = img
-                best = (perm, transposed)
-    perm, transposed = best
-    relabeling = Permutation(tuple(v + 1 for v in perm))
+    keys = _orbit_keys(n, pattern_to_key(p))
+    g = int(keys.argmin())
+    column = _image_table(n)[:: n + 1, g]  # the diagonal (v, v) goes to (perm v, perm v)
     return PatternOrbitInfo(
-        canonical=key_to_pattern(n, best_key),
-        orbit_size=len(keys),
-        relabeling=relabeling,
-        transposed=transposed,
+        canonical=key_to_pattern(n, int(keys[g])),
+        orbit_size=keys.size // int(np.count_nonzero(keys == keys[0])),
+        relabeling=Permutation(tuple(pos // (n + 1) + 1 for pos in column.tolist())),
+        transposed=bool(g % 2),
     )

@@ -12,7 +12,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["atlas-n3", "decide-large"])
+@pytest.mark.parametrize("workload", ["atlas-n3", "decide-large", "decide-small"])
 def test_harness_run_is_correct(workload):
     argv = ["bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"]
     proc = subprocess.run(

@@ -144,6 +144,19 @@ class TestAtlasCommands:
         assert code == 1 and "FAIL" not in text
         assert f"failing keys: [{rec['key']}]" in text
 
+    def test_validate_checks_orbit_sizes(self, atlas2_lines, tmp_path):
+        # move one pattern of coverage from one record to another, so the
+        # orbit sizes still sum to 2^(n^2) but two of them are forged
+        records = [json.loads(line) for line in atlas2_lines[1:]]
+        small, large = records[0], next(r for r in records if r["orbit_size"] > 2)
+        small["orbit_size"] += 1
+        large["orbit_size"] -= 1
+        path = tmp_path / "n2.jsonl"
+        path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in records]) + "\n")
+        code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
+        assert code == 1 and "FAIL" not in text and "re-verified 7 of 9 records" in text
+        assert f"failing keys: {sorted([small['key'], large['key']])}" in text
+
 
 @pytest.fixture(scope="module")
 def atlas2_lines(tmp_path_factory):
@@ -157,6 +170,9 @@ MALFORMED_RECORDS = {
     "non_object_line": lambda rec: [1, 2],
     "violating_not_a_list": lambda rec: {**rec, "verdict": {**rec["verdict"], "violating": 5}},
     "verdict_not_an_object": lambda rec: {**rec, "verdict": rec["verdict"]["tag"]},
+    "key_disagrees": lambda rec: {**rec, "key": rec["key"] + 1},
+    "dimension_disagrees": lambda rec: {**rec, "dimension": rec["dimension"] + 1},
+    "codimension_disagrees": lambda rec: {**rec, "codimension": rec["codimension"] - 1},
 }
 
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from sparsestab import (
     serialize_pattern,
     transpose_pattern,
 )
+from sparsestab.patterns import PatternOrbitInfo, key_orbit, key_to_pattern, pattern_to_key
 
 from conftest import EX_MA_MASK, EX_MA_PROSE, FIG2_LEFT
 
@@ -217,8 +220,6 @@ class TestCanonicalForm:
             assert canonical_form(q).canonical == canonical_form(p).canonical
 
     def test_orbit_size_divides_group_order(self):
-        import math
-
         rng = random.Random(19)
         for _ in range(30):
             n = rng.randint(1, 4)
@@ -228,3 +229,76 @@ class TestCanonicalForm:
     def test_capability_cap(self):
         with pytest.raises(CapabilityError):
             canonical_form(SparsityPattern.empty(9))
+
+
+def reference_orbit(p):
+    """The 2*n! scan, one symmetry at a time: every relabeling in
+    lexicographic order, plain then transposed, keeping the first strict
+    minimum.  Returns the orbit info and the set of images."""
+    n = p.n
+    total = n * n
+    bits = [(i - 1) * n + (j - 1) for (i, j) in p.free]
+    images = set()
+    best = None
+    for perm in itertools.permutations(range(n)):
+        for transposed in (False, True):
+            img = 0
+            for pos in bits:
+                i, j = divmod(pos, n)
+                if transposed:
+                    i, j = j, i
+                img |= 1 << (total - 1 - (perm[i] * n + perm[j]))
+            images.add(img)
+            if best is None or img < best[0]:
+                best = (img, perm, transposed)
+    img, perm, transposed = best
+    info = PatternOrbitInfo(
+        canonical=key_to_pattern(n, img),
+        orbit_size=len(images),
+        relabeling=Permutation(tuple(v + 1 for v in perm)),
+        transposed=transposed,
+    )
+    return info, images
+
+
+def symmetric_patterns(n):
+    """Patterns with large automorphism groups, where the stabilizer count
+    decides the orbit size."""
+    vertices = range(1, n + 1)
+    yield SparsityPattern.empty(n)
+    yield SparsityPattern.full(n)
+    yield SparsityPattern.diagonal(n)
+    yield SparsityPattern.from_pairs(n, [(i, i % n + 1) for i in vertices])  # directed n-cycle
+    yield SparsityPattern.from_pairs(n, [(1, j) for j in vertices if j > 1])  # star
+
+
+class TestCanonicalFormMatchesReference:
+    @staticmethod
+    def check(p):
+        info, images = reference_orbit(p)
+        assert canonical_form(p) == info
+        assert key_orbit(p.n, pattern_to_key(p)) == images
+        return info
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_pattern(self, n):
+        for key in range(1 << (n * n)):
+            self.check(key_to_pattern(n, key))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_symmetric_patterns(self, n):
+        sizes = [self.check(p).orbit_size for p in symmetric_patterns(n)]
+        group = 2 * math.factorial(n)
+        # empty, full, diagonal: fixed; cycle: relabelings along it and a
+        # reversal fix it; star: relabelings of its leaves fix it
+        assert sizes == [1, 1, 1, group // (2 * n), group // math.factorial(n - 1)]
+
+    @pytest.mark.parametrize("n,count", [(4, 40), (5, 20), (6, 10), (7, 4), (8, 2)])
+    def test_seeded_random_patterns(self, n, count):
+        rng = random.Random(1000 + n)
+        for _ in range(count):
+            self.check(random_pattern(n, rng, density=rng.uniform(0.1, 0.6)))
+
+    def test_capability_cap(self):
+        with pytest.raises(CapabilityError):
+            key_orbit(9, 0)
