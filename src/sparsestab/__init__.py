@@ -73,7 +73,6 @@ from .verdict import (
     StabilityVerdict,
     certificate_failures,
     classify,
-    classify_many,
     oracle_search,
     verify_certificate,
 )

@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -87,11 +86,12 @@ def _scan_orbits(n: int) -> tuple[list[tuple[int, int]], list[int]]:
 def enumerate_patterns(n: int, filter=None, sample: int | None = None, seed: int = 0):
     """One canonical representative per symmetry orbit, with orbit sizes.
 
-    Full enumeration for n <= 4 (orbit sizes then sum to 2^(n^2)).  For
-    n = 5 a sampling budget is required: random patterns are canonicalized
-    and deduplicated until the budget is spent.  Larger n is out of reach.
+    Full enumeration for 1 <= n <= 4 (orbit sizes then sum to 2^(n^2)).
+    For n = 5 a sampling budget is required: random patterns are
+    canonicalized and deduplicated until the budget is spent.  Any other n
+    raises CapabilityError.
     """
-    if n <= FULL_ENUMERATION_CAP:
+    if 1 <= n <= FULL_ENUMERATION_CAP:
         for key, orbit_size in _scan_orbits(n)[0]:
             p = key_to_pattern(n, key)
             if filter is None or filter(p):
@@ -112,8 +112,8 @@ def enumerate_patterns(n: int, filter=None, sample: int | None = None, seed: int
                 yield p, len(orbit)
         return
     raise CapabilityError(
-        f"full enumeration capped at n={FULL_ENUMERATION_CAP}; "
-        "n=5 needs a sampling budget, larger n is not supported"
+        f"enumeration needs 1 <= n <= {FULL_ENUMERATION_CAP}, "
+        "or n=5 with a sampling budget; larger n is not supported"
     )
 
 
@@ -166,15 +166,16 @@ def _record_from_dict(d: dict) -> AtlasRecord:
 
 def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
     """Read a persisted atlas, every verdict with its evidence."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValidationError(f"atlas file {path} is empty")
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in fh.read().splitlines() if line.strip()]
+        if not lines:
+            raise ValidationError("no header line")
         header = json.loads(lines[0])
         records = [_record_from_dict(json.loads(line)) for line in lines[1:]]
     except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
-        # any decode failure; JSONDecodeError is a ValueError
+        # any decode failure; JSONDecodeError and UnicodeDecodeError are
+        # ValueErrors
         raise ValidationError(f"malformed atlas file {path}: {exc}")
     return header, records
 
@@ -234,6 +235,9 @@ def classify_atlas(
         return verdicts[key].tag
 
     if workers > 1:
+        # imported here: the pool's modules cost ~1.7 MB of resident memory
+        from concurrent.futures import ProcessPoolExecutor
+
         todo = [key for key, _ in reps if key not in existing]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts.update(

@@ -126,6 +126,8 @@ def _load_pattern(path: str):
             text = fh.read()
     except OSError as exc:
         raise FileNotFoundError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise PatternFormatError(f"{path} is not UTF-8 text: {exc}")
     if path.endswith(".json"):
         fmt = "json"
     elif path.endswith(".mask"):

@@ -3,6 +3,8 @@
 Everything algebraic runs over arbitrary-precision rationals
 (fractions.Fraction): leading principal minors, characteristic polynomial
 coefficients, the per-permutation minor products, and the Jacobi residual.
+Every determinant and minor comes from one fraction-free integer
+elimination on the matrix with its denominators cleared.
 Floating point appears in exactly one place, the eigenvalue computation
 behind the spectral abscissa, because Hurwitz verification is numeric by
 nature.
@@ -11,6 +13,7 @@ nature.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,19 +118,24 @@ class ExactMatrix:
         return f"ExactMatrix({[[str(x) for x in row] for row in self.rows]})"
 
 
-def determinant(A: ExactMatrix) -> Fraction:
-    """Exact determinant.
+def _integer_rows(A: ExactMatrix) -> tuple[int, list[list[int]]]:
+    """(L, rows of L*A as ints), L the lcm of A's denominators (1 if empty)."""
+    L = math.lcm(*(x.denominator for row in A.rows for x in row))
+    return L, [[x.numerator * (L // x.denominator) for x in row] for row in A.rows]
 
-    Integer matrices go through fraction-free Bareiss elimination; anything
-    with genuine denominators falls back to rational Gaussian elimination.
-    The 0-by-0 determinant is 1.
+
+def determinant(A: ExactMatrix) -> Fraction:
+    """Exact determinant: det(L*A) / L^n.
+
+    L clears every denominator of A, and det(L*A) comes from fraction-free
+    Bareiss elimination over the integers (Bareiss 1968), the one
+    elimination behind every exact minor here.  The 0-by-0 determinant
+    is 1.
     """
-    n = A.n
-    if n == 0:
+    if A.n == 0:
         return Fraction(1)
-    if all(x.denominator == 1 for row in A.rows for x in row):
-        return Fraction(_det_bareiss([[x.numerator for x in row] for row in A.rows]))
-    return _det_gauss([list(row) for row in A.rows])
+    L, m = _integer_rows(A)
+    return Fraction(_det_bareiss(m), L**A.n)
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -149,29 +157,6 @@ def _det_bareiss(m: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def _det_gauss(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    det = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for r in range(k, n):
-            if m[r][k] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for r in range(k + 1, n):
-            if m[r][k] != 0:
-                f = m[r][k] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[k])]
-    return det
 
 
 def inverse(A: ExactMatrix) -> ExactMatrix:
@@ -196,12 +181,34 @@ def inverse(A: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([row[n:] for row in m])
 
 
+def _leading_minors(A: ExactMatrix):
+    """Yield det of the top-left k-by-k block for k = 1..n, exactly.
+
+    Without row swaps, pivot k of Bareiss elimination on L*A is the k-th
+    leading minor of L*A, which is L^k times that of A.  After a zero pivot
+    the elimination cannot go on, so each later minor is the determinant of
+    its own leading block.
+    """
+    n = A.n
+    L, m = _integer_rows(A)
+    prev = scale = 1
+    for k in range(n):
+        pivot = m[k][k]
+        scale *= L
+        yield Fraction(pivot, scale)
+        if pivot == 0:
+            for size in range(k + 2, n + 1):
+                yield determinant(ExactMatrix([row[:size] for row in A.rows[:size]]))
+            return
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+
+
 def leading_principal_minors(A: ExactMatrix) -> list[Fraction]:
     """det of the top-left k-by-k block for k = 1..n, all exact."""
-    return [
-        determinant(ExactMatrix([row[:k] for row in A.rows[:k]]))
-        for k in range(1, A.n + 1)
-    ]
+    return list(_leading_minors(A))
 
 
 def conjugate_by_permutation(A: ExactMatrix, sigma: Permutation) -> ExactMatrix:
@@ -224,10 +231,9 @@ def p_sigma(A: ExactMatrix, sigma: Permutation) -> Fraction:
     separate quantity (see leading_principal_minors).  Short-circuits to 0
     on the first vanishing factor.
     """
-    B = conjugate_by_permutation(A, sigma)
     out = Fraction(1)
-    for k in range(1, A.n):
-        d = determinant(ExactMatrix([row[:k] for row in B.rows[:k]]))
+    minors = _leading_minors(conjugate_by_permutation(A, sigma))
+    for d in itertools.islice(minors, max(A.n - 1, 0)):
         if d == 0:
             return Fraction(0)
         out *= d

@@ -254,14 +254,15 @@ def _parse_json(text: str) -> SparsityPattern:
     if not isinstance(data, dict) or "n" not in data or "free" not in data:
         raise PatternFormatError('json pattern needs keys "n" and "free"')
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    # type(x) is int: json's true and false decode to bools, which are ints
+    if type(n) is not int or n < 1:
         raise PatternFormatError(f'"n" must be a positive integer, got {n!r}')
     seen = set()
     for entry in data["free"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise PatternFormatError(f"free entry must be a pair, got {entry!r}")
         i, j = entry
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= n and 1 <= j <= n):
+        if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n):
             raise PatternFormatError(f"index pair out of range: {entry!r} for n={n}")
         if (i, j) in seen:
             raise PatternFormatError(f"duplicate pair: ({i}, {j})")

@@ -275,31 +275,6 @@ def _sink_reason(p: SparsityPattern) -> str:
     return SCC_WITHOUT_SINK if has_any_sink else NO_SINK
 
 
-def _classify_args(args):
-    p, config, seed = args
-    return classify(p, config, seed)
-
-
-def classify_many(
-    patterns, config: EngineConfig | None = None, seed: int = 0, workers: int = 1
-) -> list[StabilityVerdict]:
-    """Map classify over a pattern batch, optionally with a process pool.
-
-    Results keep the input order; per-pattern seeds derive from the shared
-    seed, so worker count never changes any verdict.
-    """
-    config = config or EngineConfig()
-    patterns = list(patterns)
-    if workers <= 1:
-        return [classify(p, config, seed) for p in patterns]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(_classify_args, [(p, config, seed) for p in patterns], chunksize=8)
-        )
-
-
 def _matrix_supported(matrix: np.ndarray, p: SparsityPattern) -> bool:
     n = p.n
     if matrix.shape != (n, n):

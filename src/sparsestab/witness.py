@@ -181,9 +181,10 @@ def corollary_stabilize(A, tolerance: float = DEFAULT_TOLERANCE):
     exact = ExactMatrix.from_floats(M)
     for sigma in all_permutations(n):
         B = conjugate_by_permutation(exact, sigma)
-        if any(m == 0 for m in leading_principal_minors(B)):
+        minors = leading_principal_minors(B)
+        if any(m == 0 for m in minors):
             continue
-        d1 = diagonal_stabilize(B.to_floats(), tolerance)
+        d1 = _stabilize(B.to_floats(), minors, tolerance)
         # transport back: D = P^{-1} D_1 P puts entry k at position
         # sigma^{-1}(k), and D @ A is similar to D_1 @ B
         d = np.empty(n)

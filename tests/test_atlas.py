@@ -197,16 +197,22 @@ class TestPersistence:
         assert sorted(calls) == [r.key for r in records[20:]]
         assert part.read_bytes() == full.read_bytes()
 
-    @pytest.mark.parametrize("n", [0, 5])
+    @pytest.mark.parametrize("n", [-1, 0, 5])
     def test_size_outside_enumeration_rejected(self, n):
         with pytest.raises(CapabilityError):
             classify_atlas(n)
+        with pytest.raises(CapabilityError):
+            list(enumerate_patterns(n))
 
     def test_parallel_workers_agree(self, tmp_path):
-        serial = classify_atlas(2, seed=5)
-        parallel = classify_atlas(2, seed=5, workers=2)
+        # n=3 has 74 representatives, several of the pool's chunks of 16
+        serial = classify_atlas(3, seed=5)
+        parallel = classify_atlas(3, seed=5, workers=2)
+        assert len(serial) == 74
         assert [r.key for r in serial] == [r.key for r in parallel]
-        assert [r.verdict.tag for r in serial] == [r.verdict.tag for r in parallel]
+        assert [verdict_to_dict(r.verdict) for r in serial] == [
+            verdict_to_dict(r.verdict) for r in parallel
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -197,6 +197,24 @@ class TestErrorPaths:
         code, _ = run(["analyze", str(path)])
         assert code == 12
 
+    def test_non_utf8_pattern(self, tmp_path):
+        path = tmp_path / "bad.mask"
+        path.write_bytes(b"\xff*\n**\n")
+        code, _ = run(["analyze", str(path)])
+        assert code == 12
+
+    def test_non_utf8_atlas(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff{}\n")
+        code, _ = run(["atlas", "query", "--atlas", str(path)])
+        assert code == 12
+
+    def test_json_pattern_with_booleans(self, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"n": true, "free": [[true, true]]}')
+        code, text = run(["analyze", str(path)])
+        assert code == 12 and text == ""
+
     def test_capability_cap(self, tmp_path):
         path = tmp_path / "big.mask"
         path.write_text("\n".join("0" * 9 for _ in range(9)) + "\n")
@@ -250,6 +268,11 @@ class TestErrorPaths:
     def test_atlas_classify_size_out_of_range(self, n):
         code, _ = run(["atlas", "classify", "-n", n])
         assert code == 13
+
+    @pytest.mark.parametrize("n", ["-1", "0", "5"])
+    def test_atlas_enumerate_size_out_of_range(self, n):
+        code, text = run(["atlas", "enumerate", "-n", n])
+        assert code == 13 and text == ""
 
 
 class TestSchemas:

@@ -69,7 +69,7 @@ class TestExactMatrix:
         for _ in range(20):
             n = rng.randint(1, 5)
             A = random_exact(n, rng)
-            # divide by 3 to force the Fraction path, then compare scaled
+            # divide by 3 so the elimination clears a denominator, then compare scaled
             B = ExactMatrix([[x / Fraction(3) for x in row] for row in A.rows])
             assert determinant(B) * Fraction(3) ** n == determinant(A)
 
@@ -140,6 +140,124 @@ class TestPSigma:
                 for m in leading_principal_minors(conjugate_by_permutation(D, sigma))[:2]:
                     factor *= m
                 assert p_sigma(DA, sigma) == factor * p_sigma(A, sigma)
+
+
+def reference_det(rows):
+    """Rational Gaussian elimination, first nonzero pivot in each column."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for r in range(k + 1, n):
+            f = m[r][k] / m[k][k]
+            m[r] = [a - f * b for a, b in zip(m[r], m[k])]
+    return det
+
+
+def reference_minors(rows):
+    """One reference determinant per leading block."""
+    return [reference_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
+def reference_p_sigma(rows, sigma):
+    """Leading minors 1..n-1 of the conjugation B[sigma(a)][sigma(b)] = A[a][b]."""
+    n = len(rows)
+    conj = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            conj[sigma(a + 1) - 1][sigma(b + 1) - 1] = rows[a][b]
+    out = Fraction(1)
+    for m in reference_minors(conj)[: n - 1]:
+        out *= m
+    return out
+
+
+def _integer_rows(n, rng):
+    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+
+def _dyadic_rows(n, rng):
+    """Float entries rationalized exactly, 0.1 among them."""
+    rows = np.array([[rng.uniform(-4, 4) for _ in range(n)] for _ in range(n)])
+    for _ in range(n):
+        rows[rng.randrange(n), rng.randrange(n)] = 0.1
+    return ExactMatrix.from_floats(rows.reshape(n, n)).rows
+
+
+def _thirds_sevenths_rows(n, rng):
+    return [[Fraction(rng.randint(-20, 20), rng.choice((1, 3, 7))) for _ in range(n)] for _ in range(n)]
+
+
+def _zero_minor_at(rows, k):
+    """Copy of rows whose k-th leading minor vanishes: row k repeats row 1
+    on the first k columns (entry (1, 1) is zeroed when k = 1)."""
+    rows = [list(row) for row in rows]
+    if k == 1:
+        rows[0][0] = 0
+    else:
+        rows[k - 1][:k] = rows[0][:k]
+    return rows
+
+
+def _reference_cases():
+    """(label, rows) for n = 0..9 in every family the exact layer meets."""
+    rng = random.Random(20131)
+    for n in range(10):
+        for family in (_integer_rows, _dyadic_rows, _thirds_sevenths_rows):
+            for trial in range(2):
+                rows = family(n, rng)
+                yield f"{family.__name__}-n{n}-{trial}", rows
+                for k in range(1, n + 1):
+                    yield f"{family.__name__}-n{n}-{trial}-zero{k}", _zero_minor_at(rows, k)
+                if n >= 2:
+                    singular = [list(row) for row in rows]
+                    singular[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+                    yield f"{family.__name__}-n{n}-{trial}-singular", singular
+                if n >= 1:
+                    zero_row = [list(row) for row in rows]
+                    zero_row[rng.randrange(n)] = [0] * n
+                    yield f"{family.__name__}-n{n}-{trial}-zero-row", zero_row
+
+
+REFERENCE_CASES = list(_reference_cases())
+
+
+class TestMatchesReference:
+    """The one fraction-free elimination against rational Gaussian
+    elimination run once per leading block."""
+
+    def test_cases_reach_every_path(self):
+        reached = {"denominators": 0, "nonzero_after_zero": 0}
+        for _, rows in REFERENCE_CASES:
+            if any(Fraction(x).denominator > 1 for row in rows for x in row):
+                reached["denominators"] += 1
+            minors = reference_minors(rows)
+            first_zero = next((k for k, m in enumerate(minors) if m == 0), None)
+            if first_zero is not None and any(m != 0 for m in minors[first_zero:]):
+                reached["nonzero_after_zero"] += 1
+        assert reached["denominators"] >= 200
+        assert reached["nonzero_after_zero"] >= 100
+
+    def test_leading_minors_and_determinant(self):
+        for label, rows in REFERENCE_CASES:
+            A = ExactMatrix(rows)
+            assert leading_principal_minors(A) == reference_minors(rows), label
+            assert determinant(A) == reference_det(rows), label
+
+    def test_p_sigma(self):
+        rng = random.Random(7)
+        for label, rows in REFERENCE_CASES:
+            n = len(rows)
+            A = ExactMatrix(rows)
+            for sigma in (Permutation(tuple(range(1, n + 1))), random_perm(n, rng)):
+                assert p_sigma(A, sigma) == reference_p_sigma(rows, sigma), (label, sigma)
 
 
 class TestCharPoly:

@@ -67,6 +67,20 @@ class TestParsing:
         with pytest.raises(PatternFormatError):
             parse_pattern('{"n":2,"free":[[3,1]]}', "json")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": true, "free": [[1, 1]]}',
+            '{"n": 2, "free": [[true, 1]]}',
+            '{"n": 2, "free": [[1, false]]}',
+            '{"n": true, "free": [[true, true]]}',
+        ],
+        ids=["n", "row", "column", "all"],
+    )
+    def test_json_rejects_booleans(self, text):
+        with pytest.raises(PatternFormatError):
+            parse_pattern(text, "json")
+
     def test_json_duplicate_pair(self):
         with pytest.raises(PatternFormatError) as err:
             parse_pattern('{"n":2,"free":[[1,2],[1,2]]}', "json")

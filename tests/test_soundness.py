@@ -12,7 +12,6 @@ from sparsestab import (
     SparsityPattern,
     canonical_form,
     classify,
-    classify_many,
     oracle_search,
     verify_certificate,
 )
@@ -93,11 +92,3 @@ def test_unstable_patterns_kill_the_full_minor_product():
     # the padded-block phenomenon really occurs in the sample
     assert escaped_short_product > 0
 
-
-def test_classify_many_matches_serial():
-    rng = random.Random(137)
-    batch = [random_pattern(3, rng) for _ in range(12)]
-    serial = classify_many(batch, FAST, seed=4)
-    parallel = classify_many(batch, FAST, seed=4, workers=2)
-    assert [v.tag for v in serial] == [v.tag for v in parallel]
-    assert [v.reason for v in serial] == [v.reason for v in parallel]
