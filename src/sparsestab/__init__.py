@@ -85,4 +85,4 @@ from .witness import (
     synthesize_stable_witness,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -1,11 +1,14 @@
 """Graph-side stability conditions on sparsity patterns.
 
-Three checks of increasing strength, all exact:
+After a strongly-connected-component ordering every matrix on a pattern is
+block triangular, so its spectrum is the union of its diagonal blocks'
+spectra, and the pattern is stable iff every block pattern is (Maybee &
+Quirk 1969).  Three checks of increasing strength, all exact:
 
-* every vertex must sit in a strongly connected component containing a
-  vertex with a self-loop ("sink") -- violation proves instability;
-* for each k there must be a k-vertex induced subgraph with a Hamiltonian
-  decomposition -- a missing k proves instability;
+* every block must contain a vertex with a self-loop ("sink") --
+  violation proves instability;
+* every block B must have, for each k <= |B|, a k-vertex induced subgraph
+  with a Hamiltonian decomposition -- a missing k proves instability;
 * a vertex ordering whose every prefix induces a Hamiltonian-decomposable
   subgraph proves stability (the chain certificate consumed by witness
   synthesis).
@@ -14,23 +17,27 @@ A Hamiltonian decomposition of an induced subgraph is the same thing as a
 permutation of its vertex set supported on free entries, which is the same
 thing as a perfect matching of the bipartite graph rows x cols restricted
 to the subset.  Testing it is therefore a maximum-matching call rather than
-an explicit cycle search.
+an explicit cycle search.  Cycles never leave a block, so the last two
+checks run once per block, on the block's own row bitmasks.
 
 The chain search works top down on bitmasks: rows are int bitmasks of
 their free columns, a set T - v starts from T's perfect matching with row
 v and column v removed and needs at most one augmenting path, and the
-search stops at the first complete chain instead of deciding all 2^n
-subsets.
+search stops at the first complete chain instead of deciding all 2^|B|
+subsets of a block.  The blocks' chains merge into the chain a search over
+the whole pattern would find.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 from .errors import CapabilityError
 from .patterns import SparsityPattern
 
-CHAIN_N_CAP = 24  # the nested-chain search memoises 2^n vertex subsets in a bytearray
+CHAIN_N_CAP = 24  # the chain search memoises 2^|B| subsets of a block B in a bytearray
 
 
 @dataclass(frozen=True)
@@ -60,12 +67,15 @@ class ChainCertificate:
     prefix_cycles: tuple[tuple[tuple[int, ...], ...], ...]
 
 
+@lru_cache(maxsize=1)
 def strongly_connected_components(p: SparsityPattern) -> SccReport:
     """Components from the reflexive transitive closure of the pattern.
 
     Warshall's closure runs on the row bitmasks; u and v share a component
     when each reaches the other.  Taking v in increasing order and skipping
-    placed vertices yields the components sorted by smallest vertex.
+    placed vertices yields the components sorted by smallest vertex.  The
+    last report is kept, so the sink check, the cover check and the chain
+    search of one pattern share one pass.
     """
     n = p.n
     rows = _row_masks(p)
@@ -115,6 +125,26 @@ def _row_masks(p: SparsityPattern) -> list[int]:
     return rows
 
 
+@lru_cache(maxsize=1)
+def _blocks(p: SparsityPattern) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The strongly connected blocks of p in component order, each as its
+    vertices (0-based, increasing) and its row bitmasks over its own
+    positions: bit b of row a is set when (vertices[a], vertices[b]) is
+    free.  A one-block pattern is p's own rows."""
+    rows = _row_masks(p)
+    components = strongly_connected_components(p).components
+    if len(components) == 1:
+        return ((tuple(range(p.n)), tuple(rows)),)
+    blocks = []
+    for comp in components:
+        verts = tuple(sorted(v - 1 for v in comp))
+        local = tuple(
+            sum(1 << b for b, w in enumerate(verts) if rows[v] >> w & 1) for v in verts
+        )
+        blocks.append((verts, local))
+    return tuple(blocks)
+
+
 def _augment(rows, cols, row_of, row, seen) -> bool:
     """Kuhn's augmenting path from the unmatched ``row`` to a free column.
 
@@ -149,6 +179,11 @@ def _perfect_matching(rows, cols: int) -> list[int] | None:
     return row_of
 
 
+def _mapping(row_of: list[int]) -> dict[int, int]:
+    """1-based row -> col map of a column -> row matching."""
+    return {row + 1: col + 1 for col, row in enumerate(row_of) if row >= 0}
+
+
 def _max_matching(p: SparsityPattern, subset) -> dict[int, int] | None:
     """Perfect matching rows(subset) -> cols(subset) on free entries.
 
@@ -162,9 +197,7 @@ def _max_matching(p: SparsityPattern, subset) -> dict[int, int] | None:
             return None  # a vertex outside the pattern has no free entries
         cols |= 1 << (v - 1)
     row_of = _perfect_matching(_row_masks(p), cols)
-    if row_of is None:
-        return None
-    return {row + 1: col + 1 for col, row in enumerate(row_of) if row >= 0}
+    return None if row_of is None else _mapping(row_of)
 
 
 def has_principal_matching(p: SparsityPattern, subset) -> bool:
@@ -211,6 +244,19 @@ def extract_cycle_decomposition(p: SparsityPattern, subset) -> tuple[tuple[int, 
     return _cycles_of_mapping(mapping)
 
 
+def _first_cover(rows, k: int):
+    """First k-subset of the positions of ``rows`` (lexicographic, 0-based)
+    with a perfect matching: (subset, column -> row matching) or None."""
+    for subset in combinations(range(len(rows)), k):
+        cols = 0
+        for v in subset:
+            cols |= 1 << v
+        row_of = _perfect_matching(rows, cols)
+        if row_of is not None:
+            return subset, row_of
+    return None
+
+
 def hamiltonian_k_exists(p: SparsityPattern, k: int):
     """First size-k subset (lexicographic) with a Hamiltonian decomposition.
 
@@ -219,24 +265,26 @@ def hamiltonian_k_exists(p: SparsityPattern, k: int):
     """
     if not 1 <= k <= p.n:
         raise ValueError(f"k={k} out of range 1..{p.n}")
-    from itertools import combinations
-
-    for subset in combinations(range(1, p.n + 1), k):
-        mapping = _max_matching(p, subset)
-        if mapping is not None:
-            return subset, mapping
-    return None
+    found = _first_cover(_row_masks(p), k)
+    if found is None:
+        return None
+    subset, row_of = found
+    return tuple(v + 1 for v in subset), _mapping(row_of)
 
 
 def check_necessary(p: SparsityPattern) -> int | None:
-    """Smallest k with no Hamiltonian k-subgraph, or None when all pass.
+    """Smallest k such that some strongly connected block B has no k-vertex
+    cycle cover (k <= |B|), or None when every block passes.
 
-    A returned k proves the pattern unstable (the degree-(n-k)
-    characteristic coefficient of every member vanishes identically).
+    A returned k proves the pattern unstable: the degree-(|B|-k)
+    characteristic coefficient of every matrix on B's pattern vanishes
+    identically.  k = 1 means a block without a self-loop.
     """
-    for k in range(1, p.n + 1):
-        if hamiltonian_k_exists(p, k) is None:
-            return k
+    blocks = _blocks(p)
+    for k in range(1, max(len(verts) for verts, _ in blocks) + 1):
+        for verts, rows in blocks:
+            if len(verts) >= k and _first_cover(rows, k) is None:
+                return k
     return None
 
 
@@ -256,36 +304,30 @@ def _drop_vertex(rows, sub, row_of, v) -> list[int] | None:
     return row_of if _augment(rows, sub, row_of, r, [0]) else None
 
 
-def find_nested_chain(p: SparsityPattern) -> ChainCertificate | None:
-    """Search for an ordering whose every prefix is Hamiltonian-decomposable.
+def _chain_order(rows) -> list[int] | None:
+    """Top-down chain search on one block's rows: a 0-based ordering whose
+    every prefix has a cycle cover, first vertex first, or None.
 
     A nonempty vertex set T is reachable when it has a cycle cover and
     either is a single vertex or some T - v is reachable.  The search runs
-    depth first from the full vertex set, tries v in increasing order and
-    stops at the first reachable T - v, so the last vertex of the ordering
-    is the smallest removable one, and so on down: certificates are
-    deterministic.  The cycle cover of T - v comes from T's perfect
-    matching by one augmenting path.  Sets found unreachable are memoised,
-    so no set is searched twice.  Success proves the pattern stable.
+    depth first from the full set, tries v in increasing order and stops at
+    the first reachable T - v, so the last vertex of the ordering is the
+    smallest removable one, and so on down.  The cycle cover of T - v comes
+    from T's perfect matching by one augmenting path.  Sets found
+    unreachable are memoised, so no set is searched twice.
     """
-    n = p.n
-    if n > CHAIN_N_CAP:
-        raise CapabilityError(
-            f"nested-chain search allocates 2^n entries; n={n} exceeds cap {CHAIN_N_CAP}"
-        )
-    rows = _row_masks(p)
-    full = (1 << n) - 1
+    full = (1 << len(rows)) - 1
     row_of = _perfect_matching(rows, full)
     if row_of is None:
         return None
-    failed = bytearray(1 << n)
+    failed = bytearray(1 << len(rows))
     ordering = []
 
     def reach(mask, row_of) -> bool:
         # mask has the perfect matching row_of; on success ordering holds
         # a chain of mask, first vertex first
         if mask & (mask - 1) == 0:
-            ordering.append(mask.bit_length())
+            ordering.append(mask.bit_length() - 1)
             return True
         m = mask
         while m:
@@ -297,18 +339,54 @@ def find_nested_chain(p: SparsityPattern) -> ChainCertificate | None:
             v = bit.bit_length() - 1
             rest = _drop_vertex(rows, sub, row_of, v)
             if rest is not None and reach(sub, rest):
-                ordering.append(v + 1)
+                ordering.append(v)
                 return True
             failed[sub] = 1
         return False
 
-    if not reach(full, row_of):
-        return None
+    return ordering if reach(full, row_of) else None
+
+
+def find_nested_chain(p: SparsityPattern) -> ChainCertificate | None:
+    """Search for an ordering whose every prefix is Hamiltonian-decomposable.
+
+    A vertex set has a chain iff its part in every strongly connected block
+    has one, so the search runs per block and visits at most 2^|B| sets of
+    a block B.  Read backwards, a block's chain is the sequence in which a
+    top-down search over the whole pattern would peel its vertices; that
+    search always peels the smallest removable vertex, so repeatedly taking
+    the block whose next peel vertex is smallest and reversing the merged
+    sequence gives the whole-pattern ordering: certificates are
+    deterministic and independent of the block split.  Success proves the
+    pattern stable.
+    """
+    blocks = _blocks(p)
+    largest = max(len(verts) for verts, _ in blocks)
+    if largest > CHAIN_N_CAP:
+        raise CapabilityError(
+            f"nested-chain search allocates 2^|B| entries per strongly connected block B; "
+            f"a block of {largest} vertices exceeds cap {CHAIN_N_CAP}"
+        )
+    orders = []
+    for verts, rows in blocks:
+        order = _chain_order(rows)
+        if order is None:
+            return None
+        orders.append([verts[a] + 1 for a in order])
+    peeled = []  # each order's last vertex is its block's next peel vertex
+    while orders:
+        b = min(range(len(orders)), key=lambda b: orders[b][-1])
+        peeled.append(orders[b].pop())
+        if not orders[b]:
+            del orders[b]
+    ordering = tuple(reversed(peeled))
+    rows = _row_masks(p)
     prefix_cycles = []
-    for k in range(1, n + 1):
-        mapping = _max_matching(p, ordering[:k])
-        prefix_cycles.append(_cycles_of_mapping(mapping))
-    return ChainCertificate(ordering=tuple(ordering), prefix_cycles=tuple(prefix_cycles))
+    cols = 0
+    for v in ordering:
+        cols |= 1 << (v - 1)
+        prefix_cycles.append(_cycles_of_mapping(_mapping(_perfect_matching(rows, cols))))
+    return ChainCertificate(ordering=ordering, prefix_cycles=tuple(prefix_cycles))
 
 
 def verify_chain(p: SparsityPattern, chain: ChainCertificate) -> bool:

@@ -1,12 +1,15 @@
 """Decision pipeline: combine every test into one stability verdict.
 
 Order of attack: the component-sink check, then the per-size cycle-cover
-check (both violations are instability proofs), then the nested-chain
-search with witness synthesis (a stability proof), and finally a
-randomized spectral-abscissa minimization that covers the gap between the
-necessary and the sufficient conditions.  Oracle success still yields a
-stability proof -- an explicit verified Hurwitz matrix -- but oracle
-failure proves nothing, so the remaining patterns come back Unknown.
+check on every strongly connected block (both violations are instability
+proofs), then the nested-chain search, run block by block, with witness
+synthesis (a stability proof), and finally a randomized spectral-abscissa
+minimization that covers the gap between the necessary and the sufficient
+conditions.  A pattern is stable iff each of its blocks is, so a block
+that fails a check proves the whole pattern unstable.  Oracle success
+still yields a stability proof -- an explicit verified Hurwitz matrix --
+but oracle failure proves nothing, so the remaining patterns come back
+Unknown.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .graphs import (
     check_scc_sink,
     find_nested_chain,
     hamiltonian_k_exists,
+    strongly_connected_components,
     verify_chain,
 )
 from .numerics import (
@@ -275,6 +279,18 @@ def _sink_reason(p: SparsityPattern) -> str:
     return SCC_WITHOUT_SINK if has_any_sink else NO_SINK
 
 
+def _block_pattern(p: SparsityPattern, block: frozenset[int]) -> SparsityPattern:
+    """The subpattern induced by ``block``, its vertices renumbered 1..|B|
+    in increasing order; p itself when the block is every vertex."""
+    if len(block) == p.n:
+        return p
+    index = {v: a for a, v in enumerate(sorted(block), start=1)}
+    return SparsityPattern(
+        len(block),
+        frozenset((index[i], index[j]) for i, j in p.free if i in index and j in index),
+    )
+
+
 def _matrix_supported(matrix: np.ndarray, p: SparsityPattern) -> bool:
     n = p.n
     if matrix.shape != (n, n):
@@ -337,7 +353,9 @@ def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float =
     argument is required for verdicts that do not embed a certificate, and
     a certificate built on another pattern fails).  An instability verdict
     must name its exact evidence: the violating vertices of the sink check,
-    or a size k in 1..n with no Hamiltonian k-subgraph.
+    or a size k such that some strongly connected block B has |B| >= k and
+    no Hamiltonian k-subgraph.  An Unknown must pass both checks and have a
+    block without a nested chain.
     """
     if isinstance(obj, WitnessCertificate):
         return not certificate_failures(obj, tolerance)
@@ -360,8 +378,10 @@ def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float =
                 violating = check_scc_sink(p)
                 return bool(violating) and v.violating == violating and v.reason == _sink_reason(p)
             if v.reason == NO_HAMILTONIAN_K:
-                in_range = isinstance(v.k, int) and 1 <= v.k <= p.n
-                return in_range and hamiltonian_k_exists(p, v.k) is None
+                return isinstance(v.k, int) and v.k >= 1 and any(
+                    len(block) >= v.k and hamiltonian_k_exists(_block_pattern(p, block), v.k) is None
+                    for block in strongly_connected_components(p).components
+                )
             return False
         if v.tag == UNKNOWN:
             if p is None:

@@ -98,6 +98,21 @@ class TestClassifyAtlas:
                 if not raw >> b & 1:
                     assert tag(raw | (1 << b)) != PROVED_UNSTABLE
 
+    def test_instability_closed_under_removing_entries(self, atlas2, atlas3, atlas4_timed):
+        # a Hurwitz matrix on a pattern lies in every superset's space, so
+        # no pattern one entry below an unstable or Unknown one is stable
+        for records, n in ((atlas2, 2), (atlas3, 3), (atlas4_timed[0], 4)):
+            tag_of_key = {r.key: r.verdict.tag for r in records}
+            checked = 0
+            for rec in records:
+                if rec.verdict.tag == PROVED_STABLE:
+                    continue
+                for entry in rec.pattern.free:
+                    below = pattern_to_key(SparsityPattern(n, rec.pattern.free - {entry}))
+                    assert tag_of_key[min(key_orbit(n, below))] != PROVED_STABLE, (rec.key, entry)
+                    checked += 1
+            assert checked > 0
+
     def test_orbit_members_share_verdict_tag(self, atlas3):
         rng = random.Random(67)
         cfg = EngineConfig(oracle_restarts=8, oracle_steps=120)

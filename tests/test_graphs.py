@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -89,6 +90,59 @@ def reference_scc(p):
             v for comp in components if not any((u, u) in p.free for u in comp) for v in comp
         ),
     )
+
+
+def induced(p, block):
+    """The subpattern on ``block``, its vertices renumbered 1..|block| in
+    increasing order."""
+    index = {v: a for a, v in enumerate(sorted(block), start=1)}
+    return SparsityPattern(
+        len(block), frozenset((index[i], index[j]) for i, j in p.free if i in index and j in index)
+    )
+
+
+def reference_necessary(p):
+    """Smallest k such that some component of reference_scc, taken as its
+    own pattern, has no k-vertex cycle cover."""
+    return min(
+        (
+            k
+            for comp in reference_scc(p).components
+            for k in range(1, len(comp) + 1)
+            if hamiltonian_k_exists(induced(p, comp), k) is None
+        ),
+        default=None,
+    )
+
+
+def loop_cycle(vertices):
+    """A directed cycle through ``vertices`` in order, with a self-loop on
+    the first: one block with a cycle cover of size 1 and of size
+    len(vertices) only (for four or more vertices)."""
+    return {(a, b) for a, b in zip(vertices, vertices[1:] + vertices[:1])} | {(vertices[0],) * 2}
+
+
+def path_block(lo, hi):
+    """Vertices lo..hi joined both ways along a path, with a self-loop on
+    lo: one block whose chain is lo, lo + 1, ..., hi."""
+    return {(lo, lo)} | {(v, v + 1) for v in range(lo, hi)} | {(v + 1, v) for v in range(lo, hi)}
+
+
+def block_pattern(rng, n, extra):
+    """Random block sizes summing to n, each block a directed cycle through
+    its vertices plus ``extra`` * |block| random entries inside it, and
+    entries from earlier blocks into later ones only, so the blocks are
+    exactly the strongly connected components; vertices are shuffled."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    free, placed = set(), []
+    while len(placed) < n:
+        block = order[len(placed) : len(placed) + rng.randint(1, n - len(placed))]
+        free |= set(zip(block, block[1:] + block[:1]))
+        free |= {(rng.choice(block), rng.choice(block)) for _ in range(int(len(block) * extra))}
+        free |= {(v, rng.choice(block)) for v in placed if rng.random() < 0.2}
+        placed += block
+    return SparsityPattern(n, frozenset(free))
 
 
 def brute_force_decomposable(p, subset):
@@ -238,6 +292,37 @@ class TestHamiltonianK:
         assert check_necessary(SIGMA_BETA) == 4
         assert check_necessary(SparsityPattern.full(4)) is None
 
+    def test_block_without_small_cover(self):
+        # a 4-cycle with one loop covers sizes 1 and 4 only; beside a
+        # looped vertex the whole pattern covers 1, 2 and 4 but the block
+        # still misses 2
+        p = SparsityPattern(5, frozenset(loop_cycle([1, 2, 3, 4]) | {(4, 5), (5, 5)}))
+        assert hamiltonian_k_exists(p, 2) is not None
+        assert check_necessary(p) == 2
+
+    def test_loopless_block_fails_at_one(self):
+        assert check_necessary(FIG3) == 1
+        assert check_necessary(SparsityPattern.empty(3)) == 1
+
+
+class TestNecessaryMatchesReference:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_pattern(self, n):
+        for key in range(1 << (n * n)):
+            p = key_to_pattern(n, key)
+            assert check_necessary(p) == reference_necessary(p)
+
+    def test_seeded_block_patterns(self):
+        rng = random.Random(59)
+        split = failing = 0
+        for _ in range(300):
+            p = block_pattern(rng, rng.randint(4, 12), extra=0.5)
+            k = check_necessary(p)
+            assert k == reference_necessary(p)
+            split += len(strongly_connected_components(p).components) > 1
+            failing += k is not None and k > 1
+        assert split >= 200 and failing >= 50
+
 
 class TestNestedChain:
     def test_fig2_right_chain(self):
@@ -282,8 +367,25 @@ class TestNestedChain:
                 assert not check_scc_sink(p)
 
     def test_capability_cap(self):
+        # the cap bounds the largest strongly connected block, not n
         with pytest.raises(CapabilityError):
-            find_nested_chain(SparsityPattern.empty(25))
+            find_nested_chain(SparsityPattern(25, frozenset(loop_cycle(list(range(1, 26))))))
+        assert find_nested_chain(SparsityPattern.empty(25)) is None  # 25 blocks without a loop
+
+    def test_two_chain_blocks_beyond_the_cap(self):
+        p = SparsityPattern(26, frozenset(path_block(1, 13) | path_block(14, 26) | {(13, 14)}))
+        assert len(strongly_connected_components(p).components) == 2
+        chain = find_nested_chain(p)
+        # each block peels from its far end, 13 before 26
+        assert chain.ordering == tuple(range(14, 27)) + tuple(range(1, 14))
+        assert verify_chain(p, chain)
+
+    def test_no_chain_beside_a_full_18_block(self):
+        gap = key_to_pattern(4, 4780)
+        block = {(i, j) for i in range(5, 23) for j in range(5, 23)}
+        start = time.perf_counter()
+        assert find_nested_chain(SparsityPattern(22, gap.free | block)) is None
+        assert time.perf_counter() - start < 1.0
 
 
 class TestChainSearchMatchesReference:
@@ -303,6 +405,18 @@ class TestChainSearchMatchesReference:
             assert chain == reference_chain(p)
             without += chain is None
         assert 100 <= without <= 200
+
+    def test_multi_block_patterns(self):
+        # block-triangular patterns: the per-block chains must merge into
+        # the whole-pattern ordering
+        rng = random.Random(67)
+        merged = 0
+        for _ in range(200):
+            p = block_pattern(rng, rng.randint(4, 9), extra=1.5)
+            chain = find_nested_chain(p)
+            assert chain == reference_chain(p)
+            merged += chain is not None and len(strongly_connected_components(p).components) > 1
+        assert merged >= 60
 
     def test_no_chain_beside_a_dense_block(self):
         # the n=4 gap pattern (key 4780) has no chain, so the block-diagonal

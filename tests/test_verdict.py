@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,23 @@ GAP3 = key_to_pattern(3, 118)
 # a 4x4 gap pattern whose Routh array degenerates identically: the
 # necessary checks pass but the space contains no Hurwitz matrix
 GAP4_UNSTABLE = key_to_pattern(4, 4780)
+
+# an n=8 pattern whose whole graph has cycle covers of every size; its
+# block {2,3,4,5,6} has none of size 3
+GAP8_BLOCKWISE = SparsityPattern.from_pairs(
+    8,
+    [
+        divmod(ij, 10)
+        for ij in (11, 24, 25, 27, 31, 32, 44, 45, 46, 47, 55, 56, 57, 63, 77, 81, 82, 83, 85, 86, 88)
+    ],
+)
+
+# two blocks {1,2,3,4} and {5,6,7,8}, each a 4-cycle with one self-loop:
+# each block covers sizes 1 and 4 only, the whole pattern 1, 2, 4, 5 and 8
+TWO_LOOPED_CYCLES = SparsityPattern.from_pairs(
+    8,
+    [(1, 1), (1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 5), (5, 6), (6, 7), (7, 8), (8, 5)],
+)
 
 
 class TestClassify:
@@ -72,6 +90,13 @@ class TestClassify:
         assert (v.tag, v.reason) == ("Unknown", "Exhausted")
         assert v.oracle_stats is not None
         assert verify_certificate(v, GAP4_UNSTABLE)
+
+    def test_blockwise_cover_proof(self):
+        start = time.perf_counter()
+        v = classify(GAP8_BLOCKWISE)
+        assert time.perf_counter() - start < 0.1
+        assert (v.tag, v.reason, v.k) == ("ProvedUnstable", "NoHamiltonianK", 3)
+        assert verify_certificate(v, GAP8_BLOCKWISE)
 
     def test_deterministic_given_seed(self):
         a = classify(GAP3, SMALL, seed=9)
@@ -215,6 +240,30 @@ class TestVerifyCertificate:
     def test_hamiltonian_size_out_of_range_fails(self, k):
         v = classify(FIG2_LEFT, SMALL)
         assert not verify_certificate(replace(v, k=k), FIG2_LEFT)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_hamiltonian_size_must_fail_in_a_block(self, k):
+        # only the 5-block {2,..,6} misses a cover, and only of size 3;
+        # 6, 7 and 8 exceed every block
+        v = classify(GAP8_BLOCKWISE)
+        assert verify_certificate(replace(v, k=k), GAP8_BLOCKWISE) == (k == 3)
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 7])
+    def test_hamiltonian_size_beyond_every_block_fails(self, k):
+        # the whole pattern has no cover of size 3, 6 or 7, but 6 and 7
+        # exceed both blocks
+        v = classify(TWO_LOOPED_CYCLES)
+        assert (v.tag, v.reason, v.k) == ("ProvedUnstable", "NoHamiltonianK", 2)
+        assert verify_certificate(replace(v, k=k), TWO_LOOPED_CYCLES) == (k in (2, 3))
+
+    def test_block_without_its_full_cover(self):
+        # the star {1,2,3} centred on a looped 1 covers sizes 1 and 2, not
+        # 3; beside a looped 4 the whole pattern misses only size 4
+        p = SparsityPattern.from_pairs(4, [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (3, 4), (4, 4)])
+        v = classify(p)
+        assert (v.tag, v.reason, v.k) == ("ProvedUnstable", "NoHamiltonianK", 3)
+        assert verify_certificate(v, p)
+        assert not verify_certificate(replace(v, k=4), p)
 
     def test_certificate_for_another_pattern_fails(self):
         v = classify(FIG2_RIGHT, SMALL)
