@@ -173,9 +173,9 @@ def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
             raise ValidationError("no header line")
         header = json.loads(lines[0])
         records = [_record_from_dict(json.loads(line)) for line in lines[1:]]
-    except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError, ValidationError) as exc:
         # any decode failure; JSONDecodeError and UnicodeDecodeError are
-        # ValueErrors
+        # ValueErrors, and a "num/0" minor is a ZeroDivisionError
         raise ValidationError(f"malformed atlas file {path}: {exc}")
     return header, records
 

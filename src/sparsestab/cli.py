@@ -168,12 +168,12 @@ def _cmd_analyze(args, out) -> int:
         if verdict.certificate is not None:
             lines.append(f"chain ordering: {list(verdict.certificate.ordering)}")
             lines.append(f"witness abscissa: {verdict.certificate.spectral.abscissa:.6g}")
-        if verdict.oracle_spectral is not None:
-            lines.append(f"oracle abscissa: {verdict.oracle_spectral.abscissa:.6g}")
-        if verdict.oracle_stats is not None:
+        if verdict.oracle is not None:
+            if verdict.oracle.found:
+                lines.append(f"oracle abscissa: {verdict.oracle.spectral.abscissa:.6g}")
             lines.append(
-                f"oracle: {verdict.oracle_stats.restarts} restarts, "
-                f"best abscissa {verdict.oracle_stats.best_abscissa:.6g}"
+                f"oracle: {verdict.oracle.restarts_used} restarts, "
+                f"best abscissa {verdict.oracle.best_abscissa:.6g}"
             )
         _emit(args, "\n".join(lines), out)
     if verdict.tag == PROVED_STABLE:

@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ValidationError
 from .numerics import DEFAULT_TOLERANCE, ExactMatrix, SpectralReport
 from .patterns import SparsityPattern
-from .verdict import OracleStats, StabilityVerdict
+from .verdict import OracleResult, StabilityVerdict
 from .witness import WitnessCertificate
 
 
@@ -55,6 +56,15 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
     }
 
 
+def _finite_array(values) -> np.ndarray:
+    """A float array of ``values``; json reads NaN, Infinity and 1e999, so
+    a non-finite entry is rejected here rather than deep in a re-check."""
+    array = np.array(values, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValidationError(f"non-finite entry in {values!r}")
+    return array
+
+
 def _spectral_from_dict(d: dict, tolerance: float) -> SpectralReport:
     abscissa = float(d["abscissa"])
     return SpectralReport(
@@ -71,8 +81,8 @@ def certificate_from_dict(d: dict, tolerance: float = DEFAULT_TOLERANCE) -> Witn
         prefix_cycles=tuple(
             tuple(tuple(c) for c in cycles) for cycles in d["prefix_cycles"]
         ),
-        witness=np.array(d["witness"], dtype=float),
-        stabilizer=np.array(d["stabilizer"], dtype=float),
+        witness=_finite_array(d["witness"]),
+        stabilizer=_finite_array(d["stabilizer"]),
         minors=tuple(Fraction(m) for m in d["minors"]),
         spectral=_spectral_from_dict(d, tolerance),
     )
@@ -86,34 +96,43 @@ def verdict_to_dict(v: StabilityVerdict) -> dict:
         out["violating"] = sorted(v.violating)
     if v.certificate is not None:
         out["certificate"] = certificate_to_dict(v.certificate)
-    if v.oracle_matrix is not None:
-        out["oracle"] = {
-            "matrix": [[float(x) for x in row] for row in v.oracle_matrix],
-            "eigenvalues": _eigs_to_lists(v.oracle_spectral.eigenvalues),
-            "abscissa": v.oracle_spectral.abscissa,
-        }
-    if v.oracle_stats is not None:
+    if v.oracle is not None:
+        if v.oracle.found:
+            out["oracle"] = {
+                "matrix": [[float(x) for x in row] for row in v.oracle.matrix],
+                "eigenvalues": _eigs_to_lists(v.oracle.spectral.eigenvalues),
+                "abscissa": v.oracle.spectral.abscissa,
+            }
         out["oracle_stats"] = {
-            "restarts": v.oracle_stats.restarts,
-            "best_abscissa": v.oracle_stats.best_abscissa,
+            "restarts": v.oracle.restarts_used,
+            "best_abscissa": v.oracle.best_abscissa,
         }
     if v.diagnostics:
         out["diagnostics"] = list(v.diagnostics)
     return out
 
 
+def _oracle_from_dict(oracle: dict | None, stats: dict | None) -> OracleResult | None:
+    if stats is None:
+        if oracle is not None:
+            raise ValidationError("verdict has an oracle matrix but no oracle_stats")
+        return None
+    return OracleResult(
+        matrix=None if oracle is None else _finite_array(oracle["matrix"]),
+        spectral=None if oracle is None else _spectral_from_dict(oracle, DEFAULT_TOLERANCE),
+        restarts_used=stats["restarts"],
+        best_abscissa=stats["best_abscissa"],
+    )
+
+
 def verdict_from_dict(d: dict) -> StabilityVerdict:
     """The inverse of verdict_to_dict, evidence included."""
-    oracle = d.get("oracle")
-    stats = d.get("oracle_stats")
     return StabilityVerdict(
         tag=d["tag"],
         reason=d["reason"],
         k=d.get("k"),
         violating=frozenset(d["violating"]) if "violating" in d else None,
         certificate=certificate_from_dict(d["certificate"]) if "certificate" in d else None,
-        oracle_matrix=np.array(oracle["matrix"], dtype=float) if oracle else None,
-        oracle_spectral=_spectral_from_dict(oracle, DEFAULT_TOLERANCE) if oracle else None,
-        oracle_stats=OracleStats(stats["restarts"], stats["best_abscissa"]) if stats else None,
+        oracle=_oracle_from_dict(d.get("oracle"), d.get("oracle_stats")),
         diagnostics=tuple(d.get("diagnostics", ())),
     )

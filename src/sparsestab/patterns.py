@@ -257,6 +257,8 @@ def _parse_json(text: str) -> SparsityPattern:
     # type(x) is int: json's true and false decode to bools, which are ints
     if type(n) is not int or n < 1:
         raise PatternFormatError(f'"n" must be a positive integer, got {n!r}')
+    if not isinstance(data["free"], list):
+        raise PatternFormatError(f'"free" must be a list of pairs, got {data["free"]!r}')
     seen = set()
     for entry in data["free"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):

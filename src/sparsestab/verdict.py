@@ -15,6 +15,7 @@ Unknown.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -59,50 +60,34 @@ EXHAUSTED = "Exhausted"
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """All tunables of the decision pipeline; every field is positive."""
+    """All tunables of the decision pipeline: a positive finite tolerance
+    and two positive integer counts."""
 
     tolerance: float = DEFAULT_TOLERANCE
     oracle_restarts: int = 64
     oracle_steps: int = 400
 
     def __post_init__(self):
-        bad = [name for name, value in vars(self).items() if not value > 0]
+        bad = [] if 0 < self.tolerance < math.inf else ["tolerance"]
+        # type(x) is int: bools are ints, and a float count fails deep in the oracle
+        bad += [
+            name
+            for name in ("oracle_restarts", "oracle_steps")
+            if type(getattr(self, name)) is not int or getattr(self, name) < 1
+        ]
         if bad:
-            raise ValueError(f"EngineConfig fields must be positive: {bad}")
+            raise ValueError(f"EngineConfig needs a finite tolerance > 0 and integer counts >= 1: {bad}")
 
     def scaled_oracle(self, factor: int) -> "EngineConfig":
         return replace(self, oracle_restarts=self.oracle_restarts * factor)
 
 
 @dataclass(frozen=True)
-class OracleStats:
-    restarts: int
-    best_abscissa: float
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Tri-state outcome with whatever evidence backs it.
-
-    ProvedUnstable carries the violated check (and violating vertices or
-    the failing size k); ProvedStable carries either a full witness
-    certificate or an oracle-found matrix with its spectral report;
-    Unknown means every check was inconclusive.
-    """
-
-    tag: str
-    reason: str
-    k: int | None = None
-    violating: frozenset[int] | None = None
-    certificate: WitnessCertificate | None = None
-    oracle_matrix: np.ndarray | None = None
-    oracle_spectral: SpectralReport | None = None
-    oracle_stats: OracleStats | None = None
-    diagnostics: tuple[str, ...] = field(default=())
-
-
-@dataclass(frozen=True)
 class OracleResult:
+    """What an oracle search found: the Hurwitz matrix and its spectral
+    report, or None for both on a miss, with the restarts spent and the
+    best abscissa seen."""
+
     matrix: np.ndarray | None
     spectral: SpectralReport | None
     restarts_used: int
@@ -111,6 +96,27 @@ class OracleResult:
     @property
     def found(self) -> bool:
         return self.matrix is not None
+
+
+@dataclass(frozen=True)
+class StabilityVerdict:
+    """Tri-state outcome with whatever evidence backs it.
+
+    ProvedUnstable carries the violated check (and violating vertices or
+    the failing size k).  ProvedStable carries either a full witness
+    certificate or, for OracleFound, the oracle's result with the found
+    matrix mapped onto the input's support and its spectrum re-checked
+    there.  Unknown means every check was inconclusive; its oracle field
+    holds the miss.
+    """
+
+    tag: str
+    reason: str
+    k: int | None = None
+    violating: frozenset[int] | None = None
+    certificate: WitnessCertificate | None = None
+    oracle: OracleResult | None = None
+    diagnostics: tuple[str, ...] = field(default=())
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -124,70 +130,57 @@ def oracle_search(
 ) -> OracleResult:
     """Multi-start coordinate-descent minimization of the spectral abscissa.
 
-    Free entries are the coordinates.  The first two starts bias the
-    diagonal negative (the single best heuristic for these objectives);
-    the rest are uniform in [-1, 1]^m.  Returns the first matrix whose
-    abscissa clears -tolerance -- a stability proof after re-verification
-    -- or the best abscissa seen.  A miss is NOT an instability proof.
+    The free entries are the coordinates, and the descent steps them in
+    place in one float matrix.  The first two starts bias the diagonal
+    negative (the single best heuristic for these objectives); the rest
+    are uniform in [-1, 1]^m.  A restart ends when its abscissa clears
+    -tolerance, when it has spent ``oracle_steps`` evaluations, or when
+    a sweep without improvement halves the step below 1e-6.  Returns the
+    first matrix that clears -tolerance and re-verifies -- a stability
+    proof -- with the restarts spent so far, or the best abscissa seen.
+    A miss is NOT an instability proof.
     """
     config = config or EngineConfig()
-    positions = p.sorted_free()
-    m = len(positions)
-    n = p.n
-    rng = random.Random(seed)
-    tol = config.tolerance
-
-    def build(x):
-        M = np.zeros((n, n))
-        for val, (i, j) in zip(x, positions):
-            M[i - 1, j - 1] = val
-        return M
-
+    cells = [(i - 1, j - 1) for i, j in p.sorted_free()]
+    m = len(cells)
     if m == 0:
         return OracleResult(None, None, 0, 0.0)
+    rng = random.Random(seed)
+    tol = config.tolerance
+    rows, cols = np.array(cells).T
+    M = np.zeros((p.n, p.n))
 
     best_abscissa = np.inf
     for restart in range(config.oracle_restarts):
         if restart == 0:
-            x = np.array([-1.0 if i == j else 0.0 for (i, j) in positions])
+            M[rows, cols] = np.where(rows == cols, -1.0, 0.0)
         elif restart == 1:
-            x = np.array(
-                [-1.0 if i == j else rng.uniform(-0.3, 0.3) for (i, j) in positions]
-            )
+            M[rows, cols] = [-1.0 if i == j else rng.uniform(-0.3, 0.3) for i, j in cells]
         else:
-            x = np.array([rng.uniform(-1.0, 1.0) for _ in range(m)])
-        current = float(np.max(np.linalg.eigvals(build(x)).real))
+            M[rows, cols] = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+        current = float(np.max(np.linalg.eigvals(M).real))
         evals = 1
         step = 0.35
-        while evals < config.oracle_steps:
-            if current < -tol:
-                break
-            improved = False
-            for coord in range(m):
-                for delta in (step, -step):
-                    if evals >= config.oracle_steps:
-                        break
-                    x[coord] += delta
-                    cand = float(np.max(np.linalg.eigvals(build(x)).real))
-                    evals += 1
-                    if cand < current:
-                        current = cand
-                        improved = True
-                        break
-                    x[coord] -= delta
-                else:
-                    continue
-                if current < -tol:
-                    break
-            if current < -tol:
-                break
-            if not improved:
-                step *= 0.5
-                if step < 1e-6:
-                    break
+        improved = False
+        t = 0  # the next trial steps cell t // 2 by +step (t even) or -step
+        while evals < config.oracle_steps and current >= -tol and step >= 1e-6:
+            cell = cells[t // 2]
+            delta = -step if t % 2 else step
+            M[cell] += delta
+            cand = float(np.max(np.linalg.eigvals(M).real))
+            evals += 1
+            if cand < current:
+                current, improved = cand, True
+                t += 2 - t % 2
+            else:
+                M[cell] -= delta
+                t += 1
+            if t == 2 * m:  # end of a sweep
+                if not improved:
+                    step *= 0.5
+                t, improved = 0, False
         best_abscissa = min(best_abscissa, current)
         if current < -tol:
-            M = build(x)
             report = spectral_abscissa(M, tol)
             if report.hurwitz:
                 return OracleResult(M, report, restart + 1, report.abscissa)
@@ -253,7 +246,6 @@ def classify(
     result = oracle_search(
         target, config, seed=derive_seed(seed, p.n, pattern_key, "oracle")
     )
-    stats = OracleStats(restarts=result.restarts_used, best_abscissa=result.best_abscissa)
     if result.found:
         matrix = result.matrix if info is None else _transport_from_canonical(result.matrix, info)
         report = spectral_abscissa(matrix, config.tolerance)
@@ -261,14 +253,13 @@ def classify(
             return StabilityVerdict(
                 tag=PROVED_STABLE,
                 reason=ORACLE_FOUND,
-                oracle_matrix=matrix,
-                oracle_spectral=report,
-                oracle_stats=stats,
+                oracle=replace(result, matrix=matrix, spectral=report),
                 diagnostics=tuple(diagnostics),
             )
         diagnostics.append("oracle hit failed re-verification")  # pragma: no cover
+        result = replace(result, matrix=None, spectral=None)  # pragma: no cover
     return StabilityVerdict(
-        tag=UNKNOWN, reason=EXHAUSTED, oracle_stats=stats, diagnostics=tuple(diagnostics)
+        tag=UNKNOWN, reason=EXHAUSTED, oracle=result, diagnostics=tuple(diagnostics)
     )
 
 
@@ -319,6 +310,8 @@ def certificate_failures(
             "certificate arrays have wrong shape",
             failures=[f"witness {witness.shape}, stabilizer {stabilizer.shape}, n={n}"],
         )
+    if not (np.isfinite(witness).all() and np.isfinite(stabilizer).all()):
+        raise ValidationError("certificate arrays have non-finite entries")
     if len(cert.ordering) != n or len(cert.prefix_cycles) != n:
         raise ValidationError("certificate ordering/prefix length mismatch")
 
@@ -366,11 +359,11 @@ def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float =
                 if p is not None and v.certificate.pattern != p:
                     return False
                 return not certificate_failures(v.certificate, tolerance)
-            if v.oracle_matrix is None or p is None:
+            if v.oracle is None or not v.oracle.found or p is None:
                 raise ValidationError("stable verdict carries no evidence")
-            if not _matrix_supported(np.asarray(v.oracle_matrix, dtype=float), p):
+            if not _matrix_supported(np.asarray(v.oracle.matrix, dtype=float), p):
                 return False
-            return spectral_abscissa(v.oracle_matrix, tolerance).hurwitz
+            return spectral_abscissa(v.oracle.matrix, tolerance).hurwitz
         if v.tag == PROVED_UNSTABLE:
             if p is None:
                 raise ValidationError("verifying an instability verdict needs the pattern")

@@ -176,6 +176,52 @@ MALFORMED_RECORDS = {
 }
 
 
+# json reads NaN, Infinity and 1e999 (as inf); a placeholder entry is
+# replaced by such a literal in the written line
+BAD_ENTRY = "bad entry"
+
+
+def _certificate_entry(field, literal):
+    """The record with the first entry of its certificate's ``field`` set to ``literal``."""
+
+    def line(rec):
+        cert = rec["verdict"]["certificate"]
+        row = cert[field][0] if isinstance(cert[field][0], list) else cert[field]
+        row[0] = BAD_ENTRY
+        return json.dumps(rec).replace(json.dumps(BAD_ENTRY), literal)
+
+    return line
+
+
+def _oracle_verdict(literal, stats=True):
+    """The record with an OracleFound verdict whose matrix is the witness
+    with its first entry set to ``literal``, with or without oracle_stats."""
+
+    def line(rec):
+        cert = rec["verdict"]["certificate"]
+        matrix = [[BAD_ENTRY] + cert["witness"][0][1:]] + cert["witness"][1:]
+        oracle = {"matrix": matrix, "eigenvalues": cert["eigenvalues"], "abscissa": cert["abscissa"]}
+        verdict = {"tag": "ProvedStable", "reason": "OracleFound", "oracle": oracle}
+        if stats:
+            verdict["oracle_stats"] = {"restarts": 1, "best_abscissa": cert["abscissa"]}
+        return json.dumps({**rec, "verdict": verdict}).replace(json.dumps(BAD_ENTRY), literal)
+
+    return line
+
+
+MALFORMED_CERTIFICATES = {
+    "zero_denominator_minor": _certificate_entry("minors", '"1/0"'),
+    **{
+        f"{field}_{name}": _certificate_entry(field, literal)
+        for field in ("witness", "stabilizer")
+        for name, literal in (("nan", "NaN"), ("infinity", "-Infinity"), ("overflow", "1e999"))
+    },
+    "oracle_matrix_nan": _oracle_verdict("NaN"),
+    "oracle_matrix_overflow": _oracle_verdict("1e999"),
+    "oracle_without_stats": _oracle_verdict("-1.0", stats=False),
+}
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("case", list(MALFORMED_RECORDS))
     def test_malformed_atlas_record(self, atlas2_lines, tmp_path, case):
@@ -186,6 +232,20 @@ class TestErrorPaths:
         path.write_text("\n".join([atlas2_lines[0], bad]) + "\n")
         code, _ = run(["atlas", "query", "--atlas", str(path)])
         assert code == 12
+
+    @pytest.mark.parametrize("command", ["query", "validate"])
+    @pytest.mark.parametrize("case", list(MALFORMED_CERTIFICATES))
+    def test_malformed_certificate_record(self, atlas2_lines, tmp_path, case, command):
+        # the whole atlas with one record changed, so validate gets past
+        # its structure checks to the records' evidence
+        lines = list(atlas2_lines)
+        at = next(i for i, line in enumerate(lines) if '"certificate"' in line)
+        lines[at] = MALFORMED_CERTIFICATES[case](json.loads(lines[at]))
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["atlas", command, "--atlas", str(path)] + (["-n", "2"] if command == "validate" else [])
+        code, text = run(argv)
+        assert code == 12 and text == ""
 
     def test_missing_file(self):
         code, _ = run(["analyze", "/definitely/not/there.mask"])
@@ -215,6 +275,13 @@ class TestErrorPaths:
         code, text = run(["analyze", str(path)])
         assert code == 12 and text == ""
 
+    @pytest.mark.parametrize("free", ["5", "null"])
+    def test_json_pattern_free_not_a_list(self, tmp_path, free):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 3, "free": %s}' % free)
+        code, text = run(["analyze", str(path)])
+        assert code == 12 and text == ""
+
     def test_capability_cap(self, tmp_path):
         path = tmp_path / "big.mask"
         path.write_text("\n".join("0" * 9 for _ in range(9)) + "\n")
@@ -229,7 +296,9 @@ class TestErrorPaths:
         code, _ = run(["atlas", "query"])
         assert code == 10
 
-    @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--restarts", "-3"), ("--steps", "0")])
+    @pytest.mark.parametrize(
+        "flag,value", [("--tol", "-1"), ("--tol", "inf"), ("--restarts", "-3"), ("--steps", "0")]
+    )
     def test_nonpositive_engine_setting(self, fig2_right_file, flag, value):
         code, text = run(["analyze", fig2_right_file, flag, value])
         assert code == 10 and text == ""

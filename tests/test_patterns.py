@@ -81,6 +81,11 @@ class TestParsing:
         with pytest.raises(PatternFormatError):
             parse_pattern(text, "json")
 
+    @pytest.mark.parametrize("free", ["5", "null", "{}", '""'])
+    def test_json_free_not_a_list(self, free):
+        with pytest.raises(PatternFormatError, match="free"):
+            parse_pattern('{"n": 3, "free": %s}' % free, "json")
+
     def test_json_duplicate_pair(self):
         with pytest.raises(PatternFormatError) as err:
             parse_pattern('{"n":2,"free":[[1,2],[1,2]]}', "json")

@@ -17,8 +17,10 @@ from sparsestab import (
 )
 from sparsestab.errors import ValidationError
 from sparsestab.patterns import key_to_pattern
+from sparsestab.numerics import spectral_abscissa
 from sparsestab.verdict import (
     EngineConfig,
+    OracleResult,
     certificate_failures,
 )
 from sparsestab.witness import WitnessCertificate
@@ -82,13 +84,13 @@ class TestClassify:
     def test_gap_pattern_resolved_by_oracle(self):
         v = classify(GAP3, SMALL)
         assert (v.tag, v.reason) == ("ProvedStable", "OracleFound")
-        assert v.oracle_spectral.abscissa < -1e-9
+        assert v.oracle.spectral.abscissa < -1e-9
         assert verify_certificate(v, GAP3)
 
     def test_unstable_gap_pattern_stays_unknown(self):
         v = classify(GAP4_UNSTABLE, SMALL)
         assert (v.tag, v.reason) == ("Unknown", "Exhausted")
-        assert v.oracle_stats is not None
+        assert v.oracle is not None
         assert verify_certificate(v, GAP4_UNSTABLE)
 
     def test_blockwise_cover_proof(self):
@@ -102,7 +104,7 @@ class TestClassify:
         a = classify(GAP3, SMALL, seed=9)
         b = classify(GAP3, SMALL, seed=9)
         assert a.tag == b.tag and a.reason == b.reason
-        assert np.array_equal(a.oracle_matrix, b.oracle_matrix)
+        assert np.array_equal(a.oracle.matrix, b.oracle.matrix)
 
     def test_verdict_tag_invariant_on_orbit(self):
         rng = random.Random(61)
@@ -120,7 +122,16 @@ class TestClassify:
 class TestEngineConfig:
     @pytest.mark.parametrize(
         "field,value",
-        [("tolerance", -1.0), ("tolerance", float("nan")), ("oracle_restarts", -3), ("oracle_steps", 0)],
+        [
+            ("tolerance", -1.0),
+            ("tolerance", float("nan")),
+            ("tolerance", float("inf")),
+            ("oracle_restarts", -3),
+            ("oracle_restarts", 2.5),
+            ("oracle_restarts", True),
+            ("oracle_steps", 0),
+            ("oracle_steps", 80.0),
+        ],
     )
     def test_nonpositive_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -199,6 +210,15 @@ class TestVerifyCertificate:
         )
         assert not verify_certificate(bad)
 
+    @pytest.mark.parametrize("array", ["witness", "stabilizer"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_raises(self, array, value):
+        cert = synthesize_stable_witness(FIG2_RIGHT, seed=5)
+        entries = getattr(cert, array).copy()
+        entries.flat[0] = value
+        with pytest.raises(ValidationError):
+            certificate_failures(replace(cert, **{array: entries}))
+
     def test_malformed_raises(self):
         cert = synthesize_stable_witness(FIG2_RIGHT, seed=5)
         bad = WitnessCertificate(
@@ -269,3 +289,134 @@ class TestVerifyCertificate:
         v = classify(FIG2_RIGHT, SMALL)
         assert verify_certificate(v, FIG2_RIGHT)
         assert not verify_certificate(v, SparsityPattern.full(3))
+
+
+def reference_oracle(p, config, seed, exits):
+    """oracle_search as it ran before the descent stepped one matrix in
+    place: every evaluation rebuilds the matrix from a coordinate vector.
+    Appends how each restart ended to ``exits``: "found", "budget" (out of
+    evaluations), "floor" (step below 1e-6) or "empty" (no free entry)."""
+    positions = p.sorted_free()
+    m = len(positions)
+    n = p.n
+    rng = random.Random(seed)
+    tol = config.tolerance
+
+    def build(x):
+        M = np.zeros((n, n))
+        for val, (i, j) in zip(x, positions):
+            M[i - 1, j - 1] = val
+        return M
+
+    if m == 0:
+        exits.append("empty")
+        return OracleResult(None, None, 0, 0.0)
+
+    best_abscissa = np.inf
+    for restart in range(config.oracle_restarts):
+        if restart == 0:
+            x = np.array([-1.0 if i == j else 0.0 for (i, j) in positions])
+        elif restart == 1:
+            x = np.array(
+                [-1.0 if i == j else rng.uniform(-0.3, 0.3) for (i, j) in positions]
+            )
+        else:
+            x = np.array([rng.uniform(-1.0, 1.0) for _ in range(m)])
+        current = float(np.max(np.linalg.eigvals(build(x)).real))
+        evals = 1
+        step = 0.35
+        exit = "budget"
+        while evals < config.oracle_steps:
+            if current < -tol:
+                break
+            improved = False
+            for coord in range(m):
+                for delta in (step, -step):
+                    if evals >= config.oracle_steps:
+                        break
+                    x[coord] += delta
+                    cand = float(np.max(np.linalg.eigvals(build(x)).real))
+                    evals += 1
+                    if cand < current:
+                        current = cand
+                        improved = True
+                        break
+                    x[coord] -= delta
+                else:
+                    continue
+                if current < -tol:
+                    break
+            if current < -tol:
+                break
+            if not improved:
+                step *= 0.5
+                if step < 1e-6:
+                    exit = "floor"
+                    break
+        exits.append("found" if current < -tol else exit)
+        best_abscissa = min(best_abscissa, current)
+        if current < -tol:
+            M = build(x)
+            report = spectral_abscissa(M, tol)
+            if report.hurwitz:
+                return OracleResult(M, report, restart + 1, report.abscissa)
+    return OracleResult(None, None, config.oracle_restarts, float(best_abscissa))
+
+
+def assert_same_result(got, want):
+    """Bitwise equality of two oracle results."""
+    assert (got.found, got.restarts_used) == (want.found, want.restarts_used)
+    assert float(got.best_abscissa).hex() == float(want.best_abscissa).hex()
+    if want.found:
+        assert got.matrix.shape == want.matrix.shape
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert np.array(got.spectral.eigenvalues).tobytes() == np.array(want.spectral.eigenvalues).tobytes()
+        assert float(got.spectral.abscissa).hex() == float(want.spectral.abscissa).hex()
+        assert got.spectral.hurwitz == want.spectral.hurwitz
+
+
+def seeded_patterns(count: int, seed: int) -> list[SparsityPattern]:
+    """``count`` random patterns at n = 4..6, each entry free with a drawn density."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.choice((4, 5, 6))
+        density = rng.uniform(0.15, 0.6)
+        out.append(
+            SparsityPattern.from_pairs(
+                n,
+                [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < density],
+            )
+        )
+    return out
+
+
+ORACLE_CORPUS = [key_to_pattern(n, key) for n in (1, 2, 3) for key in range(2 ** (n * n))]
+ORACLE_CORPUS += seeded_patterns(90, seed=5)
+
+
+class TestOracleMatchesReference:
+    def test_bitwise_equal(self):
+        """Whole results agree on every pattern with n <= 3 and on seeded
+        patterns at n = 4..6, under budgets that end restarts each way."""
+        exits = []
+        finds_at = []
+        budget_misses = 0
+        for restarts, steps in ((8, 8), (3, 50)):
+            config = EngineConfig(oracle_restarts=restarts, oracle_steps=steps)
+            for index, p in enumerate(ORACLE_CORPUS):
+                before = len(exits)
+                want = reference_oracle(p, config, index, exits)
+                assert_same_result(oracle_search(p, config, seed=index), want)
+                if want.found:
+                    finds_at.append(want.restarts_used)
+                elif "budget" in exits[before:]:
+                    budget_misses += 1
+        # the corpus ends restarts every way (counts at writing: 142, 319,
+        # 10, 747, 42 and 8)
+        assert finds_at.count(1) >= 100
+        assert finds_at.count(2) >= 200
+        assert sum(r >= 3 for r in finds_at) >= 8
+        assert budget_misses >= 500
+        assert exits.count("floor") >= 30
+        assert exits.count("empty") >= 6
