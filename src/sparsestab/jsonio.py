@@ -57,16 +57,28 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
 
 
 def _finite_array(values) -> np.ndarray:
-    """A float array of ``values``; json reads NaN, Infinity and 1e999, so
-    a non-finite entry is rejected here rather than deep in a re-check."""
-    array = np.array(values, dtype=float)
+    """A float array of ``values``; json reads NaN, Infinity, 1e999 and
+    integers beyond float range, so a non-finite entry is rejected here
+    rather than deep in a re-check."""
+    try:
+        array = np.array(values, dtype=float)
+    except OverflowError:
+        array = np.array(np.inf)
     if not np.isfinite(array).all():
         raise ValidationError(f"non-finite entry in {values!r}")
     return array
 
 
+def _finite_real(value) -> float:
+    """``value`` as a float; a bool, a string, null or a non-finite number
+    is rejected."""
+    if type(value) not in (int, float):
+        raise ValidationError(f"expected a number, got {value!r}")
+    return float(_finite_array(value))
+
+
 def _spectral_from_dict(d: dict, tolerance: float) -> SpectralReport:
-    abscissa = float(d["abscissa"])
+    abscissa = _finite_real(d["abscissa"])
     return SpectralReport(
         eigenvalues=tuple(complex(re, im) for re, im in d["eigenvalues"]),
         abscissa=abscissa,
@@ -117,11 +129,14 @@ def _oracle_from_dict(oracle: dict | None, stats: dict | None) -> OracleResult |
         if oracle is not None:
             raise ValidationError("verdict has an oracle matrix but no oracle_stats")
         return None
+    restarts = stats["restarts"]
+    if type(restarts) is not int or restarts < 0:
+        raise ValidationError(f"oracle_stats restarts must be an integer >= 0, got {restarts!r}")
     return OracleResult(
         matrix=None if oracle is None else _finite_array(oracle["matrix"]),
         spectral=None if oracle is None else _spectral_from_dict(oracle, DEFAULT_TOLERANCE),
-        restarts_used=stats["restarts"],
-        best_abscissa=stats["best_abscissa"],
+        restarts_used=restarts,
+        best_abscissa=_finite_real(stats["best_abscissa"]),
     )
 
 

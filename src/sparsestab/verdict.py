@@ -135,7 +135,10 @@ def oracle_search(
     negative (the single best heuristic for these objectives); the rest
     are uniform in [-1, 1]^m.  A restart ends when its abscissa clears
     -tolerance, when it has spent ``oracle_steps`` evaluations, or when
-    a sweep without improvement halves the step below 1e-6.  Returns the
+    a sweep without improvement halves the step below 1e-6.  The first
+    start puts -1 on each free diagonal entry; when some diagonal entry
+    is not free, it ends after one evaluation, as no step can lower its
+    abscissa 0.  Returns the
     first matrix that clears -tolerance and re-verifies -- a stability
     proof -- with the restarts spent so far, or the best abscissa seen.
     A miss is NOT an instability proof.
@@ -149,6 +152,10 @@ def oracle_search(
     tol = config.tolerance
     rows, cols = np.array(cells).T
     M = np.zeros((p.n, p.n))
+    # A vertex without a free diagonal entry pins the first start: it is
+    # diagonal with a zero eigenvalue, and every one-entry step leaves it
+    # triangular with that zero on the diagonal, so no step can improve it.
+    pinned = np.count_nonzero(rows == cols) < p.n
 
     best_abscissa = np.inf
     for restart in range(config.oracle_restarts):
@@ -158,12 +165,13 @@ def oracle_search(
             M[rows, cols] = [-1.0 if i == j else rng.uniform(-0.3, 0.3) for i, j in cells]
         else:
             M[rows, cols] = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+        budget = 1 if restart == 0 and pinned else config.oracle_steps
         current = float(np.max(np.linalg.eigvals(M).real))
         evals = 1
         step = 0.35
         improved = False
         t = 0  # the next trial steps cell t // 2 by +step (t even) or -step
-        while evals < config.oracle_steps and current >= -tol and step >= 1e-6:
+        while evals < budget and current >= -tol and step >= 1e-6:
             cell = cells[t // 2]
             delta = -step if t % 2 else step
             M[cell] += delta
@@ -207,9 +215,12 @@ def classify(
 ) -> StabilityVerdict:
     """Run all checks in order and return the first conclusive verdict.
 
-    Deterministic given the seed.  Synthesis failures degrade to the next
-    stage and surface in the diagnostics; no instability conclusion is
-    ever drawn from oracle failure.
+    Deterministic given the seed.  The checks and the chain stage work on
+    p as labeled, with a witness seed from p's own key; only the oracle
+    works on the canonical representative (n <= CANONICAL_N_CAP), seeded
+    from its key.  Synthesis failures degrade to the next stage and
+    surface in the diagnostics; no instability conclusion is ever drawn
+    from oracle failure.
     """
     config = config or EngineConfig()
     violating = check_scc_sink(p)
@@ -220,20 +231,13 @@ def classify(
         return StabilityVerdict(tag=PROVED_UNSTABLE, reason=NO_HAMILTONIAN_K, k=k)
 
     diagnostics = []
-    if p.n <= CANONICAL_N_CAP:
-        info = canonical_form(p)
-        pattern_key = info.canonical.bitkey()
-    else:
-        info = None
-        pattern_key = p.bitkey()
-
     chain = find_nested_chain(p)
     if chain is not None:
         try:
             cert = synthesize_stable_witness(
                 p,
                 config.tolerance,
-                seed=derive_seed(seed, p.n, pattern_key, "witness"),
+                seed=derive_seed(seed, p.n, p.bitkey(), "witness"),
                 chain=chain,
             )
             return StabilityVerdict(tag=PROVED_STABLE, reason=CHAIN_FOUND, certificate=cert)
@@ -242,9 +246,10 @@ def classify(
 
     # Oracle runs on the canonical representative so the verdict tag is
     # invariant across relabelings and transposition of the input.
+    info = canonical_form(p) if p.n <= CANONICAL_N_CAP else None
     target = info.canonical if info is not None else p
     result = oracle_search(
-        target, config, seed=derive_seed(seed, p.n, pattern_key, "oracle")
+        target, config, seed=derive_seed(seed, p.n, target.bitkey(), "oracle")
     )
     if result.found:
         matrix = result.matrix if info is None else _transport_from_canonical(result.matrix, info)
@@ -348,7 +353,8 @@ def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float =
     must name its exact evidence: the violating vertices of the sink check,
     or a size k such that some strongly connected block B has |B| >= k and
     no Hamiltonian k-subgraph.  An Unknown must pass both checks and have a
-    block without a nested chain.
+    block without a nested chain.  Raises ValidationError on evidence that
+    cannot be checked, such as non-finite entries or a missing pattern.
     """
     if isinstance(obj, WitnessCertificate):
         return not certificate_failures(obj, tolerance)
@@ -361,9 +367,12 @@ def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float =
                 return not certificate_failures(v.certificate, tolerance)
             if v.oracle is None or not v.oracle.found or p is None:
                 raise ValidationError("stable verdict carries no evidence")
-            if not _matrix_supported(np.asarray(v.oracle.matrix, dtype=float), p):
+            matrix = np.asarray(v.oracle.matrix, dtype=float)
+            if not np.isfinite(matrix).all():
+                raise ValidationError("oracle matrix has non-finite entries")
+            if not _matrix_supported(matrix, p):
                 return False
-            return spectral_abscissa(v.oracle.matrix, tolerance).hurwitz
+            return spectral_abscissa(matrix, tolerance).hurwitz
         if v.tag == PROVED_UNSTABLE:
             if p is None:
                 raise ValidationError("verifying an instability verdict needs the pattern")

@@ -193,17 +193,21 @@ def _certificate_entry(field, literal):
     return line
 
 
-def _oracle_verdict(literal, stats=True):
-    """The record with an OracleFound verdict whose matrix is the witness
-    with its first entry set to ``literal``, with or without oracle_stats."""
+def _oracle_verdict(literal, stats=True, at="matrix"):
+    """The record with an OracleFound verdict built from the witness, with
+    or without oracle_stats, and ``literal`` in place of the first matrix
+    entry, the oracle's "abscissa" or an oracle_stats value (``at``)."""
 
     def line(rec):
         cert = rec["verdict"]["certificate"]
-        matrix = [[BAD_ENTRY] + cert["witness"][0][1:]] + cert["witness"][1:]
+        matrix = [[BAD_ENTRY] + cert["witness"][0][1:]] + cert["witness"][1:] if at == "matrix" else cert["witness"]
         oracle = {"matrix": matrix, "eigenvalues": cert["eigenvalues"], "abscissa": cert["abscissa"]}
+        oracle_stats = {"restarts": 1, "best_abscissa": cert["abscissa"]}
+        if at != "matrix":
+            (oracle if at == "abscissa" else oracle_stats)[at] = BAD_ENTRY
         verdict = {"tag": "ProvedStable", "reason": "OracleFound", "oracle": oracle}
         if stats:
-            verdict["oracle_stats"] = {"restarts": 1, "best_abscissa": cert["abscissa"]}
+            verdict["oracle_stats"] = oracle_stats
         return json.dumps({**rec, "verdict": verdict}).replace(json.dumps(BAD_ENTRY), literal)
 
     return line
@@ -219,6 +223,13 @@ MALFORMED_CERTIFICATES = {
     "oracle_matrix_nan": _oracle_verdict("NaN"),
     "oracle_matrix_overflow": _oracle_verdict("1e999"),
     "oracle_without_stats": _oracle_verdict("-1.0", stats=False),
+    "witness_integer_overflow": _certificate_entry("witness", "1" + "0" * 400),
+    "oracle_abscissa_nan": _oracle_verdict("NaN", at="abscissa"),
+    "oracle_restarts_string": _oracle_verdict('"x"', at="restarts"),
+    "oracle_restarts_bool": _oracle_verdict("true", at="restarts"),
+    "oracle_restarts_negative": _oracle_verdict("-1", at="restarts"),
+    "oracle_best_abscissa_null": _oracle_verdict("null", at="best_abscissa"),
+    "oracle_best_abscissa_infinity": _oracle_verdict("Infinity", at="best_abscissa"),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from dataclasses import replace
@@ -15,8 +16,11 @@ from sparsestab import (
     transpose_pattern,
     verify_certificate,
 )
+import sparsestab.verdict as verdict_module
 from sparsestab.errors import ValidationError
-from sparsestab.patterns import key_to_pattern
+from sparsestab.graphs import find_nested_chain
+from sparsestab.jsonio import verdict_to_dict
+from sparsestab.patterns import canonical_form, key_to_pattern
 from sparsestab.numerics import spectral_abscissa
 from sparsestab.verdict import (
     EngineConfig,
@@ -44,6 +48,13 @@ GAP8_BLOCKWISE = SparsityPattern.from_pairs(
         divmod(ij, 10)
         for ij in (11, 24, 25, 27, 31, 32, 44, 45, 46, 47, 55, 56, 57, 63, 77, 81, 82, 83, 85, 86, 88)
     ],
+)
+
+# an n=8 chain pattern with loopless vertices, not its orbit's canonical
+# representative
+CHAIN8 = SparsityPattern.from_pairs(
+    8,
+    [divmod(ij, 10) for ij in (12, 13, 16, 17, 22, 34, 35, 36, 38, 41, 43, 45, 58, 64, 68, 73, 81, 86, 87, 88)],
 )
 
 # two blocks {1,2,3,4} and {5,6,7,8}, each a 4-cycle with one self-loop:
@@ -111,12 +122,61 @@ class TestClassify:
         for p in (GAP3, FIG2_RIGHT, FIG2_LEFT):
             base = classify(p, SMALL).tag
             for _ in range(4):
-                order = list(range(1, p.n + 1))
-                rng.shuffle(order)
-                q = apply_permutation(p, Permutation(tuple(order)))
-                if rng.random() < 0.5:
-                    q = transpose_pattern(q)
-                assert classify(q, SMALL).tag == base
+                assert classify(relabeled(rng, p), SMALL).tag == base
+
+    def test_chain_verdicts_on_relabelings(self):
+        # the chain stage works on the input as labeled and seeds its
+        # witness from the input's key, so every relabeling gets its own
+        # certificate, which must verify and be reproducible
+        rng = random.Random(62)
+        chains = []
+        for n in (5, 6, 7, 8):
+            found = 0
+            while found < 3:
+                p = SparsityPattern.from_pairs(
+                    n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < 0.3]
+                )
+                if find_nested_chain(p) is not None:
+                    chains.append(p)
+                    found += 1
+        for p in chains:
+            for _ in range(4):
+                q = relabeled(rng, p)
+                v = classify(q, SMALL)
+                assert (v.tag, v.reason) == ("ProvedStable", "ChainFound")
+                assert verify_certificate(v, q)
+                again = classify(q, SMALL)
+                assert json.dumps(verdict_to_dict(again)) == json.dumps(verdict_to_dict(v))
+
+
+def relabeled(rng: random.Random, p: SparsityPattern) -> SparsityPattern:
+    """A random relabeling of p, transposed with probability one half."""
+    order = list(range(1, p.n + 1))
+    rng.shuffle(order)
+    q = apply_permutation(p, Permutation(tuple(order)))
+    return transpose_pattern(q) if rng.random() < 0.5 else q
+
+
+class TestCanonicalOnlyForOracle:
+    @pytest.mark.parametrize(
+        "p,reason,calls",
+        [
+            (SparsityPattern.from_pairs(2, [(1, 2), (2, 1)]), "NoSink", 0),
+            (FIG3, "SccWithoutSink", 0),
+            (FIG2_LEFT, "NoHamiltonianK", 0),
+            (FIG2_RIGHT, "ChainFound", 0),
+            (SIGMA_ALPHA, "ChainFound", 0),
+            (CHAIN8, "ChainFound", 0),
+            (GAP3, "OracleFound", 1),
+            (GAP4_UNSTABLE, "Exhausted", 1),
+        ],
+        ids=["no_sink", "scc_without_sink", "cover", "chain3", "chain5", "chain8", "oracle_found", "unknown"],
+    )
+    def test_canonical_form_calls(self, monkeypatch, p, reason, calls):
+        seen = []
+        monkeypatch.setattr(verdict_module, "canonical_form", lambda q: seen.append(q) or canonical_form(q))
+        assert classify(p, SMALL).reason == reason
+        assert seen == [p] * calls
 
 
 class TestEngineConfig:
@@ -158,6 +218,14 @@ class TestOracle:
     def test_empty_pattern(self):
         result = oracle_search(SparsityPattern.empty(2), SMALL)
         assert not result.found and result.best_abscissa == 0.0
+
+    def test_pinned_first_start_evaluated_once(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+        result = oracle_search(CHAIN8, EngineConfig(oracle_restarts=1))
+        assert (result.found, result.restarts_used, result.best_abscissa) == (False, 1, 0.0)
+        assert len(calls) == 1
 
 
 class TestVerifyCertificate:
@@ -218,6 +286,15 @@ class TestVerifyCertificate:
         entries.flat[0] = value
         with pytest.raises(ValidationError):
             certificate_failures(replace(cert, **{array: entries}))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_oracle_matrix_raises(self, value):
+        v = classify(GAP3, SMALL)
+        i, j = min(GAP3.free)
+        matrix = v.oracle.matrix.copy()
+        matrix[i - 1, j - 1] = value
+        with pytest.raises(ValidationError):
+            verify_certificate(replace(v, oracle=replace(v.oracle, matrix=matrix)), GAP3)
 
     def test_malformed_raises(self):
         cert = synthesize_stable_witness(FIG2_RIGHT, seed=5)
@@ -420,3 +497,21 @@ class TestOracleMatchesReference:
         assert budget_misses >= 500
         assert exits.count("floor") >= 30
         assert exits.count("empty") >= 6
+
+    def test_first_start_alone(self):
+        """Restart 0 alone at the default budget.  A pattern with a loopless
+        vertex is compared with the reference's whole pinned descent, which
+        never leaves abscissa 0; a full free diagonal must still descend
+        from -I when the tolerance asks for more than -1."""
+        loopless = [p for p in ORACLE_CORPUS if p.free and any((i, i) not in p.free for i in range(1, p.n + 1))]
+        full = [p for p in ORACLE_CORPUS if all((i, i) in p.free for i in range(1, p.n + 1))]
+        exits = []
+        for patterns, tolerance in ((loopless, 1e-9), (full, 1.5)):
+            config = EngineConfig(tolerance=tolerance, oracle_restarts=1, oracle_steps=400)
+            for index, p in enumerate(patterns):
+                want = reference_oracle(p, config, index, exits)
+                assert_same_result(oracle_search(p, config, seed=index), want)
+        pinned_exits = exits[: len(loopless)]
+        assert len(loopless) >= 500 and set(pinned_exits) == {"budget", "floor"}
+        # from -I, some full diagonals clear -1.5 and some do not
+        assert {"found", "budget"} <= set(exits[len(loopless) :])
