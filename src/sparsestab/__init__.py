@@ -31,6 +31,7 @@ from .errors import (
 from .graphs import (
     ChainCertificate,
     SccReport,
+    block_without_cover,
     check_necessary,
     check_scc_sink,
     extract_cycle_decomposition,

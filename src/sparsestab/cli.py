@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
 
     def engine(p):
         # only the subcommands that build an EngineConfig take its settings
-        p.add_argument("--tol", type=float, default=1e-9, help="Hurwitz tolerance")
         p.add_argument("--restarts", type=int, default=64, help="oracle restarts")
         p.add_argument("--steps", type=int, default=400, help="oracle steps per restart")
 
@@ -91,7 +90,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("pattern_file")
         common(p)
-        if name != "canon":
+        if name in ("analyze", "oracle"):
             engine(p)
 
     p = sub.add_parser("identities")
@@ -139,9 +138,7 @@ def _load_pattern(path: str):
 
 def _config(args) -> EngineConfig:
     try:
-        return EngineConfig(
-            tolerance=args.tol, oracle_restarts=args.restarts, oracle_steps=args.steps
-        )
+        return EngineConfig(oracle_restarts=args.restarts, oracle_steps=args.steps)
     except ValueError as exc:
         raise _UsageError(str(exc))
 
@@ -185,12 +182,11 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_witness(args, out) -> int:
     p = _load_pattern(args.pattern_file)
-    config = _config(args)
     chain = find_nested_chain(p)
     if chain is None:
         _emit(args, "no nested chain: the pattern is not chain-certifiably stable", out)
         return EXIT_UNKNOWN
-    cert = synthesize_stable_witness(p, config.tolerance, seed=args.seed, chain=chain)
+    cert = synthesize_stable_witness(p, seed=args.seed, chain=chain)
     if args.format == "json":
         _emit(args, json.dumps(jsonio.certificate_to_dict(cert), sort_keys=True), out)
     else:
@@ -324,8 +320,7 @@ def _cmd_atlas(args, out) -> int:
         failing = [
             r.key
             for r in records
-            if not verify_certificate(r.verdict, r.pattern, config.tolerance)
-            or not _orbit_agrees(r)
+            if not verify_certificate(r.verdict, r.pattern) or not _orbit_agrees(r)
         ]
         verified = len(records) - len(failing)
         lines = [report.summary(), f"  re-verified {verified} of {len(records)} records"]

@@ -45,13 +45,11 @@ class SccReport:
     """Strongly connected components plus sink bookkeeping.
 
     ``components`` partition {1..n} and are sorted by smallest vertex;
-    ``condensation_edges`` are (from, to) pairs of component indices;
     ``violating_vertices`` are the vertices whose component has no
     self-loop.
     """
 
     components: tuple[frozenset[int], ...]
-    condensation_edges: frozenset[tuple[int, int]]
     violating_vertices: frozenset[int]
 
 
@@ -84,27 +82,19 @@ def strongly_connected_components(p: SparsityPattern) -> SccReport:
         for v in range(n):
             if reach[v] >> k & 1:
                 reach[v] |= reach[k]
-    comp_of = [-1] * n
+    placed = set()
     components = []
     violating = set()
     for v in range(n):
-        if comp_of[v] >= 0:
+        if v in placed:
             continue
         comp = [u for u in range(n) if reach[v] >> u & 1 and reach[u] >> v & 1]
-        for u in comp:
-            comp_of[u] = len(components)
+        placed.update(comp)
         members = frozenset(u + 1 for u in comp)
         components.append(members)
         if not any(rows[u] >> u & 1 for u in comp):
             violating |= members
-    cond = {
-        (comp_of[i - 1], comp_of[j - 1]) for i, j in p.free if comp_of[i - 1] != comp_of[j - 1]
-    }
-    return SccReport(
-        components=tuple(components),
-        condensation_edges=frozenset(cond),
-        violating_vertices=frozenset(violating),
-    )
+    return SccReport(components=tuple(components), violating_vertices=frozenset(violating))
 
 
 def check_scc_sink(p: SparsityPattern) -> frozenset[int]:
@@ -272,20 +262,21 @@ def hamiltonian_k_exists(p: SparsityPattern, k: int):
     return tuple(v + 1 for v in subset), _mapping(row_of)
 
 
-def check_necessary(p: SparsityPattern) -> int | None:
-    """Smallest k such that some strongly connected block B has no k-vertex
-    cycle cover (k <= |B|), or None when every block passes.
+def block_without_cover(p: SparsityPattern, k: int) -> bool:
+    """Does some strongly connected block B with |B| >= k have no k-vertex
+    cycle cover?
 
-    A returned k proves the pattern unstable: the degree-(|B|-k)
-    characteristic coefficient of every matrix on B's pattern vanishes
-    identically.  k = 1 means a block without a self-loop.
+    True proves the pattern unstable: the degree-(|B|-k) characteristic
+    coefficient of every matrix on B's pattern vanishes identically.
     """
-    blocks = _blocks(p)
-    for k in range(1, max(len(verts) for verts, _ in blocks) + 1):
-        for verts, rows in blocks:
-            if len(verts) >= k and _first_cover(rows, k) is None:
-                return k
-    return None
+    return any(len(verts) >= k and _first_cover(rows, k) is None for verts, rows in _blocks(p))
+
+
+def check_necessary(p: SparsityPattern) -> int | None:
+    """Smallest k for which block_without_cover(p, k) holds, or None when
+    every block passes.  k = 1 means a block without a self-loop."""
+    largest = max(len(verts) for verts, _ in _blocks(p))
+    return next((k for k in range(1, largest + 1) if block_without_cover(p, k)), None)
 
 
 def _drop_vertex(rows, sub, row_of, v) -> list[int] | None:

@@ -7,12 +7,13 @@ payloads reuse the json pattern schema ({"n": ..., "free": [[i, j], ...]}).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DEFAULT_TOLERANCE, ExactMatrix, SpectralReport
+from .numerics import ExactMatrix, SpectralReport
 from .patterns import SparsityPattern
 from .verdict import OracleResult, StabilityVerdict
 from .witness import WitnessCertificate
@@ -77,16 +78,23 @@ def _finite_real(value) -> float:
     return float(_finite_array(value))
 
 
-def _spectral_from_dict(d: dict, tolerance: float) -> SpectralReport:
-    abscissa = _finite_real(d["abscissa"])
+def _spectral_from_dict(d: dict) -> SpectralReport:
+    """The stored eigenvalues must be a list of [re, im] pairs of numbers
+    within float range; NaN fails the range test."""
+    pairs = d["eigenvalues"]
+    bound = sys.float_info.max
+    if type(pairs) is not list or not all(
+        type(z) is list and len(z) == 2 and all(type(x) in (int, float) and abs(x) <= bound for x in z)
+        for z in pairs
+    ):
+        raise ValidationError(f"eigenvalues must be a list of finite [re, im] number pairs, got {pairs!r}")
     return SpectralReport(
-        eigenvalues=tuple(complex(re, im) for re, im in d["eigenvalues"]),
-        abscissa=abscissa,
-        hurwitz=abscissa < -tolerance,
+        eigenvalues=tuple(complex(re, im) for re, im in pairs),
+        abscissa=_finite_real(d["abscissa"]),
     )
 
 
-def certificate_from_dict(d: dict, tolerance: float = DEFAULT_TOLERANCE) -> WitnessCertificate:
+def certificate_from_dict(d: dict) -> WitnessCertificate:
     return WitnessCertificate(
         pattern=pattern_from_dict(d["pattern"]),
         ordering=tuple(d["ordering"]),
@@ -96,7 +104,7 @@ def certificate_from_dict(d: dict, tolerance: float = DEFAULT_TOLERANCE) -> Witn
         witness=_finite_array(d["witness"]),
         stabilizer=_finite_array(d["stabilizer"]),
         minors=tuple(Fraction(m) for m in d["minors"]),
-        spectral=_spectral_from_dict(d, tolerance),
+        spectral=_spectral_from_dict(d),
     )
 
 
@@ -134,7 +142,7 @@ def _oracle_from_dict(oracle: dict | None, stats: dict | None) -> OracleResult |
         raise ValidationError(f"oracle_stats restarts must be an integer >= 0, got {restarts!r}")
     return OracleResult(
         matrix=None if oracle is None else _finite_array(oracle["matrix"]),
-        spectral=None if oracle is None else _spectral_from_dict(oracle, DEFAULT_TOLERANCE),
+        spectral=None if oracle is None else _spectral_from_dict(oracle),
         restarts_used=restarts,
         best_abscissa=_finite_real(stats["best_abscissa"]),
     )

@@ -26,7 +26,7 @@ from .patterns import Permutation, SparsityPattern, all_permutations
 CHARPOLY_N_CAP = 64
 VARIETY_N_CAP = 8  # the membership scan walks all n! permutations
 
-DEFAULT_TOLERANCE = 1e-9
+HURWITZ_TOLERANCE = 1e-9  # guard band of the float Hurwitz test against rounding
 SAMPLE_BOUND = 1000  # random integer entries drawn from {-B..B} minus {0}
 
 
@@ -288,19 +288,19 @@ def char_poly_via_minors(A: ExactMatrix) -> CharPoly:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Eigenvalues, their largest real part, and the Hurwitz flag."""
+    """Eigenvalues and their largest real part."""
 
     eigenvalues: tuple[complex, ...]
     abscissa: float
-    hurwitz: bool
+
+    @property
+    def hurwitz(self) -> bool:
+        """abscissa < -HURWITZ_TOLERANCE, a guard band against rounding."""
+        return self.abscissa < -HURWITZ_TOLERANCE
 
 
-def spectral_abscissa(A, tolerance: float = DEFAULT_TOLERANCE) -> SpectralReport:
-    """Dense nonsymmetric eigenvalues (LAPACK geev) and their max real part.
-
-    hurwitz is abscissa < -tolerance, keeping a guard band against
-    rounding.
-    """
+def spectral_abscissa(A) -> SpectralReport:
+    """Dense nonsymmetric eigenvalues (LAPACK geev) and their max real part."""
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
@@ -310,11 +310,8 @@ def spectral_abscissa(A, tolerance: float = DEFAULT_TOLERANCE) -> SpectralReport
         eig = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-    abscissa = float(np.max(eig.real))
     return SpectralReport(
-        eigenvalues=tuple(complex(z) for z in eig),
-        abscissa=abscissa,
-        hurwitz=abscissa < -tolerance,
+        eigenvalues=tuple(complex(z) for z in eig), abscissa=float(np.max(eig.real))
     )
 
 

@@ -15,7 +15,6 @@ Unknown.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -25,15 +24,14 @@ import numpy as np
 from .errors import StabilizationError, SynthesisError, ValidationError
 from .graphs import (
     ChainCertificate,
+    block_without_cover,
     check_necessary,
     check_scc_sink,
     find_nested_chain,
-    hamiltonian_k_exists,
-    strongly_connected_components,
     verify_chain,
 )
 from .numerics import (
-    DEFAULT_TOLERANCE,
+    HURWITZ_TOLERANCE,
     ExactMatrix,
     SpectralReport,
     leading_principal_minors,
@@ -60,23 +58,21 @@ EXHAUSTED = "Exhausted"
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """All tunables of the decision pipeline: a positive finite tolerance
-    and two positive integer counts."""
+    """All tunables of the decision pipeline: the oracle's two positive
+    integer counts."""
 
-    tolerance: float = DEFAULT_TOLERANCE
     oracle_restarts: int = 64
     oracle_steps: int = 400
 
     def __post_init__(self):
-        bad = [] if 0 < self.tolerance < math.inf else ["tolerance"]
         # type(x) is int: bools are ints, and a float count fails deep in the oracle
-        bad += [
+        bad = [
             name
             for name in ("oracle_restarts", "oracle_steps")
             if type(getattr(self, name)) is not int or getattr(self, name) < 1
         ]
         if bad:
-            raise ValueError(f"EngineConfig needs a finite tolerance > 0 and integer counts >= 1: {bad}")
+            raise ValueError(f"EngineConfig needs integer counts >= 1: {bad}")
 
     def scaled_oracle(self, factor: int) -> "EngineConfig":
         return replace(self, oracle_restarts=self.oracle_restarts * factor)
@@ -134,14 +130,14 @@ def oracle_search(
     place in one float matrix.  The first two starts bias the diagonal
     negative (the single best heuristic for these objectives); the rest
     are uniform in [-1, 1]^m.  A restart ends when its abscissa clears
-    -tolerance, when it has spent ``oracle_steps`` evaluations, or when
-    a sweep without improvement halves the step below 1e-6.  The first
-    start puts -1 on each free diagonal entry; when some diagonal entry
-    is not free, it ends after one evaluation, as no step can lower its
-    abscissa 0.  Returns the
-    first matrix that clears -tolerance and re-verifies -- a stability
-    proof -- with the restarts spent so far, or the best abscissa seen.
-    A miss is NOT an instability proof.
+    -HURWITZ_TOLERANCE, when it has spent ``oracle_steps`` evaluations,
+    or when a sweep without improvement halves the step below 1e-6.  The
+    first start puts -1 on each free diagonal entry and ends after one
+    evaluation: it is -I, which clears the guard band, or diagonal with a
+    zero eigenvalue that no step can move.  Returns the first matrix that
+    clears -HURWITZ_TOLERANCE and re-verifies -- a stability proof --
+    with the restarts spent so far, or the best abscissa seen.  A miss is
+    NOT an instability proof.
     """
     config = config or EngineConfig()
     cells = [(i - 1, j - 1) for i, j in p.sorted_free()]
@@ -149,13 +145,9 @@ def oracle_search(
     if m == 0:
         return OracleResult(None, None, 0, 0.0)
     rng = random.Random(seed)
-    tol = config.tolerance
+    tol = HURWITZ_TOLERANCE
     rows, cols = np.array(cells).T
     M = np.zeros((p.n, p.n))
-    # A vertex without a free diagonal entry pins the first start: it is
-    # diagonal with a zero eigenvalue, and every one-entry step leaves it
-    # triangular with that zero on the diagonal, so no step can improve it.
-    pinned = np.count_nonzero(rows == cols) < p.n
 
     best_abscissa = np.inf
     for restart in range(config.oracle_restarts):
@@ -165,7 +157,8 @@ def oracle_search(
             M[rows, cols] = [-1.0 if i == j else rng.uniform(-0.3, 0.3) for i, j in cells]
         else:
             M[rows, cols] = [rng.uniform(-1.0, 1.0) for _ in range(m)]
-        budget = 1 if restart == 0 and pinned else config.oracle_steps
+        # restart 0 is -I, or diagonal with a zero that no one-entry step moves
+        budget = 1 if restart == 0 else config.oracle_steps
         current = float(np.max(np.linalg.eigvals(M).real))
         evals = 1
         step = 0.35
@@ -189,7 +182,7 @@ def oracle_search(
                 t, improved = 0, False
         best_abscissa = min(best_abscissa, current)
         if current < -tol:
-            report = spectral_abscissa(M, tol)
+            report = spectral_abscissa(M)
             if report.hurwitz:
                 return OracleResult(M, report, restart + 1, report.abscissa)
     return OracleResult(None, None, config.oracle_restarts, float(best_abscissa))
@@ -235,10 +228,7 @@ def classify(
     if chain is not None:
         try:
             cert = synthesize_stable_witness(
-                p,
-                config.tolerance,
-                seed=derive_seed(seed, p.n, p.bitkey(), "witness"),
-                chain=chain,
+                p, seed=derive_seed(seed, p.n, p.bitkey(), "witness"), chain=chain
             )
             return StabilityVerdict(tag=PROVED_STABLE, reason=CHAIN_FOUND, certificate=cert)
         except (SynthesisError, StabilizationError) as exc:  # pragma: no cover
@@ -253,7 +243,7 @@ def classify(
     )
     if result.found:
         matrix = result.matrix if info is None else _transport_from_canonical(result.matrix, info)
-        report = spectral_abscissa(matrix, config.tolerance)
+        report = spectral_abscissa(matrix)
         if report.hurwitz:
             return StabilityVerdict(
                 tag=PROVED_STABLE,
@@ -275,18 +265,6 @@ def _sink_reason(p: SparsityPattern) -> str:
     return SCC_WITHOUT_SINK if has_any_sink else NO_SINK
 
 
-def _block_pattern(p: SparsityPattern, block: frozenset[int]) -> SparsityPattern:
-    """The subpattern induced by ``block``, its vertices renumbered 1..|B|
-    in increasing order; p itself when the block is every vertex."""
-    if len(block) == p.n:
-        return p
-    index = {v: a for a, v in enumerate(sorted(block), start=1)}
-    return SparsityPattern(
-        len(block),
-        frozenset((index[i], index[j]) for i, j in p.free if i in index and j in index),
-    )
-
-
 def _matrix_supported(matrix: np.ndarray, p: SparsityPattern) -> bool:
     n = p.n
     if matrix.shape != (n, n):
@@ -298,9 +276,7 @@ def _matrix_supported(matrix: np.ndarray, p: SparsityPattern) -> bool:
     return True
 
 
-def certificate_failures(
-    cert: WitnessCertificate, tolerance: float = DEFAULT_TOLERANCE
-) -> list[str]:
+def certificate_failures(cert: WitnessCertificate) -> list[str]:
     """Re-derive every claim of a witness certificate from primitives.
 
     Returns the list of failed claims (empty means the certificate is
@@ -336,7 +312,7 @@ def certificate_failures(
     if any(m == 0 for m in minors):
         failures.append("a recorded leading principal minor is zero")
 
-    report = spectral_abscissa(np.diag(stabilizer) @ witness, tolerance)
+    report = spectral_abscissa(np.diag(stabilizer) @ witness)
     if not report.hurwitz:
         failures.append(f"stabilized matrix is not Hurwitz (abscissa {report.abscissa:g})")
     if not cert.spectral.hurwitz:
@@ -344,7 +320,7 @@ def certificate_failures(
     return failures
 
 
-def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float = DEFAULT_TOLERANCE) -> bool:
+def verify_certificate(obj, p: SparsityPattern | None = None) -> bool:
     """True iff every claim re-verifies from primitive operations.
 
     Accepts a WitnessCertificate or a whole StabilityVerdict (the pattern
@@ -357,14 +333,14 @@ def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float =
     cannot be checked, such as non-finite entries or a missing pattern.
     """
     if isinstance(obj, WitnessCertificate):
-        return not certificate_failures(obj, tolerance)
+        return not certificate_failures(obj)
     if isinstance(obj, StabilityVerdict):
         v = obj
         if v.tag == PROVED_STABLE:
             if v.certificate is not None:
                 if p is not None and v.certificate.pattern != p:
                     return False
-                return not certificate_failures(v.certificate, tolerance)
+                return not certificate_failures(v.certificate)
             if v.oracle is None or not v.oracle.found or p is None:
                 raise ValidationError("stable verdict carries no evidence")
             matrix = np.asarray(v.oracle.matrix, dtype=float)
@@ -372,7 +348,7 @@ def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float =
                 raise ValidationError("oracle matrix has non-finite entries")
             if not _matrix_supported(matrix, p):
                 return False
-            return spectral_abscissa(matrix, tolerance).hurwitz
+            return spectral_abscissa(matrix).hurwitz
         if v.tag == PROVED_UNSTABLE:
             if p is None:
                 raise ValidationError("verifying an instability verdict needs the pattern")
@@ -380,10 +356,7 @@ def verify_certificate(obj, p: SparsityPattern | None = None, tolerance: float =
                 violating = check_scc_sink(p)
                 return bool(violating) and v.violating == violating and v.reason == _sink_reason(p)
             if v.reason == NO_HAMILTONIAN_K:
-                return isinstance(v.k, int) and v.k >= 1 and any(
-                    len(block) >= v.k and hamiltonian_k_exists(_block_pattern(p, block), v.k) is None
-                    for block in strongly_connected_components(p).components
-                )
+                return isinstance(v.k, int) and v.k >= 1 and block_without_cover(p, v.k)
             return False
         if v.tag == UNKNOWN:
             if p is None:

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import CapabilityError, StabilizationError, SynthesisError
 from .graphs import ChainCertificate, find_nested_chain, verify_chain
 from .numerics import (
-    DEFAULT_TOLERANCE,
     ExactMatrix,
     SpectralReport,
     conjugate_by_permutation,
@@ -124,7 +123,7 @@ def _screened_matrix(
     )
 
 
-def diagonal_stabilize(A, tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
+def diagonal_stabilize(A) -> np.ndarray:
     """Find a diagonal D with D @ A Hurwitz, given nonzero leading minors.
 
     Sequential construction (Fisher & Fuller 1958; Ballantine 1970): with
@@ -132,20 +131,20 @@ def diagonal_stabilize(A, tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
     enough d_k keeps those k-1 eigenvalues in the left half-plane and adds
     one near d_k * r_k, where r_k = det_k / det_{k-1} is the exact ratio of
     leading minors.  So d_k starts at -sign(r_k) / (2 |r_k|) and is halved
-    until the leading k-block reports Hurwitz at the tolerance.  The block
-    is then scaled by the positive factor that puts its abscissa at -1
-    (the spectrum of c * D @ A is c times that of D @ A), so later steps
-    never start from a margin inside the tolerance band.
+    until the leading k-block reports Hurwitz.  The block is then scaled by
+    the positive factor that puts its abscissa at -1 (the spectrum of
+    c * D @ A is c times that of D @ A), so later steps never start from a
+    margin inside the Hurwitz test's guard band.
     """
     M = np.asarray(A, dtype=float)
     minors = leading_principal_minors(ExactMatrix.from_floats(M))
     if any(m == 0 for m in minors):
         bad = [k + 1 for k, m in enumerate(minors) if m == 0]
         raise ValueError(f"leading principal minors {bad} vanish; stabilizer needs all nonzero")
-    return _stabilize(M, minors, tolerance)
+    return _stabilize(M, minors)
 
 
-def _stabilize(M: np.ndarray, minors, tolerance: float) -> np.ndarray:
+def _stabilize(M: np.ndarray, minors) -> np.ndarray:
     """diagonal_stabilize's sequential step, given M's exact leading minors."""
     n = M.shape[0]
     d = np.zeros(n)
@@ -155,7 +154,7 @@ def _stabilize(M: np.ndarray, minors, tolerance: float) -> np.ndarray:
         prev = minors[k]
         d[k] = -math.copysign(0.5 / abs(ratio), ratio)
         for _ in range(HALVING_CAP + 1):
-            report = spectral_abscissa(d[: k + 1, None] * M[: k + 1, : k + 1], tolerance)
+            report = spectral_abscissa(d[: k + 1, None] * M[: k + 1, : k + 1])
             if report.hurwitz:
                 break
             d[k] /= 2
@@ -167,7 +166,7 @@ def _stabilize(M: np.ndarray, minors, tolerance: float) -> np.ndarray:
     return d
 
 
-def corollary_stabilize(A, tolerance: float = DEFAULT_TOLERANCE):
+def corollary_stabilize(A):
     """Scan relabelings for all-nonzero leading minors, then stabilize.
 
     Returns (sigma, D) where D @ A is Hurwitz, or None when no relabeling
@@ -184,13 +183,13 @@ def corollary_stabilize(A, tolerance: float = DEFAULT_TOLERANCE):
         minors = leading_principal_minors(B)
         if any(m == 0 for m in minors):
             continue
-        d1 = _stabilize(B.to_floats(), minors, tolerance)
+        d1 = _stabilize(B.to_floats(), minors)
         # transport back: D = P^{-1} D_1 P puts entry k at position
         # sigma^{-1}(k), and D @ A is similar to D_1 @ B
         d = np.empty(n)
         for a in range(1, n + 1):
             d[a - 1] = d1[sigma(a) - 1]
-        report = spectral_abscissa(np.diag(d) @ M, tolerance)
+        report = spectral_abscissa(np.diag(d) @ M)
         if not report.hurwitz:
             raise StabilizationError("transported stabilizer failed verification (bug)")
         return sigma, d
@@ -198,10 +197,7 @@ def corollary_stabilize(A, tolerance: float = DEFAULT_TOLERANCE):
 
 
 def synthesize_stable_witness(
-    p: SparsityPattern,
-    tolerance: float = DEFAULT_TOLERANCE,
-    seed: int = 0,
-    chain: ChainCertificate | None = None,
+    p: SparsityPattern, *, seed: int = 0, chain: ChainCertificate | None = None
 ) -> WitnessCertificate:
     """End-to-end: chain -> generic matrix -> diagonal stabilizer -> certificate.
 
@@ -214,12 +210,12 @@ def synthesize_stable_witness(
     if chain is None:
         raise ValueError("pattern admits no nested chain; nothing to synthesize")
     A, ordered, minors = _screened_matrix(p, chain, seed)
-    d_ordered = _stabilize(ordered.to_floats(), minors, tolerance)
+    d_ordered = _stabilize(ordered.to_floats(), minors)
     stabilizer = np.empty(p.n)
     for k, vertex in enumerate(chain.ordering):
         stabilizer[vertex - 1] = d_ordered[k]
     witness = A.to_floats()
-    spectral = spectral_abscissa(np.diag(stabilizer) @ witness, tolerance)
+    spectral = spectral_abscissa(np.diag(stabilizer) @ witness)
     if not spectral.hurwitz:
         raise SynthesisError(
             f"stabilized witness not Hurwitz (abscissa {spectral.abscissa:g})"

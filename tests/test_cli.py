@@ -193,17 +193,35 @@ def _certificate_entry(field, literal):
     return line
 
 
+def _certificate_eigenvalues(literal, first=True):
+    """The record with its certificate's first eigenvalue, or its whole
+    eigenvalue list, set to ``literal``."""
+
+    def line(rec):
+        cert = rec["verdict"]["certificate"]
+        if first:
+            cert["eigenvalues"][0] = BAD_ENTRY
+        else:
+            cert["eigenvalues"] = BAD_ENTRY
+        return json.dumps(rec).replace(json.dumps(BAD_ENTRY), literal)
+
+    return line
+
+
 def _oracle_verdict(literal, stats=True, at="matrix"):
     """The record with an OracleFound verdict built from the witness, with
     or without oracle_stats, and ``literal`` in place of the first matrix
-    entry, the oracle's "abscissa" or an oracle_stats value (``at``)."""
+    entry, the first eigenvalue, the oracle's "abscissa" or an oracle_stats
+    value (``at``)."""
 
     def line(rec):
         cert = rec["verdict"]["certificate"]
         matrix = [[BAD_ENTRY] + cert["witness"][0][1:]] + cert["witness"][1:] if at == "matrix" else cert["witness"]
         oracle = {"matrix": matrix, "eigenvalues": cert["eigenvalues"], "abscissa": cert["abscissa"]}
         oracle_stats = {"restarts": 1, "best_abscissa": cert["abscissa"]}
-        if at != "matrix":
+        if at == "eigenvalues":
+            oracle["eigenvalues"] = [BAD_ENTRY] + cert["eigenvalues"][1:]
+        elif at != "matrix":
             (oracle if at == "abscissa" else oracle_stats)[at] = BAD_ENTRY
         verdict = {"tag": "ProvedStable", "reason": "OracleFound", "oracle": oracle}
         if stats:
@@ -230,6 +248,12 @@ MALFORMED_CERTIFICATES = {
     "oracle_restarts_negative": _oracle_verdict("-1", at="restarts"),
     "oracle_best_abscissa_null": _oracle_verdict("null", at="best_abscissa"),
     "oracle_best_abscissa_infinity": _oracle_verdict("Infinity", at="best_abscissa"),
+    "certificate_eigenvalue_nan": _certificate_eigenvalues("[NaN, 0.0]"),
+    "oracle_eigenvalue_nan": _oracle_verdict("[NaN, 0.0]", at="eigenvalues"),
+    "certificate_eigenvalue_not_a_pair": _certificate_eigenvalues("[-1.0]"),
+    "certificate_eigenvalue_of_bools": _certificate_eigenvalues("[true, false]"),
+    "certificate_eigenvalue_overflow": _certificate_eigenvalues("[1" + "0" * 400 + ", 0.0]"),
+    "certificate_eigenvalues_not_a_list": _certificate_eigenvalues("{}", first=False),
 }
 
 
@@ -307,6 +331,7 @@ class TestErrorPaths:
         code, _ = run(["atlas", "query"])
         assert code == 10
 
+    # --tol is not a flag, so any value of it is a usage error
     @pytest.mark.parametrize(
         "flag,value", [("--tol", "-1"), ("--tol", "inf"), ("--restarts", "-3"), ("--steps", "0")]
     )
@@ -315,11 +340,12 @@ class TestErrorPaths:
         assert code == 10 and text == ""
 
     @pytest.mark.parametrize("flag,value", [("--tol", "-1"), ("--restarts", "64"), ("--steps", "400")])
-    @pytest.mark.parametrize("command", ["canon", "identities", "atlas enumerate", "atlas query"])
+    @pytest.mark.parametrize("command", ["canon", "identities", "atlas enumerate", "atlas query", "witness"])
     def test_engine_setting_where_unread_is_usage_error(
         self, fig2_right_file, tmp_path, command, flag, value
     ):
         argv = {
+            "witness": ["witness", fig2_right_file],
             "canon": ["canon", fig2_right_file],
             "identities": ["identities", "--trials", "1", "--n", "2"],
             "atlas enumerate": ["atlas", "enumerate", "-n", "1"],
@@ -333,7 +359,6 @@ class TestErrorPaths:
         "argv",
         [
             ["analyze", "PATTERN"],
-            ["witness", "PATTERN"],
             ["oracle", "PATTERN"],
             ["atlas", "classify", "-n", "1"],
             ["atlas", "validate", "-n", "1"],
@@ -341,8 +366,18 @@ class TestErrorPaths:
     )
     def test_engine_settings_taken_where_read(self, fig2_right_file, argv):
         argv = [fig2_right_file if a == "PATTERN" else a for a in argv]
-        code, _ = run(argv + ["--tol", "1e-8", "--restarts", "4", "--steps", "50"])
+        code, _ = run(argv + ["--restarts", "4", "--steps", "50"])
         assert code in (0, 2)
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "witness", "oracle", "atlas classify", "atlas validate"]
+    )
+    def test_tolerance_flag_is_usage_error(self, fig2_right_file, command):
+        # the Hurwitz guard band is a constant; even its value is refused
+        argv = command.split() + (["-n", "1"] if "atlas" in command else [fig2_right_file])
+        assert run(argv)[0] in (0, 2)
+        code, text = run(argv + ["--tol", "1e-9"])
+        assert code == 10 and text == ""
 
     @pytest.mark.parametrize("n", ["0", "5"])
     def test_atlas_classify_size_out_of_range(self, n):

@@ -11,6 +11,7 @@ from sparsestab import (
     SccReport,
     SparsityPattern,
     apply_permutation,
+    block_without_cover,
     check_necessary,
     check_scc_sink,
     extract_cycle_decomposition,
@@ -64,7 +65,7 @@ def reference_chain(p):
 
 def reference_scc(p):
     """Components by a reachability search from every vertex, ordered by
-    smallest vertex, with the condensation and the sink bookkeeping."""
+    smallest vertex, with the sink bookkeeping."""
     reach = {}
     for v in range(1, p.n + 1):
         seen, todo = {v}, [v]
@@ -75,17 +76,12 @@ def reference_scc(p):
                     seen.add(j)
                     todo.append(j)
         reach[v] = seen
-    components, comp_of = [], {}
+    components = []
     for v in range(1, p.n + 1):
-        if v not in comp_of:
-            comp = frozenset(u for u in reach[v] if v in reach[u])
-            comp_of.update((u, len(components)) for u in comp)
-            components.append(comp)
+        if not any(v in comp for comp in components):
+            components.append(frozenset(u for u in reach[v] if v in reach[u]))
     return SccReport(
         components=tuple(components),
-        condensation_edges=frozenset(
-            (comp_of[i], comp_of[j]) for i, j in p.free if comp_of[i] != comp_of[j]
-        ),
         violating_vertices=frozenset(
             v for comp in components if not any((u, u) in p.free for u in comp) for v in comp
         ),
@@ -162,40 +158,14 @@ class TestScc:
             frozenset({4}),
             frozenset({5}),
         }
-        # components sort by smallest vertex: {1,2,3}=0, {4}=1, {5}=2
-        assert report.condensation_edges == frozenset({(0, 1), (2, 1), (2, 0)})
 
     def test_no_edges_gives_singletons(self):
         report = strongly_connected_components(SparsityPattern.empty(3))
         assert report.components == (frozenset({1}), frozenset({2}), frozenset({3}))
-        assert not report.condensation_edges
 
     def test_full_pattern_single_component(self):
         report = strongly_connected_components(SparsityPattern.full(4))
         assert report.components == (frozenset({1, 2, 3, 4}),)
-
-    def test_condensation_is_acyclic(self):
-        rng = random.Random(23)
-        for _ in range(30):
-            report = strongly_connected_components(random_pattern(rng.randint(2, 6), rng))
-            edges = report.condensation_edges
-            assert all(a != b for a, b in edges)
-            # Kahn peeling must consume every component
-            m = len(report.components)
-            indeg = [0] * m
-            for _, b in edges:
-                indeg[b] += 1
-            queue = [c for c in range(m) if indeg[c] == 0]
-            seen = 0
-            while queue:
-                c = queue.pop()
-                seen += 1
-                for a, b in edges:
-                    if a == c:
-                        indeg[b] -= 1
-                        if indeg[b] == 0:
-                            queue.append(b)
-            assert seen == m
 
     def test_sink_check_on_violating_component(self):
         assert check_scc_sink(FIG3) == frozenset({1, 2, 3, 4})
@@ -311,6 +281,17 @@ class TestNecessaryMatchesReference:
         for key in range(1 << (n * n)):
             p = key_to_pattern(n, key)
             assert check_necessary(p) == reference_necessary(p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_without_cover_every_k(self, n):
+        for key in range(1 << (n * n)):
+            p = key_to_pattern(n, key)
+            for k in range(1, n + 2):
+                want = any(
+                    len(comp) >= k and hamiltonian_k_exists(induced(p, comp), k) is None
+                    for comp in reference_scc(p).components
+                )
+                assert block_without_cover(p, k) == want
 
     def test_seeded_block_patterns(self):
         rng = random.Random(59)
