@@ -10,6 +10,7 @@ all small patterns up to symmetry.
 """
 
 from .atlas import (
+    TOOL_VERSION,
     AtlasRecord,
     StructureReport,
     classify_atlas,
@@ -45,7 +46,6 @@ from .identities import run_identity_suites
 from .numerics import (
     CharPoly,
     ExactMatrix,
-    SpectralReport,
     VarietySample,
     char_poly,
     char_poly_via_minors,
@@ -86,4 +86,4 @@ from .witness import (
     synthesize_stable_witness,
 )
 
-__version__ = "0.2.0"
+__version__ = TOOL_VERSION

@@ -39,7 +39,7 @@ from .verdict import (
     classify,
 )
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 FULL_ENUMERATION_CAP = 4  # 2^(n^2) raw patterns; n=4 is 65536
 
 

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .graphs import find_nested_chain
 from .identities import run_identity_suites
+from .numerics import spectral_abscissa
 from .patterns import canonical_form, key_orbit, parse_pattern, serialize_pattern
 from .verdict import (
     PROVED_STABLE,
@@ -164,10 +165,11 @@ def _cmd_analyze(args, out) -> int:
             lines.append(f"violating vertices: {sorted(verdict.violating)}")
         if verdict.certificate is not None:
             lines.append(f"chain ordering: {list(verdict.certificate.ordering)}")
-            lines.append(f"witness abscissa: {verdict.certificate.spectral.abscissa:.6g}")
+            abscissa = spectral_abscissa(verdict.certificate.stabilized_matrix())
+            lines.append(f"witness abscissa: {abscissa:.6g}")
         if verdict.oracle is not None:
             if verdict.oracle.found:
-                lines.append(f"oracle abscissa: {verdict.oracle.spectral.abscissa:.6g}")
+                lines.append(f"oracle abscissa: {verdict.oracle.best_abscissa:.6g}")
             lines.append(
                 f"oracle: {verdict.oracle.restarts_used} restarts, "
                 f"best abscissa {verdict.oracle.best_abscissa:.6g}"
@@ -197,7 +199,7 @@ def _cmd_witness(args, out) -> int:
                     f"pattern: {p.describe()}",
                     f"ordering: {list(cert.ordering)}",
                     f"stabilizer: {[float(x) for x in cert.stabilizer]}",
-                    f"abscissa: {cert.spectral.abscissa:.6g}",
+                    f"abscissa: {spectral_abscissa(cert.stabilized_matrix()):.6g}",
                 ]
             ),
             out,
@@ -216,14 +218,14 @@ def _cmd_oracle(args, out) -> int:
         }
         if result.found:
             payload["matrix"] = [[float(x) for x in row] for row in result.matrix]
-            payload["abscissa"] = result.spectral.abscissa
+            payload["abscissa"] = result.best_abscissa
         _emit(args, json.dumps(payload, sort_keys=True), out)
     else:
         if result.found:
             _emit(
                 args,
                 f"found Hurwitz matrix after {result.restarts_used} restarts, "
-                f"abscissa {result.spectral.abscissa:.6g}\n"
+                f"abscissa {result.best_abscissa:.6g}\n"
                 + str(np.round(result.matrix, 6)),
                 out,
             )

@@ -1,20 +1,20 @@
 """JSON wire formats for certificates and verdicts.
 
-Exact rationals serialize as "numerator/denominator" strings, complex
-eigenvalues as [re, im] pairs, matrices as nested float lists.  Pattern
-payloads reuse the json pattern schema ({"n": ..., "free": [[i, j], ...]}).
+Exact rationals serialize as "numerator/denominator" strings, matrices
+as nested float lists.  Pattern payloads reuse the json pattern schema
+({"n": ..., "free": [[i, j], ...]}).  No spectrum is stored: a verifier
+recomputes it from the matrix.  Keys a decoder does not read are ignored.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
-from .numerics import ExactMatrix, SpectralReport
-from .patterns import SparsityPattern
+from .errors import PatternFormatError, ValidationError
+from .numerics import ExactMatrix
+from .patterns import SparsityPattern, decode_json_pattern
 from .verdict import OracleResult, StabilityVerdict
 from .witness import WitnessCertificate
 
@@ -37,11 +37,10 @@ def pattern_to_dict(p: SparsityPattern) -> dict:
 
 
 def pattern_from_dict(d: dict) -> SparsityPattern:
-    return SparsityPattern.from_pairs(d["n"], d["free"])
-
-
-def _eigs_to_lists(eigs) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in eigs]
+    try:
+        return decode_json_pattern(d)
+    except PatternFormatError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def certificate_to_dict(cert: WitnessCertificate) -> dict:
@@ -52,15 +51,24 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
         "witness": [[float(x) for x in row] for row in cert.witness],
         "stabilizer": [float(x) for x in cert.stabilizer],
         "minors": [fraction_to_str(m) for m in cert.minors],
-        "eigenvalues": _eigs_to_lists(cert.spectral.eigenvalues),
-        "abscissa": cert.spectral.abscissa,
     }
 
 
 def _finite_array(values) -> np.ndarray:
-    """A float array of ``values``; json reads NaN, Infinity, 1e999 and
-    integers beyond float range, so a non-finite entry is rejected here
-    rather than deep in a re-check."""
+    """A float array of ``values``, a number or nested lists of numbers.
+
+    Every leaf must be a non-bool int or float, so a string, a bool or
+    null is rejected rather than cast.  json reads NaN, Infinity, 1e999
+    and integers beyond float range, so a non-finite entry is rejected
+    here rather than deep in a re-check.
+    """
+    stack = [values]
+    while stack:
+        x = stack.pop()
+        if type(x) is list:
+            stack.extend(x)
+        elif type(x) not in (int, float):
+            raise ValidationError(f"expected a number, got {x!r}")
     try:
         array = np.array(values, dtype=float)
     except OverflowError:
@@ -71,27 +79,11 @@ def _finite_array(values) -> np.ndarray:
 
 
 def _finite_real(value) -> float:
-    """``value`` as a float; a bool, a string, null or a non-finite number
-    is rejected."""
-    if type(value) not in (int, float):
+    """``value`` as a float; a list, a bool, a string, null or a
+    non-finite number is rejected."""
+    if type(value) is list:
         raise ValidationError(f"expected a number, got {value!r}")
     return float(_finite_array(value))
-
-
-def _spectral_from_dict(d: dict) -> SpectralReport:
-    """The stored eigenvalues must be a list of [re, im] pairs of numbers
-    within float range; NaN fails the range test."""
-    pairs = d["eigenvalues"]
-    bound = sys.float_info.max
-    if type(pairs) is not list or not all(
-        type(z) is list and len(z) == 2 and all(type(x) in (int, float) and abs(x) <= bound for x in z)
-        for z in pairs
-    ):
-        raise ValidationError(f"eigenvalues must be a list of finite [re, im] number pairs, got {pairs!r}")
-    return SpectralReport(
-        eigenvalues=tuple(complex(re, im) for re, im in pairs),
-        abscissa=_finite_real(d["abscissa"]),
-    )
 
 
 def certificate_from_dict(d: dict) -> WitnessCertificate:
@@ -104,7 +96,6 @@ def certificate_from_dict(d: dict) -> WitnessCertificate:
         witness=_finite_array(d["witness"]),
         stabilizer=_finite_array(d["stabilizer"]),
         minors=tuple(Fraction(m) for m in d["minors"]),
-        spectral=_spectral_from_dict(d),
     )
 
 
@@ -118,11 +109,7 @@ def verdict_to_dict(v: StabilityVerdict) -> dict:
         out["certificate"] = certificate_to_dict(v.certificate)
     if v.oracle is not None:
         if v.oracle.found:
-            out["oracle"] = {
-                "matrix": [[float(x) for x in row] for row in v.oracle.matrix],
-                "eigenvalues": _eigs_to_lists(v.oracle.spectral.eigenvalues),
-                "abscissa": v.oracle.spectral.abscissa,
-            }
+            out["oracle"] = {"matrix": [[float(x) for x in row] for row in v.oracle.matrix]}
         out["oracle_stats"] = {
             "restarts": v.oracle.restarts_used,
             "best_abscissa": v.oracle.best_abscissa,
@@ -142,7 +129,6 @@ def _oracle_from_dict(oracle: dict | None, stats: dict | None) -> OracleResult |
         raise ValidationError(f"oracle_stats restarts must be an integer >= 0, got {restarts!r}")
     return OracleResult(
         matrix=None if oracle is None else _finite_array(oracle["matrix"]),
-        spectral=None if oracle is None else _spectral_from_dict(oracle),
         restarts_used=restarts,
         best_abscissa=_finite_real(stats["best_abscissa"]),
     )

@@ -286,21 +286,13 @@ def char_poly_via_minors(A: ExactMatrix) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Eigenvalues and their largest real part."""
-
-    eigenvalues: tuple[complex, ...]
-    abscissa: float
-
-    @property
-    def hurwitz(self) -> bool:
-        """abscissa < -HURWITZ_TOLERANCE, a guard band against rounding."""
-        return self.abscissa < -HURWITZ_TOLERANCE
+def is_hurwitz(abscissa: float) -> bool:
+    """abscissa < -HURWITZ_TOLERANCE, a guard band against rounding."""
+    return abscissa < -HURWITZ_TOLERANCE
 
 
-def spectral_abscissa(A) -> SpectralReport:
-    """Dense nonsymmetric eigenvalues (LAPACK geev) and their max real part."""
+def spectral_abscissa(A) -> float:
+    """The largest real part of the dense nonsymmetric eigenvalues (LAPACK geev)."""
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
@@ -310,9 +302,7 @@ def spectral_abscissa(A) -> SpectralReport:
         eig = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-    return SpectralReport(
-        eigenvalues=tuple(complex(z) for z in eig), abscissa=float(np.max(eig.real))
-    )
+    return float(np.max(eig.real))
 
 
 def random_pattern_matrix(

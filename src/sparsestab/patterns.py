@@ -251,6 +251,16 @@ def _parse_json(text: str) -> SparsityPattern:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PatternFormatError(f"invalid json: {exc.msg}", line=exc.lineno, column=exc.colno)
+    return decode_json_pattern(data)
+
+
+def decode_json_pattern(data) -> SparsityPattern:
+    """The pattern of a decoded json object {"n": ..., "free": [[i, j], ...]}.
+
+    Raises PatternFormatError unless n is a positive integer and free a
+    list of distinct integer pairs in 1..n.  Other keys are ignored, so an
+    atlas record decodes through here too.
+    """
     if not isinstance(data, dict) or "n" not in data or "free" not in data:
         raise PatternFormatError('json pattern needs keys "n" and "free"')
     n = data["n"]
@@ -265,7 +275,7 @@ def _parse_json(text: str) -> SparsityPattern:
             raise PatternFormatError(f"free entry must be a pair, got {entry!r}")
         i, j = entry
         if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n):
-            raise PatternFormatError(f"index pair out of range: {entry!r} for n={n}")
+            raise PatternFormatError(f"index pair must be integers in 1..{n}, got {entry!r}")
         if (i, j) in seen:
             raise PatternFormatError(f"duplicate pair: ({i}, {j})")
         seen.add((i, j))

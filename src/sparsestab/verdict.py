@@ -31,9 +31,8 @@ from .graphs import (
     verify_chain,
 )
 from .numerics import (
-    HURWITZ_TOLERANCE,
     ExactMatrix,
-    SpectralReport,
+    is_hurwitz,
     leading_principal_minors,
     spectral_abscissa,
 )
@@ -80,12 +79,11 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """What an oracle search found: the Hurwitz matrix and its spectral
-    report, or None for both on a miss, with the restarts spent and the
-    best abscissa seen."""
+    """What an oracle search found: the Hurwitz matrix, or None on a miss,
+    with the restarts spent and the best abscissa seen (on a find, the
+    found matrix's abscissa)."""
 
     matrix: np.ndarray | None
-    spectral: SpectralReport | None
     restarts_used: int
     best_abscissa: float
 
@@ -130,12 +128,12 @@ def oracle_search(
     place in one float matrix.  The first two starts bias the diagonal
     negative (the single best heuristic for these objectives); the rest
     are uniform in [-1, 1]^m.  A restart ends when its abscissa clears
-    -HURWITZ_TOLERANCE, when it has spent ``oracle_steps`` evaluations,
+    the Hurwitz guard band, when it has spent ``oracle_steps`` evaluations,
     or when a sweep without improvement halves the step below 1e-6.  The
     first start puts -1 on each free diagonal entry and ends after one
     evaluation: it is -I, which clears the guard band, or diagonal with a
     zero eigenvalue that no step can move.  Returns the first matrix that
-    clears -HURWITZ_TOLERANCE and re-verifies -- a stability proof --
+    clears the guard band and re-verifies -- a stability proof --
     with the restarts spent so far, or the best abscissa seen.  A miss is
     NOT an instability proof.
     """
@@ -143,9 +141,8 @@ def oracle_search(
     cells = [(i - 1, j - 1) for i, j in p.sorted_free()]
     m = len(cells)
     if m == 0:
-        return OracleResult(None, None, 0, 0.0)
+        return OracleResult(None, 0, 0.0)
     rng = random.Random(seed)
-    tol = HURWITZ_TOLERANCE
     rows, cols = np.array(cells).T
     M = np.zeros((p.n, p.n))
 
@@ -164,7 +161,7 @@ def oracle_search(
         step = 0.35
         improved = False
         t = 0  # the next trial steps cell t // 2 by +step (t even) or -step
-        while evals < budget and current >= -tol and step >= 1e-6:
+        while evals < budget and not is_hurwitz(current) and step >= 1e-6:
             cell = cells[t // 2]
             delta = -step if t % 2 else step
             M[cell] += delta
@@ -181,11 +178,11 @@ def oracle_search(
                     step *= 0.5
                 t, improved = 0, False
         best_abscissa = min(best_abscissa, current)
-        if current < -tol:
-            report = spectral_abscissa(M)
-            if report.hurwitz:
-                return OracleResult(M, report, restart + 1, report.abscissa)
-    return OracleResult(None, None, config.oracle_restarts, float(best_abscissa))
+        if is_hurwitz(current):
+            abscissa = spectral_abscissa(M)
+            if is_hurwitz(abscissa):
+                return OracleResult(M, restart + 1, abscissa)
+    return OracleResult(None, config.oracle_restarts, float(best_abscissa))
 
 
 def _transport_from_canonical(matrix: np.ndarray, info) -> np.ndarray:
@@ -243,16 +240,15 @@ def classify(
     )
     if result.found:
         matrix = result.matrix if info is None else _transport_from_canonical(result.matrix, info)
-        report = spectral_abscissa(matrix)
-        if report.hurwitz:
+        if is_hurwitz(spectral_abscissa(matrix)):
             return StabilityVerdict(
                 tag=PROVED_STABLE,
                 reason=ORACLE_FOUND,
-                oracle=replace(result, matrix=matrix, spectral=report),
+                oracle=replace(result, matrix=matrix),
                 diagnostics=tuple(diagnostics),
             )
         diagnostics.append("oracle hit failed re-verification")  # pragma: no cover
-        result = replace(result, matrix=None, spectral=None)  # pragma: no cover
+        result = replace(result, matrix=None)  # pragma: no cover
     return StabilityVerdict(
         tag=UNKNOWN, reason=EXHAUSTED, oracle=result, diagnostics=tuple(diagnostics)
     )
@@ -312,11 +308,9 @@ def certificate_failures(cert: WitnessCertificate) -> list[str]:
     if any(m == 0 for m in minors):
         failures.append("a recorded leading principal minor is zero")
 
-    report = spectral_abscissa(np.diag(stabilizer) @ witness)
-    if not report.hurwitz:
-        failures.append(f"stabilized matrix is not Hurwitz (abscissa {report.abscissa:g})")
-    if not cert.spectral.hurwitz:
-        failures.append("certificate spectral report does not claim Hurwitz")
+    abscissa = spectral_abscissa(np.diag(stabilizer) @ witness)
+    if not is_hurwitz(abscissa):
+        failures.append(f"stabilized matrix is not Hurwitz (abscissa {abscissa:g})")
     return failures
 
 
@@ -348,7 +342,7 @@ def verify_certificate(obj, p: SparsityPattern | None = None) -> bool:
                 raise ValidationError("oracle matrix has non-finite entries")
             if not _matrix_supported(matrix, p):
                 return False
-            return spectral_abscissa(matrix).hurwitz
+            return is_hurwitz(spectral_abscissa(matrix))
         if v.tag == PROVED_UNSTABLE:
             if p is None:
                 raise ValidationError("verifying an instability verdict needs the pattern")

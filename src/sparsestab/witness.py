@@ -22,9 +22,9 @@ from .errors import CapabilityError, StabilizationError, SynthesisError
 from .graphs import ChainCertificate, find_nested_chain, verify_chain
 from .numerics import (
     ExactMatrix,
-    SpectralReport,
     conjugate_by_permutation,
     determinant,
+    is_hurwitz,
     leading_principal_minors,
     random_pattern_matrix,
     spectral_abscissa,
@@ -42,8 +42,8 @@ class WitnessCertificate:
 
     The final Hurwitz matrix is diag(stabilizer) @ witness; ``minors`` are
     the exact leading principal minors of the witness reordered by
-    ``ordering`` (all nonzero), and ``spectral`` reports the eigenvalues of
-    the final matrix.
+    ``ordering`` (all nonzero).  The final matrix's spectrum is derived
+    data, so it is recomputed on verification rather than stored.
     """
 
     pattern: SparsityPattern
@@ -52,7 +52,6 @@ class WitnessCertificate:
     witness: np.ndarray
     stabilizer: np.ndarray
     minors: tuple[Fraction, ...]
-    spectral: SpectralReport
 
     def stabilized_matrix(self) -> np.ndarray:
         return np.diag(self.stabilizer) @ self.witness
@@ -154,15 +153,15 @@ def _stabilize(M: np.ndarray, minors) -> np.ndarray:
         prev = minors[k]
         d[k] = -math.copysign(0.5 / abs(ratio), ratio)
         for _ in range(HALVING_CAP + 1):
-            report = spectral_abscissa(d[: k + 1, None] * M[: k + 1, : k + 1])
-            if report.hurwitz:
+            abscissa = spectral_abscissa(d[: k + 1, None] * M[: k + 1, : k + 1])
+            if is_hurwitz(abscissa):
                 break
             d[k] /= 2
         else:
             raise StabilizationError(
                 f"leading block {k + 1} not Hurwitz after {HALVING_CAP} halvings"
             )
-        d[: k + 1] /= -report.abscissa
+        d[: k + 1] /= -abscissa
     return d
 
 
@@ -189,8 +188,7 @@ def corollary_stabilize(A):
         d = np.empty(n)
         for a in range(1, n + 1):
             d[a - 1] = d1[sigma(a) - 1]
-        report = spectral_abscissa(np.diag(d) @ M)
-        if not report.hurwitz:
+        if not is_hurwitz(spectral_abscissa(np.diag(d) @ M)):
             raise StabilizationError("transported stabilizer failed verification (bug)")
         return sigma, d
     return None
@@ -215,11 +213,9 @@ def synthesize_stable_witness(
     for k, vertex in enumerate(chain.ordering):
         stabilizer[vertex - 1] = d_ordered[k]
     witness = A.to_floats()
-    spectral = spectral_abscissa(np.diag(stabilizer) @ witness)
-    if not spectral.hurwitz:
-        raise SynthesisError(
-            f"stabilized witness not Hurwitz (abscissa {spectral.abscissa:g})"
-        )
+    abscissa = spectral_abscissa(np.diag(stabilizer) @ witness)
+    if not is_hurwitz(abscissa):
+        raise SynthesisError(f"stabilized witness not Hurwitz (abscissa {abscissa:g})")
     return WitnessCertificate(
         pattern=p,
         ordering=chain.ordering,
@@ -227,5 +223,4 @@ def synthesize_stable_witness(
         witness=witness,
         stabilizer=stabilizer,
         minors=tuple(minors),
-        spectral=spectral,
     )

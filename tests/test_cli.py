@@ -1,10 +1,14 @@
 import io
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsestab import verify_certificate
+import sparsestab
+from sparsestab import load_atlas, verify_certificate
+from sparsestab.atlas import TOOL_VERSION
 from sparsestab.cli import dispatch
 from sparsestab.jsonio import certificate_from_dict, certificate_to_dict, verdict_to_dict
 from sparsestab.verdict import EngineConfig, classify
@@ -144,6 +148,18 @@ class TestAtlasCommands:
         assert code == 1 and "FAIL" not in text
         assert f"failing keys: [{rec['key']}]" in text
 
+    def test_validate_ignores_a_stored_spectrum(self, atlas2_lines, tmp_path):
+        # a non-Hurwitz witness fails however its record claims a spectrum
+        records = [json.loads(line) for line in atlas2_lines[1:]]
+        rec = next(r for r in records if r["verdict"]["reason"] == "ChainFound")
+        cert = rec["verdict"]["certificate"]
+        cert["stabilizer"][0] *= -1
+        cert.update(eigenvalues=[], abscissa=-1e6)
+        path = tmp_path / "n2.jsonl"
+        path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in records]) + "\n")
+        code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
+        assert code == 1 and f"failing keys: [{rec['key']}]" in text
+
     def test_validate_checks_orbit_sizes(self, atlas2_lines, tmp_path):
         # move one pattern of coverage from one record to another, so the
         # orbit sizes still sum to 2^(n^2) but two of them are forged
@@ -156,6 +172,52 @@ class TestAtlasCommands:
         code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
         assert code == 1 and "FAIL" not in text and "re-verified 7 of 9 records" in text
         assert f"failing keys: {sorted([small['key'], large['key']])}" in text
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestVersion020Files:
+    """Files written by 0.2.0 store each certificate's and oracle matrix's
+    spectrum under "eigenvalues" and "abscissa"; those keys are ignored."""
+
+    def test_atlas_validates(self):
+        path = DATA / "atlas_n2_0.2.0.jsonl"
+        assert '"eigenvalues"' in path.read_text()
+        code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
+        assert code == 0 and "FAIL" not in text and "re-verified 9 of 9 records" in text
+
+    def test_oracle_record_loads_and_verifies(self):
+        path = DATA / "oracle_found_n3_0.2.0.jsonl"
+        code, text = run(["atlas", "query", "--atlas", str(path), "--verdict", "stable"])
+        assert code == 0 and text.startswith("1 matching records")
+        _, (rec,) = load_atlas(path)
+        assert rec.verdict.reason == "OracleFound"
+        assert verify_certificate(rec.verdict, rec.pattern)
+
+    def test_string_oracle_entry_is_malformed(self, tmp_path):
+        # 0.2.0 cast a numeric string to its float, so this record verified
+        header, line = (DATA / "oracle_found_n3_0.2.0.jsonl").read_text().splitlines()
+        rec = json.loads(line)
+        matrix = rec["verdict"]["oracle"]["matrix"]
+        matrix[0][2] = str(matrix[0][2])
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([header, json.dumps(rec)]) + "\n")
+        code, text = run(["atlas", "query", "--atlas", str(path)])
+        assert code == 12 and text == ""
+
+    def test_classify_does_not_resume(self, tmp_path):
+        path = tmp_path / "n2.jsonl"
+        shutil.copy(DATA / "atlas_n2_0.2.0.jsonl", path)
+        code, text = run(["atlas", "classify", "-n", "2", "--atlas", str(path)])
+        assert code == 12 and text == ""
+
+
+def test_version_is_one_constant():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == TOOL_VERSION
+    assert sparsestab.__version__ == TOOL_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +235,11 @@ MALFORMED_RECORDS = {
     "key_disagrees": lambda rec: {**rec, "key": rec["key"] + 1},
     "dimension_disagrees": lambda rec: {**rec, "dimension": rec["dimension"] + 1},
     "codimension_disagrees": lambda rec: {**rec, "codimension": rec["codimension"] - 1},
+    # the record of the pattern {(1, 1)}, key 8, with an index that int() reads as 1
+    **{
+        f"index_{name}": lambda rec, i=i: {**rec, "free": [[i, 1]], "key": 8, "dimension": 1, "codimension": 3}
+        for name, i in (("float", 1.9), ("string", "1"), ("bool", True))
+    },
 }
 
 
@@ -182,28 +249,15 @@ BAD_ENTRY = "bad entry"
 
 
 def _certificate_entry(field, literal):
-    """The record with the first entry of its certificate's ``field`` set to ``literal``."""
+    """The record with the first entry of its certificate's ``field`` set to
+    ``literal``, or to ``literal(entry)`` when it is callable."""
 
     def line(rec):
         cert = rec["verdict"]["certificate"]
         row = cert[field][0] if isinstance(cert[field][0], list) else cert[field]
+        text = literal(row[0]) if callable(literal) else literal
         row[0] = BAD_ENTRY
-        return json.dumps(rec).replace(json.dumps(BAD_ENTRY), literal)
-
-    return line
-
-
-def _certificate_eigenvalues(literal, first=True):
-    """The record with its certificate's first eigenvalue, or its whole
-    eigenvalue list, set to ``literal``."""
-
-    def line(rec):
-        cert = rec["verdict"]["certificate"]
-        if first:
-            cert["eigenvalues"][0] = BAD_ENTRY
-        else:
-            cert["eigenvalues"] = BAD_ENTRY
-        return json.dumps(rec).replace(json.dumps(BAD_ENTRY), literal)
+        return json.dumps(rec).replace(json.dumps(BAD_ENTRY), text)
 
     return line
 
@@ -211,24 +265,28 @@ def _certificate_eigenvalues(literal, first=True):
 def _oracle_verdict(literal, stats=True, at="matrix"):
     """The record with an OracleFound verdict built from the witness, with
     or without oracle_stats, and ``literal`` in place of the first matrix
-    entry, the first eigenvalue, the oracle's "abscissa" or an oracle_stats
-    value (``at``)."""
+    entry or an oracle_stats value (``at``)."""
 
     def line(rec):
         cert = rec["verdict"]["certificate"]
         matrix = [[BAD_ENTRY] + cert["witness"][0][1:]] + cert["witness"][1:] if at == "matrix" else cert["witness"]
-        oracle = {"matrix": matrix, "eigenvalues": cert["eigenvalues"], "abscissa": cert["abscissa"]}
-        oracle_stats = {"restarts": 1, "best_abscissa": cert["abscissa"]}
-        if at == "eigenvalues":
-            oracle["eigenvalues"] = [BAD_ENTRY] + cert["eigenvalues"][1:]
-        elif at != "matrix":
-            (oracle if at == "abscissa" else oracle_stats)[at] = BAD_ENTRY
+        oracle = {"matrix": matrix}
+        oracle_stats = {"restarts": 1, "best_abscissa": -1.0}
+        if at != "matrix":
+            oracle_stats[at] = BAD_ENTRY
         verdict = {"tag": "ProvedStable", "reason": "OracleFound", "oracle": oracle}
         if stats:
             verdict["oracle_stats"] = oracle_stats
         return json.dumps({**rec, "verdict": verdict}).replace(json.dumps(BAD_ENTRY), literal)
 
     return line
+
+
+def _certificate_pattern_float_index(rec):
+    """The record with its certificate pattern's first index written as a float."""
+    free = rec["verdict"]["certificate"]["pattern"]["free"]
+    free[0][0] = float(free[0][0])
+    return json.dumps(rec)
 
 
 MALFORMED_CERTIFICATES = {
@@ -242,18 +300,16 @@ MALFORMED_CERTIFICATES = {
     "oracle_matrix_overflow": _oracle_verdict("1e999"),
     "oracle_without_stats": _oracle_verdict("-1.0", stats=False),
     "witness_integer_overflow": _certificate_entry("witness", "1" + "0" * 400),
-    "oracle_abscissa_nan": _oracle_verdict("NaN", at="abscissa"),
+    # the entry's own value as a string, which a cast would accept
+    "witness_string": _certificate_entry("witness", lambda x: json.dumps(str(x))),
+    "stabilizer_bool": _certificate_entry("stabilizer", "true"),
+    "oracle_matrix_string": _oracle_verdict('"-1.0"'),
+    "certificate_pattern_float_index": _certificate_pattern_float_index,
     "oracle_restarts_string": _oracle_verdict('"x"', at="restarts"),
     "oracle_restarts_bool": _oracle_verdict("true", at="restarts"),
     "oracle_restarts_negative": _oracle_verdict("-1", at="restarts"),
     "oracle_best_abscissa_null": _oracle_verdict("null", at="best_abscissa"),
     "oracle_best_abscissa_infinity": _oracle_verdict("Infinity", at="best_abscissa"),
-    "certificate_eigenvalue_nan": _certificate_eigenvalues("[NaN, 0.0]"),
-    "oracle_eigenvalue_nan": _oracle_verdict("[NaN, 0.0]", at="eigenvalues"),
-    "certificate_eigenvalue_not_a_pair": _certificate_eigenvalues("[-1.0]"),
-    "certificate_eigenvalue_of_bools": _certificate_eigenvalues("[true, false]"),
-    "certificate_eigenvalue_overflow": _certificate_eigenvalues("[1" + "0" * 400 + ", 0.0]"),
-    "certificate_eigenvalues_not_a_list": _certificate_eigenvalues("{}", first=False),
 }
 
 
