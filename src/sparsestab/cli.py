@@ -112,8 +112,6 @@ def _build_parser() -> _Parser:
             ap.add_argument("--verdict", choices=("stable", "unstable", "unknown"))
             ap.add_argument("--minimal-stable", action="store_true")
             ap.add_argument("--maximal-unstable", action="store_true")
-        if name == "classify":
-            ap.add_argument("--workers", type=int, default=1)
         common(ap)
         if name in ("classify", "validate"):
             engine(ap)
@@ -168,8 +166,6 @@ def _cmd_analyze(args, out) -> int:
             abscissa = spectral_abscissa(verdict.certificate.stabilized_matrix())
             lines.append(f"witness abscissa: {abscissa:.6g}")
         if verdict.oracle is not None:
-            if verdict.oracle.found:
-                lines.append(f"oracle abscissa: {verdict.oracle.best_abscissa:.6g}")
             lines.append(
                 f"oracle: {verdict.oracle.restarts_used} restarts, "
                 f"best abscissa {verdict.oracle.best_abscissa:.6g}"
@@ -261,6 +257,11 @@ def _cmd_canon(args, out) -> int:
 
 
 def _cmd_identities(args, out) -> int:
+    # n < 1 has no matrices to check and trials < 1 would pass vacuously
+    if args.n < 1 or args.trials < 1:
+        raise _UsageError(
+            f"identities needs --n >= 1 and --trials >= 1, not {args.n} and {args.trials}"
+        )
     results = run_identity_suites(args.n, args.trials, args.seed)
     if args.format == "json":
         payload = [
@@ -301,9 +302,7 @@ def _cmd_atlas(args, out) -> int:
             )
         return 0
     if args.atlas_command == "classify":
-        records = classify_atlas(
-            args.n, _config(args), seed=args.seed, path=args.atlas, workers=args.workers
-        )
+        records = classify_atlas(args.n, _config(args), seed=args.seed, path=args.atlas)
         stable = sum(1 for r in records if r.verdict.tag == PROVED_STABLE)
         _emit(
             args,

@@ -1,35 +1,19 @@
 """JSON wire formats for certificates and verdicts.
 
-Exact rationals serialize as "numerator/denominator" strings, matrices
-as nested float lists.  Pattern payloads reuse the json pattern schema
-({"n": ..., "free": [[i, j], ...]}).  No spectrum is stored: a verifier
-recomputes it from the matrix.  Keys a decoder does not read are ignored.
+Matrices serialize as nested float lists.  Pattern payloads reuse the
+json pattern schema ({"n": ..., "free": [[i, j], ...]}).  Only evidence is
+stored: a verifier recomputes minors and spectra from the matrices.  Keys
+a decoder does not read are ignored.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import PatternFormatError, ValidationError
-from .numerics import ExactMatrix
 from .patterns import SparsityPattern, decode_json_pattern
 from .verdict import OracleResult, StabilityVerdict
 from .witness import WitnessCertificate
-
-
-def fraction_to_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def exact_matrix_to_lists(A: ExactMatrix) -> list[list[str]]:
-    """Arrays of "num/den" strings, the wire form for exact matrices."""
-    return [[fraction_to_str(x) for x in row] for row in A.rows]
-
-
-def exact_matrix_from_lists(rows) -> ExactMatrix:
-    return ExactMatrix([[Fraction(x) for x in row] for row in rows])
 
 
 def pattern_to_dict(p: SparsityPattern) -> dict:
@@ -50,7 +34,6 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
         "prefix_cycles": [[list(c) for c in cycles] for cycles in cert.prefix_cycles],
         "witness": [[float(x) for x in row] for row in cert.witness],
         "stabilizer": [float(x) for x in cert.stabilizer],
-        "minors": [fraction_to_str(m) for m in cert.minors],
     }
 
 
@@ -95,7 +78,6 @@ def certificate_from_dict(d: dict) -> WitnessCertificate:
         ),
         witness=_finite_array(d["witness"]),
         stabilizer=_finite_array(d["stabilizer"]),
-        minors=tuple(Fraction(m) for m in d["minors"]),
     )
 
 

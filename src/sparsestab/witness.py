@@ -40,10 +40,10 @@ HALVING_CAP = 64  # halvings of one stabilizer entry before giving up
 class WitnessCertificate:
     """Everything needed to re-check a synthesized stable matrix.
 
-    The final Hurwitz matrix is diag(stabilizer) @ witness; ``minors`` are
-    the exact leading principal minors of the witness reordered by
-    ``ordering`` (all nonzero).  The final matrix's spectrum is derived
-    data, so it is recomputed on verification rather than stored.
+    The final Hurwitz matrix is diag(stabilizer) @ witness.  Derived data
+    -- the exact leading principal minors of the witness reordered by
+    ``ordering`` and the final matrix's spectrum -- is recomputed on
+    verification rather than stored.
     """
 
     pattern: SparsityPattern
@@ -51,7 +51,6 @@ class WitnessCertificate:
     prefix_cycles: tuple[tuple[tuple[int, ...], ...], ...]
     witness: np.ndarray
     stabilizer: np.ndarray
-    minors: tuple[Fraction, ...]
 
     def stabilized_matrix(self) -> np.ndarray:
         return np.diag(self.stabilizer) @ self.witness
@@ -222,5 +221,4 @@ def synthesize_stable_witness(
         prefix_cycles=chain.prefix_cycles,
         witness=witness,
         stabilizer=stabilizer,
-        minors=tuple(minors),
     )

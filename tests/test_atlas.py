@@ -219,16 +219,6 @@ class TestPersistence:
         with pytest.raises(CapabilityError):
             list(enumerate_patterns(n))
 
-    def test_parallel_workers_agree(self, tmp_path):
-        # n=3 has 74 representatives, several of the pool's chunks of 16
-        serial = classify_atlas(3, seed=5)
-        parallel = classify_atlas(3, seed=5, workers=2)
-        assert len(serial) == 74
-        assert [r.key for r in serial] == [r.key for r in parallel]
-        assert [verdict_to_dict(r.verdict) for r in serial] == [
-            verdict_to_dict(r.verdict) for r in parallel
-        ]
-
 
 @pytest.fixture(scope="module")
 def atlas3_path(tmp_path_factory):

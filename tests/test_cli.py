@@ -10,7 +10,13 @@ import sparsestab
 from sparsestab import load_atlas, verify_certificate
 from sparsestab.atlas import TOOL_VERSION
 from sparsestab.cli import dispatch
-from sparsestab.jsonio import certificate_from_dict, certificate_to_dict, verdict_to_dict
+from sparsestab.jsonio import (
+    certificate_from_dict,
+    certificate_to_dict,
+    pattern_from_dict,
+    verdict_to_dict,
+)
+from sparsestab.patterns import pattern_to_key
 from sparsestab.verdict import EngineConfig, classify
 
 from conftest import FIG2_LEFT, FIG2_RIGHT
@@ -20,6 +26,11 @@ def run(argv):
     out = io.StringIO()
     code = dispatch(argv, out=out)
     return code, out.getvalue()
+
+
+def key_of(rec):
+    """The canonical key of an atlas record dict, derived from its pattern."""
+    return pattern_to_key(pattern_from_dict(rec))
 
 
 @pytest.fixture
@@ -65,6 +76,15 @@ class TestAnalyze:
         assert code == 1 and text == ""
         assert json.loads(target.read_text())["tag"] == "ProvedUnstable"
 
+    def test_oracle_abscissa_printed_once(self, tmp_path):
+        path = tmp_path / "gap.json"
+        path.write_text('{"n": 3, "free": [[1,3],[2,1],[2,2],[3,1],[3,2]]}')
+        code, text = run(["analyze", str(path)])
+        assert code == 0 and "OracleFound" in text
+        (line,) = [line for line in text.splitlines() if "abscissa" in line]
+        value = line.rsplit(" ", 1)[1]
+        assert line.startswith("oracle: ") and text.count(value) == 1
+
 
 class TestWitness:
     def test_certificate_json(self, fig2_right_file):
@@ -107,6 +127,14 @@ class TestIdentities:
         assert code == 0
         assert text.count("failures=0") == 4
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--n", "0"), ("--n", "-2"), ("--trials", "0"), ("--trials", "-1")]
+    )
+    def test_nonpositive_size_or_trials_is_usage_error(self, flag, value):
+        # n < 1 has no matrices, and zero trials would pass vacuously
+        code, text = run(["identities", flag, value])
+        assert code == 10 and text == ""
+
 
 class TestAtlasCommands:
     def test_enumerate(self):
@@ -146,7 +174,7 @@ class TestAtlasCommands:
         path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in records]) + "\n")
         code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
         assert code == 1 and "FAIL" not in text
-        assert f"failing keys: [{rec['key']}]" in text
+        assert f"failing keys: [{key_of(rec)}]" in text
 
     def test_validate_ignores_a_stored_spectrum(self, atlas2_lines, tmp_path):
         # a non-Hurwitz witness fails however its record claims a spectrum
@@ -158,7 +186,7 @@ class TestAtlasCommands:
         path = tmp_path / "n2.jsonl"
         path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in records]) + "\n")
         code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
-        assert code == 1 and f"failing keys: [{rec['key']}]" in text
+        assert code == 1 and f"failing keys: [{key_of(rec)}]" in text
 
     def test_validate_checks_orbit_sizes(self, atlas2_lines, tmp_path):
         # move one pattern of coverage from one record to another, so the
@@ -171,7 +199,7 @@ class TestAtlasCommands:
         path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in records]) + "\n")
         code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
         assert code == 1 and "FAIL" not in text and "re-verified 7 of 9 records" in text
-        assert f"failing keys: {sorted([small['key'], large['key']])}" in text
+        assert f"failing keys: {sorted([key_of(small), key_of(large)])}" in text
 
 
 DATA = Path(__file__).parent / "data"
@@ -213,6 +241,25 @@ class TestVersion020Files:
         assert code == 12 and text == ""
 
 
+class TestVersion030Files:
+    """Files written by 0.3.0 store each record's key, dimension and
+    codimension and each certificate's minors; those keys are ignored."""
+
+    PATH = DATA / "atlas_n2_0.3.0.jsonl"
+
+    def test_atlas_validates(self):
+        text = self.PATH.read_text()
+        assert '"minors"' in text and '"codimension"' in text
+        code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(self.PATH)])
+        assert code == 0 and "FAIL" not in text and "re-verified 9 of 9 records" in text
+
+    def test_classify_does_not_resume(self, tmp_path):
+        path = tmp_path / "n2.jsonl"
+        shutil.copy(self.PATH, path)
+        code, text = run(["atlas", "classify", "-n", "2", "--atlas", str(path)])
+        assert code == 12 and text == ""
+
+
 def test_version_is_one_constant():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
@@ -232,12 +279,9 @@ MALFORMED_RECORDS = {
     "non_object_line": lambda rec: [1, 2],
     "violating_not_a_list": lambda rec: {**rec, "verdict": {**rec["verdict"], "violating": 5}},
     "verdict_not_an_object": lambda rec: {**rec, "verdict": rec["verdict"]["tag"]},
-    "key_disagrees": lambda rec: {**rec, "key": rec["key"] + 1},
-    "dimension_disagrees": lambda rec: {**rec, "dimension": rec["dimension"] + 1},
-    "codimension_disagrees": lambda rec: {**rec, "codimension": rec["codimension"] - 1},
-    # the record of the pattern {(1, 1)}, key 8, with an index that int() reads as 1
+    # the record of the pattern {(1, 1)} with an index that int() reads as 1
     **{
-        f"index_{name}": lambda rec, i=i: {**rec, "free": [[i, 1]], "key": 8, "dimension": 1, "codimension": 3}
+        f"index_{name}": lambda rec, i=i: {**rec, "free": [[i, 1]]}
         for name, i in (("float", 1.9), ("string", "1"), ("bool", True))
     },
 }
@@ -290,7 +334,6 @@ def _certificate_pattern_float_index(rec):
 
 
 MALFORMED_CERTIFICATES = {
-    "zero_denominator_minor": _certificate_entry("minors", '"1/0"'),
     **{
         f"{field}_{name}": _certificate_entry(field, literal)
         for field in ("witness", "stabilizer")
@@ -435,6 +478,11 @@ class TestErrorPaths:
         code, text = run(argv + ["--tol", "1e-9"])
         assert code == 10 and text == ""
 
+    def test_workers_flag_is_usage_error(self):
+        # atlas classify runs in one process; there is no pool to size
+        code, text = run(["atlas", "classify", "-n", "1", "--workers", "2"])
+        assert code == 10 and text == ""
+
     @pytest.mark.parametrize("n", ["0", "5"])
     def test_atlas_classify_size_out_of_range(self, n):
         code, _ = run(["atlas", "classify", "-n", n])
@@ -446,22 +494,16 @@ class TestErrorPaths:
         assert code == 13 and text == ""
 
 
+# the documented key sets: evidence only, nothing derivable from it
+CERTIFICATE_KEYS = {"pattern", "ordering", "prefix_cycles", "witness", "stabilizer"}
+RECORD_KEYS = {"n", "free", "orbit_size", "verdict", "minimal_stable", "maximal_unstable"}
+
+
 class TestSchemas:
     def test_text_output_stable_under_fixed_seed(self, fig2_right_file):
         first = run(["analyze", fig2_right_file, "--seed", "7"])
         second = run(["analyze", fig2_right_file, "--seed", "7"])
         assert first == second
-
-    def test_exact_matrix_wire_format(self):
-        from fractions import Fraction
-
-        from sparsestab import ExactMatrix
-        from sparsestab.jsonio import exact_matrix_from_lists, exact_matrix_to_lists
-
-        A = ExactMatrix([[Fraction(1, 3), 2], [0, Fraction(-5, 7)]])
-        lists = exact_matrix_to_lists(A)
-        assert lists == [["1/3", "2/1"], ["0/1", "-5/7"]]
-        assert exact_matrix_from_lists(lists) == A
 
     def test_certificate_round_trip(self):
         from sparsestab import synthesize_stable_witness
@@ -470,10 +512,21 @@ class TestSchemas:
         payload = json.loads(json.dumps(certificate_to_dict(cert)))
         back = certificate_from_dict(payload)
         assert back.ordering == cert.ordering
-        assert back.minors == cert.minors
+        assert back.prefix_cycles == cert.prefix_cycles
         assert np.array_equal(back.witness, cert.witness)
         assert np.array_equal(back.stabilizer, cert.stabilizer)
         assert verify_certificate(back)
+
+    def test_certificate_keys(self, fig2_right_file):
+        code, text = run(["witness", fig2_right_file, "--format", "json"])
+        assert code == 0
+        assert set(json.loads(text)) == CERTIFICATE_KEYS
+
+    def test_atlas_record_keys(self, atlas2_lines):
+        records = [json.loads(line) for line in atlas2_lines[1:]]
+        assert all(set(r) == RECORD_KEYS for r in records)
+        certs = [r["verdict"]["certificate"] for r in records if "certificate" in r["verdict"]]
+        assert certs and all(set(c) == CERTIFICATE_KEYS for c in certs)
 
     def test_verdict_dict_fields(self):
         cfg = EngineConfig(oracle_restarts=6, oracle_steps=80)

@@ -243,7 +243,6 @@ class TestVerifyCertificate:
             prefix_cycles=cert.prefix_cycles,
             witness=witness,
             stabilizer=cert.stabilizer,
-            minors=cert.minors,
         )
         failures = certificate_failures(bad)
         assert any("outside the free set" in f for f in failures)
@@ -257,22 +256,27 @@ class TestVerifyCertificate:
             prefix_cycles=cert.prefix_cycles,
             witness=cert.witness,
             stabilizer=np.abs(cert.stabilizer),
-            minors=cert.minors,
         )
         failures = certificate_failures(bad)
         assert any("not Hurwitz" in f for f in failures)
 
-    def test_wrong_minors_detected(self):
+    def test_zero_leading_minor_detected(self):
+        # a zero on the first ordered vertex's free diagonal entry keeps
+        # the support and makes the first ordered leading minor vanish
         cert = synthesize_stable_witness(FIG2_RIGHT, seed=4)
-        bad = WitnessCertificate(
-            pattern=cert.pattern,
-            ordering=cert.ordering,
-            prefix_cycles=cert.prefix_cycles,
-            witness=cert.witness,
-            stabilizer=cert.stabilizer,
-            minors=tuple(m + 1 for m in cert.minors),
-        )
-        assert not verify_certificate(bad)
+        v = cert.ordering[0] - 1
+        witness = cert.witness.copy()
+        witness[v, v] = 0.0
+        failures = certificate_failures(replace(cert, witness=witness))
+        assert "a leading principal minor of the ordered witness is zero" in failures
+        assert not any("outside the free set" in f for f in failures)
+
+    def test_zero_stabilizer_entry_detected(self):
+        cert = synthesize_stable_witness(FIG2_RIGHT, seed=4)
+        stabilizer = cert.stabilizer.copy()
+        stabilizer[0] = 0.0
+        failures = certificate_failures(replace(cert, stabilizer=stabilizer))
+        assert "stabilizer has a zero entry" in failures
 
     @pytest.mark.parametrize("array", ["witness", "stabilizer"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -300,7 +304,6 @@ class TestVerifyCertificate:
             prefix_cycles=cert.prefix_cycles,
             witness=np.zeros((2, 2)),
             stabilizer=cert.stabilizer,
-            minors=cert.minors,
         )
         with pytest.raises(ValidationError):
             certificate_failures(bad)
