@@ -14,10 +14,10 @@ skipped and classification continues where the file stopped.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
+from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 from dataclasses import dataclass
 
 from . import jsonio
@@ -65,7 +65,7 @@ class AtlasRecord:
 
 def config_hash(config: EngineConfig) -> str:
     payload = json.dumps(vars(config), sort_keys=True, default=str)
-    return hashlib.blake2b(payload.encode(), digest_size=6).hexdigest()
+    return blake2b(payload.encode(), digest_size=6).hexdigest()
 
 
 def _scan_orbits(n: int) -> tuple[list[tuple[int, int]], list[int]]:

@@ -1,10 +1,11 @@
 """Exact and floating-point matrix computations.
 
-Everything algebraic runs over arbitrary-precision rationals
-(fractions.Fraction): leading principal minors, characteristic polynomial
-coefficients, the per-permutation minor products, and the Jacobi residual.
-Every determinant and minor comes from one fraction-free integer
-elimination on the matrix with its denominators cleared.
+Everything algebraic runs over arbitrary-precision integers, with
+rationals (fractions.Fraction) only where an input has denominators:
+leading principal minors, characteristic polynomial coefficients, the
+per-permutation minor products, and the Jacobi residual.  Every
+determinant and minor comes from one fraction-free integer elimination on
+the matrix with its denominators cleared.
 Floating point appears in exactly one place, the eigenvalue computation
 behind the spectral abscissa, because Hurwitz verification is numeric by
 nature.
@@ -118,10 +119,13 @@ class ExactMatrix:
         return f"ExactMatrix({[[str(x) for x in row] for row in self.rows]})"
 
 
-def _integer_rows(A: ExactMatrix) -> tuple[int, list[list[int]]]:
-    """(L, rows of L*A as ints), L the lcm of A's denominators (1 if empty)."""
-    L = math.lcm(*(x.denominator for row in A.rows for x in row))
-    return L, [[x.numerator * (L // x.denominator) for x in row] for row in A.rows]
+def _integer_rows(rows) -> tuple[int, list[list[int]]]:
+    """(L, rows of L*A as ints), L the lcm of the denominators of A's int or
+    Fraction entries (1 if empty)."""
+    L = math.lcm(*(x.denominator for row in rows for x in row))
+    if L == 1:
+        return 1, [[x.numerator for x in row] for row in rows]
+    return L, [[x.numerator * (L // x.denominator) for x in row] for row in rows]
 
 
 def determinant(A: ExactMatrix) -> Fraction:
@@ -134,7 +138,7 @@ def determinant(A: ExactMatrix) -> Fraction:
     """
     if A.n == 0:
         return Fraction(1)
-    L, m = _integer_rows(A)
+    L, m = _integer_rows(A.rows)
     return Fraction(_det_bareiss(m), L**A.n)
 
 
@@ -181,7 +185,7 @@ def inverse(A: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([row[n:] for row in m])
 
 
-def _leading_minors(A: ExactMatrix):
+def _leading_minors(rows):
     """Yield det of the top-left k-by-k block for k = 1..n, exactly.
 
     Without row swaps, pivot k of Bareiss elimination on L*A is the k-th
@@ -189,16 +193,21 @@ def _leading_minors(A: ExactMatrix):
     the elimination cannot go on, so each later minor is the determinant of
     its own leading block.
     """
-    n = A.n
-    L, m = _integer_rows(A)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    L, m = _integer_rows(rows)
     prev = scale = 1
     for k in range(n):
         pivot = m[k][k]
         scale *= L
-        yield Fraction(pivot, scale)
+        yield pivot if L == 1 else Fraction(pivot, scale)
         if pivot == 0:
+            _, m = _integer_rows(rows)
             for size in range(k + 2, n + 1):
-                yield determinant(ExactMatrix([row[:size] for row in A.rows[:size]]))
+                scale *= L
+                det = _det_bareiss([row[:size] for row in m[:size]])
+                yield det if L == 1 else Fraction(det, scale)
             return
         for i in range(k + 1, n):
             for j in range(k + 1, n):
@@ -206,9 +215,10 @@ def _leading_minors(A: ExactMatrix):
         prev = pivot
 
 
-def leading_principal_minors(A: ExactMatrix) -> list[Fraction]:
-    """det of the top-left k-by-k block for k = 1..n, all exact."""
-    return list(_leading_minors(A))
+def leading_principal_minors(A) -> list[int | Fraction]:
+    """det of the top-left k-by-k block for k = 1..n, all exact, of an
+    ExactMatrix or square rows of ints and Fractions (ints if every entry is)."""
+    return list(_leading_minors(A.rows if isinstance(A, ExactMatrix) else A))
 
 
 def conjugate_by_permutation(A: ExactMatrix, sigma: Permutation) -> ExactMatrix:
@@ -232,7 +242,7 @@ def p_sigma(A: ExactMatrix, sigma: Permutation) -> Fraction:
     on the first vanishing factor.
     """
     out = Fraction(1)
-    minors = _leading_minors(conjugate_by_permutation(A, sigma))
+    minors = _leading_minors(conjugate_by_permutation(A, sigma).rows)
     for d in itertools.islice(minors, max(A.n - 1, 0)):
         if d == 0:
             return Fraction(0)
@@ -305,15 +315,20 @@ def spectral_abscissa(A) -> float:
     return float(np.max(eig.real))
 
 
+def _random_pattern_rows(p: SparsityPattern, rng, bound=SAMPLE_BOUND) -> list[list[int]]:
+    """random_pattern_matrix's entries as int rows, drawn in sorted free order."""
+    rows = [[0] * p.n for _ in range(p.n)]
+    for i, j in p.sorted_free():
+        v = rng.randint(1, 2 * bound)
+        rows[i - 1][j - 1] = v - bound - 1 if v <= bound else v - bound
+    return rows
+
+
 def random_pattern_matrix(
     p: SparsityPattern, rng: random.Random, bound: int = SAMPLE_BOUND
 ) -> ExactMatrix:
     """Integer matrix supported on the pattern, entries in {-B..B} minus {0}."""
-    values = {}
-    for pos in p.sorted_free():
-        v = rng.randint(1, 2 * bound)
-        values[pos] = v - bound - 1 if v <= bound else v - bound
-    return ExactMatrix.from_pattern(p, values)
+    return ExactMatrix(_random_pattern_rows(p, rng, bound))
 
 
 @dataclass(frozen=True)

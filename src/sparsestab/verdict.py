@@ -1,10 +1,12 @@
 """Decision pipeline: combine every test into one stability verdict.
 
-Order of attack: the component-sink check, then the per-size cycle-cover
-check on every strongly connected block (both violations are instability
-proofs), then the nested-chain search, run block by block, with witness
-synthesis (a stability proof), and finally a randomized spectral-abscissa
-minimization that covers the gap between the necessary and the sufficient
+Order of attack: the component-sink check, then the nested-chain search,
+run block by block, with witness synthesis (a stability proof).  Only
+when no chain exists does the per-size cycle-cover check run on every
+strongly connected block; a chain already passes it, since each block's
+prefixes have cycle covers of every size 1..|B|.  A sink or cover
+violation is an instability proof.  Last, a randomized spectral-abscissa
+minimization covers the gap between the necessary and the sufficient
 conditions.  A pattern is stable iff each of its blocks is, so a block
 that fails a check proves the whole pattern unstable.  Oracle success
 still yields a stability proof -- an explicit verified Hurwitz matrix --
@@ -14,13 +16,14 @@ Unknown.
 
 from __future__ import annotations
 
-import hashlib
 import random
+from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import StabilizationError, SynthesisError, ValidationError
+from .errors import CapabilityError, StabilizationError, SynthesisError, ValidationError
 from .graphs import (
     ChainCertificate,
     block_without_cover,
@@ -29,18 +32,9 @@ from .graphs import (
     find_nested_chain,
     verify_chain,
 )
-from .numerics import (
-    ExactMatrix,
-    is_hurwitz,
-    leading_principal_minors,
-    spectral_abscissa,
-)
+from .numerics import is_hurwitz, leading_principal_minors, spectral_abscissa
 from .patterns import CANONICAL_N_CAP, SparsityPattern, canonical_form
-from .witness import (
-    WitnessCertificate,
-    ordering_conjugation,
-    synthesize_stable_witness,
-)
+from .witness import WitnessCertificate, ordering_conjugation, synthesize_stable_witness
 
 PROVED_STABLE = "ProvedStable"
 PROVED_UNSTABLE = "ProvedUnstable"
@@ -115,7 +109,7 @@ class StabilityVerdict:
 def derive_seed(seed: int, *parts) -> int:
     """Stable per-stage seed; independent of interpreter hash randomization."""
     text = ":".join([str(seed)] + [str(x) for x in parts])
-    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(text.encode(), digest_size=8).digest(), "big")
 
 
 def oracle_search(
@@ -204,23 +198,28 @@ def classify(
 ) -> StabilityVerdict:
     """Run all checks in order and return the first conclusive verdict.
 
-    Deterministic given the seed.  The checks and the chain stage work on
-    p as labeled, with a witness seed from p's own key; only the oracle
-    works on the canonical representative (n <= CANONICAL_N_CAP), seeded
-    from its key.  Synthesis failures degrade to the next stage and
-    surface in the diagnostics; no instability conclusion is ever drawn
-    from oracle failure.
+    The cover check runs only when no chain is found: a chain's prefixes
+    have cycle covers of every size, so it would pass.  Deterministic given
+    the seed.  The checks and the chain stage work on p as labeled, with a
+    witness seed from p's own key; only the oracle works on the canonical
+    representative (n <= CANONICAL_N_CAP), seeded from its key.  Synthesis
+    failures degrade to the next stage and surface in the diagnostics; no
+    instability conclusion is ever drawn from oracle failure.
     """
     config = config or EngineConfig()
     violating = check_scc_sink(p)
     if violating:
         return StabilityVerdict(tag=PROVED_UNSTABLE, reason=_sink_reason(p), violating=violating)
-    k = check_necessary(p)
-    if k is not None:
+    try:
+        chain = find_nested_chain(p)
+    except CapabilityError:  # a block too large to search; the cover check may still decide
+        if check_necessary(p) is None:
+            raise
+        chain = None
+    if chain is None and (k := check_necessary(p)) is not None:
         return StabilityVerdict(tag=PROVED_UNSTABLE, reason=NO_HAMILTONIAN_K, k=k)
 
     diagnostics = []
-    chain = find_nested_chain(p)
     if chain is not None:
         try:
             cert = synthesize_stable_witness(
@@ -288,8 +287,8 @@ def certificate_failures(cert: WitnessCertificate) -> list[str]:
         )
     if not (np.isfinite(witness).all() and np.isfinite(stabilizer).all()):
         raise ValidationError("certificate arrays have non-finite entries")
-    if len(cert.ordering) != n or len(cert.prefix_cycles) != n:
-        raise ValidationError("certificate ordering/prefix length mismatch")
+    if sorted(cert.ordering) != list(range(1, n + 1)) or len(cert.prefix_cycles) != n:
+        raise ValidationError("certificate ordering is not a permutation of 1..n, or prefix length mismatch")
 
     failures = []
     chain = ChainCertificate(ordering=cert.ordering, prefix_cycles=cert.prefix_cycles)
@@ -300,8 +299,8 @@ def certificate_failures(cert: WitnessCertificate) -> list[str]:
     if any(d == 0.0 for d in stabilizer):
         failures.append("stabilizer has a zero entry")
 
-    exact = ExactMatrix.from_floats(witness)
-    minors = leading_principal_minors(ordering_conjugation(exact, cert.ordering))
+    rows = [[int(x) if x.is_integer() else Fraction(x) for x in row] for row in witness.tolist()]
+    minors = leading_principal_minors(ordering_conjugation(rows, cert.ordering))
     if any(m == 0 for m in minors):
         failures.append("a leading principal minor of the ordered witness is zero")
 

@@ -2,10 +2,10 @@
 
 The pipeline: a nested-chain certificate orders the vertices so that every
 prefix supports a cycle decomposition; a random integer matrix on the
-pattern is screened (exactly) until the reordered matrix has all leading
-principal minors nonzero; a diagonal stabilizer is then built one vertex
-at a time (Fisher & Fuller 1958), each step keeping the leading block
-Hurwitz.  Every claim in the resulting certificate re-verifies from
+pattern is screened in integer arithmetic until the reordered matrix has
+all leading principal minors nonzero; a diagonal stabilizer is then built
+one vertex at a time (Fisher & Fuller 1958), each step keeping the leading
+block Hurwitz.  Every claim in the resulting certificate re-verifies from
 primitive operations.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,11 +21,11 @@ from .errors import CapabilityError, StabilizationError, SynthesisError
 from .graphs import ChainCertificate, find_nested_chain, verify_chain
 from .numerics import (
     ExactMatrix,
+    _random_pattern_rows,
     conjugate_by_permutation,
     determinant,
     is_hurwitz,
     leading_principal_minors,
-    random_pattern_matrix,
     spectral_abscissa,
 )
 from .patterns import Permutation, SparsityPattern, all_permutations
@@ -79,14 +78,15 @@ def nonsingular_assignment(p: SparsityPattern, support: Permutation) -> ExactMat
     return A
 
 
-def ordering_conjugation(A: ExactMatrix, ordering) -> ExactMatrix:
-    """Reorder so entry (a, b) of the result is A[ordering[a], ordering[b]].
+def ordering_conjugation(rows, ordering) -> list[list]:
+    """Reorder square rows so entry (a, b) of the result is
+    rows[ordering[a]][ordering[b]].
 
     The leading principal minors of the result are the principal minors of
-    A on the prefixes of the ordering.
+    the input on the prefixes of the ordering.
     """
-    sigma = Permutation(tuple(ordering)).inverse()
-    return conjugate_by_permutation(A, sigma)
+    idx = [v - 1 for v in ordering]
+    return [[rows[a][b] for b in idx] for a in idx]
 
 
 def chain_generic_matrix(
@@ -99,19 +99,19 @@ def chain_generic_matrix(
     so acceptance is fast for any valid chain; exhausting the resampling
     budget is treated as a bug signal.
     """
-    return _screened_matrix(p, chain, seed)[0]
+    return ExactMatrix(_screened_matrix(p, chain, seed)[0])
 
 
 def _screened_matrix(
     p: SparsityPattern, chain: ChainCertificate, seed: int
-) -> tuple[ExactMatrix, ExactMatrix, list[Fraction]]:
-    """chain_generic_matrix's sample A, with its chain-ordered conjugation
-    and that conjugation's exact leading minors, so synthesis reuses them."""
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """chain_generic_matrix's sample A as int rows, with its chain-ordered
+    rows and their exact leading minors, so synthesis reuses them."""
     if not verify_chain(p, chain):
         raise ValueError("chain certificate does not verify against the pattern")
     rng = random.Random(seed)
     for _ in range(RESAMPLE_CAP):
-        A = random_pattern_matrix(p, rng)
+        A = _random_pattern_rows(p, rng)
         ordered = ordering_conjugation(A, chain.ordering)
         minors = leading_principal_minors(ordered)
         if all(m != 0 for m in minors):
@@ -146,8 +146,9 @@ def _stabilize(M: np.ndarray, minors) -> np.ndarray:
     """diagonal_stabilize's sequential step, given M's exact leading minors."""
     n = M.shape[0]
     d = np.zeros(n)
-    prev = Fraction(1)
+    prev = 1
     for k in range(n):
+        # int / int rounds correctly, as float(Fraction) does
         ratio = float(minors[k] / prev)
         prev = minors[k]
         d[k] = -math.copysign(0.5 / abs(ratio), ratio)
@@ -207,11 +208,11 @@ def synthesize_stable_witness(
     if chain is None:
         raise ValueError("pattern admits no nested chain; nothing to synthesize")
     A, ordered, minors = _screened_matrix(p, chain, seed)
-    d_ordered = _stabilize(ordered.to_floats(), minors)
+    d_ordered = _stabilize(np.array(ordered, dtype=float), minors)
     stabilizer = np.empty(p.n)
     for k, vertex in enumerate(chain.ordering):
         stabilizer[vertex - 1] = d_ordered[k]
-    witness = A.to_floats()
+    witness = np.array(A, dtype=float)
     abscissa = spectral_abscissa(np.diag(stabilizer) @ witness)
     if not is_hurwitz(abscissa):
         raise SynthesisError(f"stabilized witness not Hurwitz (abscissa {abscissa:g})")

@@ -381,6 +381,18 @@ class TestErrorPaths:
         code, text = run(argv)
         assert code == 12 and text == ""
 
+    @pytest.mark.parametrize("ordering", [[1, 1], [0, 2], [3, 1]])
+    def test_certificate_ordering_not_a_permutation(self, atlas2_lines, tmp_path, ordering):
+        lines = list(atlas2_lines)
+        at = next(i for i, line in enumerate(lines) if '"certificate"' in line)
+        rec = json.loads(lines[at])
+        rec["verdict"]["certificate"]["ordering"] = ordering
+        lines[at] = json.dumps(rec)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        code, text = run(["atlas", "validate", "--atlas", str(path), "-n", "2"])
+        assert code == 12 and text == ""
+
     def test_missing_file(self):
         code, _ = run(["analyze", "/definitely/not/there.mask"])
         assert code == 11

@@ -98,6 +98,40 @@ class TestLeadingMinors:
     def test_diagonal_products(self):
         assert leading_principal_minors(ExactMatrix([[2, 0], [0, 4]])) == [2, 8]
 
+    def test_counterexample_int_rows(self):
+        minors = leading_principal_minors([[0, -1], [2, -1]])
+        assert minors == [0, 2] and all(type(m) is int for m in minors)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_int_rows_match_exact_matrix(self, n):
+        # entries in {-2..2} give zero pivots often; wide ones almost never
+        rng = random.Random(n)
+        zero_pivots = 0
+        for bound in [2] * 20 + [1000] * 5:
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            minors = leading_principal_minors(rows)
+            assert all(type(m) is int for m in minors)
+            assert minors == leading_principal_minors(ExactMatrix(rows))
+            assert minors == [
+                determinant(ExactMatrix([row[:k] for row in rows[:k]])) for k in range(1, n + 1)
+            ]
+            zero_pivots += 0 in minors[:-1]
+        assert n == 1 or zero_pivots > 0
+
+    def test_fraction_rows_match_exact_matrix(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            rows = [
+                [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3, 8])) for _ in range(5)]
+                for _ in range(5)
+            ]
+            rows[0][0] = rng.randint(-1, 1)  # an int among the Fractions
+            assert leading_principal_minors(rows) == leading_principal_minors(ExactMatrix(rows))
+
+    def test_non_square_rows_rejected(self):
+        with pytest.raises(ValueError):
+            leading_principal_minors([[1, 2, 3], [4, 5, 6]])
+
 
 class TestPSigma:
     def test_identity_matrix_any_sigma(self):

@@ -1,16 +1,24 @@
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sparsestab
 from sparsestab import (
+    CapabilityError,
+    ExactMatrix,
     Permutation,
     SparsityPattern,
     apply_permutation,
     classify,
+    leading_principal_minors,
     oracle_search,
     synthesize_stable_witness,
     transpose_pattern,
@@ -18,16 +26,20 @@ from sparsestab import (
 )
 import sparsestab.verdict as verdict_module
 from sparsestab.errors import ValidationError
-from sparsestab.graphs import find_nested_chain
+from sparsestab.atlas import config_hash, enumerate_patterns
+from sparsestab.graphs import CHAIN_N_CAP, check_necessary, check_scc_sink, find_nested_chain
 from sparsestab.jsonio import verdict_to_dict
 from sparsestab.patterns import canonical_form, key_to_pattern
 from sparsestab.numerics import HURWITZ_TOLERANCE, spectral_abscissa
 from sparsestab.verdict import (
+    NO_HAMILTONIAN_K,
+    PROVED_UNSTABLE,
     EngineConfig,
     OracleResult,
     certificate_failures,
+    derive_seed,
 )
-from sparsestab.witness import WitnessCertificate
+from sparsestab.witness import WitnessCertificate, ordering_conjugation
 
 from conftest import FIG2_LEFT, FIG2_RIGHT, FIG3, SIGMA_ALPHA, SIGMA_BETA
 
@@ -157,6 +169,64 @@ def relabeled(rng: random.Random, p: SparsityPattern) -> SparsityPattern:
     return transpose_pattern(q) if rng.random() < 0.5 else q
 
 
+def _stage_order_patterns():
+    for n in (1, 2, 3):
+        yield from (key_to_pattern(n, key) for key in range(1 << (n * n)))
+    yield from (p for p, _ in enumerate_patterns(4))
+
+
+class TestStageOrder:
+    """classify runs the cover check only when no chain is found."""
+
+    def test_chain_implies_cover_check_passes_and_verdicts_match_cover_first(self):
+        # every raw key at n <= 3 and every n = 4 orbit representative
+        checked = 0
+        for p in _stage_order_patterns():
+            k = check_necessary(p)
+            if find_nested_chain(p) is not None:
+                assert k is None, p
+            if check_scc_sink(p) or k is None:
+                continue  # both orders run the same stages on these
+            v = classify(p, SMALL)
+            assert (v.tag, v.reason, v.k) == (PROVED_UNSTABLE, NO_HAMILTONIAN_K, k), p
+            checked += 1
+        assert checked > 0
+
+    def test_cover_check_decides_a_block_beyond_the_chain_cap(self):
+        # one looped cycle through CHAIN_N_CAP + 1 vertices has no 2-vertex cover
+        n = CHAIN_N_CAP + 1
+        p = SparsityPattern(n, frozenset({(1, 1)} | {(i, i % n + 1) for i in range(1, n + 1)}))
+        with pytest.raises(CapabilityError):
+            find_nested_chain(p)
+        v = classify(p, SMALL)
+        assert (v.tag, v.reason, v.k) == (PROVED_UNSTABLE, NO_HAMILTONIAN_K, 2)
+        assert verify_certificate(v, p)
+
+    def test_block_beyond_the_chain_cap_passing_the_cover_check_raises(self):
+        with pytest.raises(CapabilityError):
+            classify(SparsityPattern.full(CHAIN_N_CAP + 1), SMALL)
+
+
+class TestHashesWithoutOpenSSL:
+    def test_import_loads_no_hashlib_backend(self):
+        src = os.path.dirname(os.path.dirname(sparsestab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, sparsestab; print('_hashlib' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_seed_and_config_hash_equal_hashlib_values(self):
+        for seed, parts in [(0, (10, 12345, "witness")), (7, (4, 4780, "oracle")), (-3, ())]:
+            text = ":".join([str(seed)] + [str(x) for x in parts])
+            digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+            assert derive_seed(seed, *parts) == int.from_bytes(digest, "big")
+        for config in (EngineConfig(), SMALL):
+            payload = json.dumps(vars(config), sort_keys=True, default=str)
+            assert config_hash(config) == hashlib.blake2b(payload.encode(), digest_size=6).hexdigest()
+
+
 class TestCanonicalOnlyForOracle:
     @pytest.mark.parametrize(
         "p,reason,calls",
@@ -270,6 +340,37 @@ class TestVerifyCertificate:
         failures = certificate_failures(replace(cert, witness=witness))
         assert "a leading principal minor of the ordered witness is zero" in failures
         assert not any("outside the free set" in f for f in failures)
+
+    def test_dyadic_zero_leading_minor_detected(self):
+        # no entry is an integer, and the 2x2 minor 0.25 - 0.25 is exactly zero
+        cert = synthesize_stable_witness(SparsityPattern.full(2), seed=4)
+        witness = np.array([[0.5, 0.25], [1.0, 0.5]])
+        failures = certificate_failures(replace(cert, witness=witness))
+        assert "a leading principal minor of the ordered witness is zero" in failures
+
+    def test_non_integral_witness_agrees_with_rational_path(self):
+        # the verifier converts float entries itself; ExactMatrix.from_floats
+        # is the reference conversion
+        cert = synthesize_stable_witness(SparsityPattern.full(4), seed=6)
+        rng = random.Random(11)
+        values = [0.0, 0.5, -0.5, 0.25, -1.0, 1.5, 3.0, -0.125, 1e-3, 2.0**60]
+        outcomes = set()
+        for _ in range(300):
+            witness = np.array([[rng.choice(values) for _ in range(4)] for _ in range(4)])
+            ordering = tuple(rng.sample(range(1, 5), 4))
+            bad = replace(cert, witness=witness, ordering=ordering)
+            flagged = "a leading principal minor of the ordered witness is zero" in certificate_failures(bad)
+            exact = ExactMatrix.from_floats(witness)
+            expected = 0 in leading_principal_minors(ordering_conjugation(exact.rows, ordering))
+            assert flagged == expected
+            outcomes.add(flagged)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("ordering", [(1, 1, 2), (0, 2, 3), (4, 2, 3), (1, 2)])
+    def test_ordering_not_a_permutation_raises(self, ordering):
+        cert = synthesize_stable_witness(FIG2_RIGHT, seed=4)
+        with pytest.raises(ValidationError):
+            certificate_failures(replace(cert, ordering=ordering))
 
     def test_zero_stabilizer_entry_detected(self):
         cert = synthesize_stable_witness(FIG2_RIGHT, seed=4)
