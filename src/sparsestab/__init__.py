@@ -44,8 +44,6 @@ from .graphs import (
 )
 from .identities import run_identity_suites
 from .numerics import (
-    CharPoly,
-    ExactMatrix,
     VarietySample,
     char_poly,
     char_poly_via_minors,

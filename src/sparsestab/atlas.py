@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 from dataclasses import dataclass
 
@@ -82,38 +81,16 @@ def _scan_orbits(n: int) -> tuple[list[tuple[int, int]], list[int]]:
     return reps, canon
 
 
-def enumerate_patterns(n: int, filter=None, sample: int | None = None, seed: int = 0):
-    """One canonical representative per symmetry orbit, with orbit sizes.
-
-    Full enumeration for 1 <= n <= 4 (orbit sizes then sum to 2^(n^2)).
-    For n = 5 a sampling budget is required: random patterns are
-    canonicalized and deduplicated until the budget is spent.  Any other n
-    raises CapabilityError.
-    """
-    if 1 <= n <= FULL_ENUMERATION_CAP:
-        for key, orbit_size in _scan_orbits(n)[0]:
-            p = key_to_pattern(n, key)
-            if filter is None or filter(p):
-                yield p, orbit_size
-        return
-    if n == 5 and sample is not None:
-        rng = random.Random(seed)
-        seen = set()
-        for _ in range(sample):
-            raw = rng.getrandbits(n * n)
-            orbit = key_orbit(n, raw)
-            key = min(orbit)
-            if key in seen:
-                continue
-            seen.add(key)
-            p = key_to_pattern(n, key)
-            if filter is None or filter(p):
-                yield p, len(orbit)
-        return
-    raise CapabilityError(
-        f"enumeration needs 1 <= n <= {FULL_ENUMERATION_CAP}, "
-        "or n=5 with a sampling budget; larger n is not supported"
-    )
+def enumerate_patterns(n: int, filter=None):
+    """One canonical representative per symmetry orbit, with orbit sizes
+    (they sum to 2^(n^2)), for 1 <= n <= 4; any other n raises
+    CapabilityError."""
+    if not 1 <= n <= FULL_ENUMERATION_CAP:
+        raise CapabilityError(f"enumeration needs 1 <= n <= {FULL_ENUMERATION_CAP}")
+    for key, orbit_size in _scan_orbits(n)[0]:
+        p = key_to_pattern(n, key)
+        if filter is None or filter(p):
+            yield p, orbit_size
 
 
 def _header(n: int, seed: int, config: EngineConfig) -> dict:

@@ -3,9 +3,11 @@
 Everything algebraic runs over arbitrary-precision integers, with
 rationals (fractions.Fraction) only where an input has denominators:
 leading principal minors, characteristic polynomial coefficients, the
-per-permutation minor products, and the Jacobi residual.  Every
-determinant and minor comes from one fraction-free integer elimination on
-the matrix with its denominators cleared.
+per-permutation minor products, and the Jacobi residual.  An exact matrix
+is a list of square rows of int and Fraction entries, and exact_rows is
+the one conversion from floats.  Every determinant and minor comes from
+one fraction-free integer elimination on the matrix with its denominators
+cleared.
 Floating point appears in exactly one place, the eigenvalue computation
 behind the spectral abscissa, because Hurwitz verification is numeric by
 nature.
@@ -31,92 +33,24 @@ HURWITZ_TOLERANCE = 1e-9  # guard band of the float Hurwitz test against roundin
 SAMPLE_BOUND = 1000  # random integer entries drawn from {-B..B} minus {0}
 
 
-class ExactMatrix:
-    """An n-by-n matrix of exact rationals.
+def _square(rows) -> int:
+    """The order n of square rows; raises ValueError on any other shape.
 
-    Rows are stored as tuples of Fractions; instances are immutable and
-    safe to share.
+    The input check of every public exact routine.
     """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    return n
 
-    __slots__ = ("n", "rows")
 
-    def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExactMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_pattern(cls, pattern: SparsityPattern, values) -> "ExactMatrix":
-        """Build from a (i, j) -> value mapping on 1-based free positions."""
-        rows = [[Fraction(0)] * pattern.n for _ in range(pattern.n)]
-        for (i, j), v in values.items():
-            if (i, j) not in pattern.free:
-                raise ValueError(f"({i}, {j}) is not a free entry")
-            rows[i - 1][j - 1] = Fraction(v)
-        return cls(rows)
-
-    @classmethod
-    def from_floats(cls, array) -> "ExactMatrix":
-        """Exact rationalization of a float matrix (no rounding)."""
-        return cls(
-            [[Fraction(float(x)) for x in row] for row in np.asarray(array, dtype=float)]
-        )
-
-    def entry(self, i: int, j: int) -> Fraction:
-        """1-based accessor."""
-        return self.rows[i - 1][j - 1]
-
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.n)), Fraction(0))
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)))
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if other.n != self.n:
-            raise ValueError("size mismatch")
-        n = self.n
-        cols = list(zip(*other.rows))
-        return ExactMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
-
-    def principal_submatrix(self, index_set) -> "ExactMatrix":
-        """Rows and columns restricted to a 1-based index subset."""
-        idx = sorted(index_set)
-        if any(not 1 <= i <= self.n for i in idx):
-            raise ValueError(f"index set {idx} out of range")
-        return ExactMatrix([[self.rows[a - 1][b - 1] for b in idx] for a in idx])
-
-    def to_floats(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
-
-    def support(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (i + 1, j + 1)
-            for i in range(self.n)
-            for j in range(self.n)
-            if self.rows[i][j] != 0
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, ExactMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"ExactMatrix({[[str(x) for x in row] for row in self.rows]})"
+def exact_rows(array) -> list[list[int | Fraction]]:
+    """Rows of a float matrix converted exactly (no rounding): an integral
+    entry becomes an int, any other a Fraction."""
+    return [
+        [int(x) if x.is_integer() else Fraction(x) for x in row]
+        for row in np.asarray(array, dtype=float).tolist()
+    ]
 
 
 def _integer_rows(rows) -> tuple[int, list[list[int]]]:
@@ -128,7 +62,7 @@ def _integer_rows(rows) -> tuple[int, list[list[int]]]:
     return L, [[x.numerator * (L // x.denominator) for x in row] for row in rows]
 
 
-def determinant(A: ExactMatrix) -> Fraction:
+def determinant(A) -> Fraction:
     """Exact determinant: det(L*A) / L^n.
 
     L clears every denominator of A, and det(L*A) comes from fraction-free
@@ -136,10 +70,11 @@ def determinant(A: ExactMatrix) -> Fraction:
     elimination behind every exact minor here.  The 0-by-0 determinant
     is 1.
     """
-    if A.n == 0:
+    n = _square(A)
+    if n == 0:
         return Fraction(1)
-    L, m = _integer_rows(A.rows)
-    return Fraction(_det_bareiss(m), L**A.n)
+    L, m = _integer_rows(A)
+    return Fraction(_det_bareiss(m), L**n)
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -163,10 +98,11 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def inverse(A: ExactMatrix) -> ExactMatrix:
-    """Exact inverse via Gauss-Jordan; raises on singular input."""
-    n = A.n
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A.rows)]
+def inverse(A) -> list[list[Fraction]]:
+    """Exact inverse via Gauss-Jordan over the rationals; raises on
+    singular input."""
+    n = _square(A)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
     for k in range(n):
         pivot = None
         for r in range(k, n):
@@ -182,7 +118,7 @@ def inverse(A: ExactMatrix) -> ExactMatrix:
             if r != k and m[r][k] != 0:
                 f = m[r][k]
                 m[r] = [a - f * b for a, b in zip(m[r], m[k])]
-    return ExactMatrix([row[n:] for row in m])
+    return [row[n:] for row in m]
 
 
 def _leading_minors(rows):
@@ -193,9 +129,7 @@ def _leading_minors(rows):
     the elimination cannot go on, so each later minor is the determinant of
     its own leading block.
     """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
+    n = _square(rows)
     L, m = _integer_rows(rows)
     prev = scale = 1
     for k in range(n):
@@ -216,84 +150,81 @@ def _leading_minors(rows):
 
 
 def leading_principal_minors(A) -> list[int | Fraction]:
-    """det of the top-left k-by-k block for k = 1..n, all exact, of an
-    ExactMatrix or square rows of ints and Fractions (ints if every entry is)."""
-    return list(_leading_minors(A.rows if isinstance(A, ExactMatrix) else A))
+    """det of the top-left k-by-k block for k = 1..n, all exact, of square
+    rows of ints and Fractions (ints if every entry is)."""
+    return list(_leading_minors(A))
 
 
-def conjugate_by_permutation(A: ExactMatrix, sigma: Permutation) -> ExactMatrix:
-    """P A P^{-1} for the permutation matrix P of sigma.
+def ordering_conjugation(rows, ordering) -> list[list]:
+    """The rows and columns of square rows at the 1-based indices
+    ``ordering``, in that order: entry (a, b) of the result is
+    rows[ordering[a]][ordering[b]].
 
-    Entry (a, b) of the input lands at (sigma(a), sigma(b)).
+    For a permutation of 1..n, the leading principal minors of the result
+    are the principal minors of the input on the prefixes of the ordering;
+    for an increasing subset, the result is the principal submatrix.
     """
-    if sigma.n != A.n:
-        raise ValueError("size mismatch")
-    inv = sigma.inverse()
-    return ExactMatrix(
-        [[A.rows[inv(a) - 1][inv(b) - 1] for b in range(1, A.n + 1)] for a in range(1, A.n + 1)]
-    )
+    n = _square(rows)
+    idx = [v - 1 for v in ordering]
+    if any(not 0 <= v < n for v in idx):
+        raise ValueError(f"ordering {tuple(ordering)} is not within 1..{n}")
+    return [[rows[a][b] for b in idx] for a in idx]
 
 
-def p_sigma(A: ExactMatrix, sigma: Permutation) -> Fraction:
-    """Product of leading principal minors 1..n-1 of the conjugated matrix.
+def p_sigma(A, sigma: Permutation) -> Fraction:
+    """Product of leading principal minors 1..n-1 of P A P^{-1}, P the
+    permutation matrix of sigma: entry (a, b) of A lands at
+    (sigma(a), sigma(b)).
 
     The product deliberately stops at n-1; the full determinant is a
     separate quantity (see leading_principal_minors).  Short-circuits to 0
     on the first vanishing factor.
     """
+    n = _square(A)
+    if sigma.n != n:
+        raise ValueError("size mismatch")
     out = Fraction(1)
-    minors = _leading_minors(conjugate_by_permutation(A, sigma).rows)
-    for d in itertools.islice(minors, max(A.n - 1, 0)):
+    minors = _leading_minors(ordering_conjugation(A, sigma.inverse().mapping))
+    for d in itertools.islice(minors, max(n - 1, 0)):
         if d == 0:
             return Fraction(0)
         out *= d
     return out
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Coefficients [p_1..p_n] of s^n + p_1 s^{n-1} + ... + p_n."""
+def char_poly(A) -> tuple[Fraction, ...]:
+    """Coefficients (p_1..p_n) of det(sI - A) = s^n + p_1 s^{n-1} + ... + p_n,
+    via the trace recurrence.
 
-    coefficients: tuple[Fraction, ...]
-
-
-def char_poly(A: ExactMatrix) -> CharPoly:
-    """Exact characteristic polynomial via the trace recurrence.
-
-    Faddeev-LeVerrier: M_1 = A, c_k = -tr(A M_k)/k applied iteratively;
+    Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A (M_k + c_k I);
     divisions by k are exact over the rationals.
     """
-    n = A.n
+    n = _square(A)
     if n > CHARPOLY_N_CAP:
         raise CapabilityError(f"char_poly capped at n={CHARPOLY_N_CAP}")
     coeffs = []
     M = A
     for k in range(1, n + 1):
-        c = -M.trace() / k
+        c = -Fraction(sum(M[i][i] for i in range(n))) / k
         coeffs.append(c)
         if k < n:
-            M = A.matmul(
-                ExactMatrix(
-                    [
-                        [M.rows[i][j] + (c if i == j else 0) for j in range(n)]
-                        for i in range(n)
-                    ]
-                )
-            )
-    return CharPoly(tuple(coeffs))
+            shifted = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M)]
+            cols = list(zip(*shifted))
+            M = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+    return tuple(coeffs)
 
 
-def char_poly_via_minors(A: ExactMatrix) -> CharPoly:
+def char_poly_via_minors(A) -> tuple[Fraction, ...]:
     """Independent coefficient formula: p_k = (-1)^k sum of k-by-k principal
     minors.  Exponential in n; kept as the cross-check oracle."""
-    n = A.n
+    n = _square(A)
     coeffs = []
     for k in range(1, n + 1):
         total = Fraction(0)
         for idx in itertools.combinations(range(1, n + 1), k):
-            total += determinant(A.principal_submatrix(idx))
+            total += determinant(ordering_conjugation(A, idx))
         coeffs.append((-1) ** k * total)
-    return CharPoly(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def is_hurwitz(abscissa: float) -> bool:
@@ -315,20 +246,16 @@ def spectral_abscissa(A) -> float:
     return float(np.max(eig.real))
 
 
-def _random_pattern_rows(p: SparsityPattern, rng, bound=SAMPLE_BOUND) -> list[list[int]]:
-    """random_pattern_matrix's entries as int rows, drawn in sorted free order."""
+def random_pattern_matrix(
+    p: SparsityPattern, rng: random.Random, bound: int = SAMPLE_BOUND
+) -> list[list[int]]:
+    """Integer rows supported on the pattern, entries in {-B..B} minus {0},
+    drawn in sorted free order."""
     rows = [[0] * p.n for _ in range(p.n)]
     for i, j in p.sorted_free():
         v = rng.randint(1, 2 * bound)
         rows[i - 1][j - 1] = v - bound - 1 if v <= bound else v - bound
     return rows
-
-
-def random_pattern_matrix(
-    p: SparsityPattern, rng: random.Random, bound: int = SAMPLE_BOUND
-) -> ExactMatrix:
-    """Integer matrix supported on the pattern, entries in {-B..B} minus {0}."""
-    return ExactMatrix(_random_pattern_rows(p, rng, bound))
 
 
 @dataclass(frozen=True)
@@ -343,7 +270,7 @@ class VarietySample:
     generic_member: bool
     trials: int
     witness_sigma: Permutation | None = None
-    witness_matrix: ExactMatrix | None = None
+    witness_matrix: list[list[int]] | None = None
     witness_value: Fraction | None = None
 
 
@@ -378,17 +305,18 @@ def variety_membership_sample(
     return VarietySample(generic_member=True, trials=trials)
 
 
-def jacobi_residual(B: ExactMatrix, index_set) -> Fraction:
+def jacobi_residual(B, index_set) -> Fraction:
     """det((B^{-1})_I) - det(B_{I^c}) / det(B), exactly.
 
     Zero for every invertible B and index subset I; it exists to be
     property-tested.
     """
-    idx = frozenset(index_set)
+    n = _square(B)
+    idx = sorted(frozenset(index_set))
     det_B = determinant(B)
     if det_B == 0:
         raise SingularMatrixError("matrix is singular")
-    comp = [i for i in range(1, B.n + 1) if i not in idx]
-    lhs = determinant(inverse(B).principal_submatrix(idx)) if idx else Fraction(1)
-    rhs = determinant(B.principal_submatrix(comp)) / det_B
+    comp = [i for i in range(1, n + 1) if i not in idx]
+    lhs = determinant(ordering_conjugation(inverse(B), idx)) if idx else Fraction(1)
+    rhs = determinant(ordering_conjugation(B, comp)) / det_B
     return lhs - rhs

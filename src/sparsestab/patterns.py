@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,6 +94,17 @@ class Permutation:
         return rows
 
 
+def _index(x) -> int:
+    """x as an int, for any integer type but bool (numpy ints included);
+    raises ValueError otherwise."""
+    if isinstance(x, bool):
+        raise ValueError(f"entry index must be an integer, got {x!r}")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"entry index must be an integer, got {x!r}") from None
+
+
 def all_permutations(n: int):
     """All permutations of {1..n} in lexicographic one-line order."""
     for tup in itertools.permutations(range(1, n + 1)):
@@ -107,15 +119,19 @@ class SparsityPattern:
     free: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        # type(x) is int: a float size or index breaks every lookup, and bools are ints
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError(f"n must be a positive int, got {self.n!r}")
         for i, j in self.free:
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"entry indices must be ints: ({i!r}, {j!r})")
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"entry out of range: ({i}, {j}) for n={self.n}")
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "SparsityPattern":
-        return cls(n, frozenset((int(i), int(j)) for i, j in pairs))
+        """The pattern of (i, j) pairs of integer indices (numpy ints too)."""
+        return cls(_index(n), frozenset((_index(i), _index(j)) for i, j in pairs))
 
     @classmethod
     def full(cls, n: int) -> "SparsityPattern":

@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,9 +31,15 @@ from .graphs import (
     find_nested_chain,
     verify_chain,
 )
-from .numerics import is_hurwitz, leading_principal_minors, spectral_abscissa
+from .numerics import (
+    exact_rows,
+    is_hurwitz,
+    leading_principal_minors,
+    ordering_conjugation,
+    spectral_abscissa,
+)
 from .patterns import CANONICAL_N_CAP, SparsityPattern, canonical_form
-from .witness import WitnessCertificate, ordering_conjugation, synthesize_stable_witness
+from .witness import WitnessCertificate, synthesize_stable_witness
 
 PROVED_STABLE = "ProvedStable"
 PROVED_UNSTABLE = "ProvedUnstable"
@@ -126,9 +131,8 @@ def oracle_search(
     first start puts -1 on each free diagonal entry and ends after one
     evaluation: it is -I, which clears the guard band, or diagonal with a
     zero eigenvalue that no step can move.  Returns the first matrix that
-    clears the guard band and re-verifies -- a stability proof --
-    with the restarts spent so far, or the best abscissa seen.  A miss is
-    NOT an instability proof.
+    clears the guard band -- a stability proof -- with the restarts spent
+    so far, or the best abscissa seen.  A miss is NOT an instability proof.
     """
     config = config or EngineConfig()
     cells = [(i - 1, j - 1) for i, j in p.sorted_free()]
@@ -172,9 +176,7 @@ def oracle_search(
                 t, improved = 0, False
         best_abscissa = min(best_abscissa, current)
         if is_hurwitz(current):
-            abscissa = spectral_abscissa(M)
-            if is_hurwitz(abscissa):
-                return OracleResult(M, restart + 1, abscissa)
+            return OracleResult(M, restart + 1, current)
     return OracleResult(None, config.oracle_restarts, float(best_abscissa))
 
 
@@ -299,8 +301,7 @@ def certificate_failures(cert: WitnessCertificate) -> list[str]:
     if any(d == 0.0 for d in stabilizer):
         failures.append("stabilizer has a zero entry")
 
-    rows = [[int(x) if x.is_integer() else Fraction(x) for x in row] for row in witness.tolist()]
-    minors = leading_principal_minors(ordering_conjugation(rows, cert.ordering))
+    minors = leading_principal_minors(ordering_conjugation(exact_rows(witness), cert.ordering))
     if any(m == 0 for m in minors):
         failures.append("a leading principal minor of the ordered witness is zero")
 

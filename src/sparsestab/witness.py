@@ -20,12 +20,12 @@ import numpy as np
 from .errors import CapabilityError, StabilizationError, SynthesisError
 from .graphs import ChainCertificate, find_nested_chain, verify_chain
 from .numerics import (
-    ExactMatrix,
-    _random_pattern_rows,
-    conjugate_by_permutation,
     determinant,
+    exact_rows,
     is_hurwitz,
     leading_principal_minors,
+    ordering_conjugation,
+    random_pattern_matrix,
     spectral_abscissa,
 )
 from .patterns import Permutation, SparsityPattern, all_permutations
@@ -55,7 +55,7 @@ class WitnessCertificate:
         return np.diag(self.stabilizer) @ self.witness
 
 
-def nonsingular_assignment(p: SparsityPattern, support: Permutation) -> ExactMatrix:
+def nonsingular_assignment(p: SparsityPattern, support: Permutation) -> list[list[int]]:
     """The deterministic nonsingular matrix on a full cycle cover.
 
     Entries on the support permutation get n!, every other free entry gets
@@ -68,30 +68,20 @@ def nonsingular_assignment(p: SparsityPattern, support: Permutation) -> ExactMat
     missing = [(i, support(i)) for i in range(1, p.n + 1) if (i, support(i)) not in p.free]
     if missing:
         raise ValueError(f"support entries not free: {missing}")
+    A = [[0] * p.n for _ in range(p.n)]
+    for i, j in p.free:
+        A[i - 1][j - 1] = 1
     big = math.factorial(p.n)
-    values = {pos: 1 for pos in p.free}
     for i in range(1, p.n + 1):
-        values[(i, support(i))] = big
-    A = ExactMatrix.from_pattern(p, values)
+        A[i - 1][support(i) - 1] = big
     if determinant(A) == 0:
         raise SynthesisError("dominant-assignment determinant vanished (bug)")
     return A
 
 
-def ordering_conjugation(rows, ordering) -> list[list]:
-    """Reorder square rows so entry (a, b) of the result is
-    rows[ordering[a]][ordering[b]].
-
-    The leading principal minors of the result are the principal minors of
-    the input on the prefixes of the ordering.
-    """
-    idx = [v - 1 for v in ordering]
-    return [[rows[a][b] for b in idx] for a in idx]
-
-
 def chain_generic_matrix(
     p: SparsityPattern, chain: ChainCertificate, seed: int
-) -> ExactMatrix:
+) -> list[list[int]]:
     """Random integer matrix on the pattern whose chain-ordered conjugation
     has all leading principal minors nonzero (screened exactly).
 
@@ -99,23 +89,22 @@ def chain_generic_matrix(
     so acceptance is fast for any valid chain; exhausting the resampling
     budget is treated as a bug signal.
     """
-    return ExactMatrix(_screened_matrix(p, chain, seed)[0])
+    return _screened_matrix(p, chain, seed)[0]
 
 
 def _screened_matrix(
     p: SparsityPattern, chain: ChainCertificate, seed: int
-) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """chain_generic_matrix's sample A as int rows, with its chain-ordered
-    rows and their exact leading minors, so synthesis reuses them."""
+) -> tuple[list[list[int]], list[int]]:
+    """chain_generic_matrix's sample A, with the exact leading minors of its
+    chain-ordered rows, so synthesis reuses them."""
     if not verify_chain(p, chain):
         raise ValueError("chain certificate does not verify against the pattern")
     rng = random.Random(seed)
     for _ in range(RESAMPLE_CAP):
-        A = _random_pattern_rows(p, rng)
-        ordered = ordering_conjugation(A, chain.ordering)
-        minors = leading_principal_minors(ordered)
+        A = random_pattern_matrix(p, rng)
+        minors = leading_principal_minors(ordering_conjugation(A, chain.ordering))
         if all(m != 0 for m in minors):
-            return A, ordered, minors
+            return A, minors
     raise SynthesisError(
         f"no generic matrix with nonzero prefix minors in {RESAMPLE_CAP} samples"
     )
@@ -135,11 +124,21 @@ def diagonal_stabilize(A) -> np.ndarray:
     margin inside the Hurwitz test's guard band.
     """
     M = np.asarray(A, dtype=float)
-    minors = leading_principal_minors(ExactMatrix.from_floats(M))
+    minors = leading_principal_minors(exact_rows(M))
     if any(m == 0 for m in minors):
         bad = [k + 1 for k, m in enumerate(minors) if m == 0]
         raise ValueError(f"leading principal minors {bad} vanish; stabilizer needs all nonzero")
     return _stabilize(M, minors)
+
+
+def _stabilize_ordered(M: np.ndarray, ordering, minors) -> np.ndarray:
+    """A stabilizer of M: _stabilize on M reordered by ``ordering`` (see
+    ordering_conjugation), whose exact leading minors are ``minors``, with
+    entry k put back at vertex ordering[k]."""
+    idx = [v - 1 for v in ordering]
+    d = np.empty(len(idx))
+    d[idx] = _stabilize(M[np.ix_(idx, idx)], minors)
+    return d
 
 
 def _stabilize(M: np.ndarray, minors) -> np.ndarray:
@@ -176,18 +175,14 @@ def corollary_stabilize(A):
     n = M.shape[0]
     if n > PERMUTATION_SCAN_CAP:
         raise CapabilityError(f"permutation scan capped at n={PERMUTATION_SCAN_CAP}")
-    exact = ExactMatrix.from_floats(M)
+    rows = exact_rows(M)
     for sigma in all_permutations(n):
-        B = conjugate_by_permutation(exact, sigma)
-        minors = leading_principal_minors(B)
+        # P A P^{-1}, P the permutation matrix of sigma
+        ordering = sigma.inverse().mapping
+        minors = leading_principal_minors(ordering_conjugation(rows, ordering))
         if any(m == 0 for m in minors):
             continue
-        d1 = _stabilize(B.to_floats(), minors)
-        # transport back: D = P^{-1} D_1 P puts entry k at position
-        # sigma^{-1}(k), and D @ A is similar to D_1 @ B
-        d = np.empty(n)
-        for a in range(1, n + 1):
-            d[a - 1] = d1[sigma(a) - 1]
+        d = _stabilize_ordered(M, ordering, minors)
         if not is_hurwitz(spectral_abscissa(np.diag(d) @ M)):
             raise StabilizationError("transported stabilizer failed verification (bug)")
         return sigma, d
@@ -207,12 +202,9 @@ def synthesize_stable_witness(
         chain = find_nested_chain(p)
     if chain is None:
         raise ValueError("pattern admits no nested chain; nothing to synthesize")
-    A, ordered, minors = _screened_matrix(p, chain, seed)
-    d_ordered = _stabilize(np.array(ordered, dtype=float), minors)
-    stabilizer = np.empty(p.n)
-    for k, vertex in enumerate(chain.ordering):
-        stabilizer[vertex - 1] = d_ordered[k]
+    A, minors = _screened_matrix(p, chain, seed)
     witness = np.array(A, dtype=float)
+    stabilizer = _stabilize_ordered(witness, chain.ordering, minors)
     abscissa = spectral_abscissa(np.diag(stabilizer) @ witness)
     if not is_hurwitz(abscissa):
         raise SynthesisError(f"stabilized witness not Hurwitz (abscissa {abscissa:g})")

@@ -6,32 +6,54 @@ import pytest
 
 from sparsestab import (
     CapabilityError,
-    ExactMatrix,
     Permutation,
     SingularMatrixError,
     SparsityPattern,
     all_permutations,
+    chain_generic_matrix,
     char_poly,
     char_poly_via_minors,
     determinant,
+    find_nested_chain,
     inverse,
     jacobi_residual,
     leading_principal_minors,
+    nonsingular_assignment,
     p_sigma,
     spectral_abscissa,
     variety_membership_sample,
 )
-from sparsestab.numerics import conjugate_by_permutation, is_hurwitz, random_pattern_matrix
+from sparsestab.numerics import (
+    exact_rows,
+    is_hurwitz,
+    ordering_conjugation,
+    random_pattern_matrix,
+)
 
-from conftest import FIG2_LEFT
+from conftest import FIG2_LEFT, FIG2_RIGHT
 
-A_COUNTER = ExactMatrix([[0, -1], [2, -1]])  # stable but det_1 = 0
+A_COUNTER = [[0, -1], [2, -1]]  # stable but det_1 = 0
 
 
 def random_exact(n, rng, bound=50):
-    return ExactMatrix(
-        [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-    )
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def conjugate(A, sigma):
+    """P A P^{-1}: entry (a, b) of A lands at (sigma(a), sigma(b))."""
+    return ordering_conjugation(A, sigma.inverse().mapping)
 
 
 def random_perm(n, rng):
@@ -41,28 +63,20 @@ def random_perm(n, rng):
 
 
 class TestExactMatrix:
-    def test_immutable(self):
-        A = ExactMatrix.identity(2)
-        with pytest.raises(AttributeError):
-            A.n = 3
+    """Exact matrices: square rows of int and Fraction entries."""
 
     def test_from_floats_is_exact(self):
-        A = ExactMatrix.from_floats(np.array([[0.5, -1.25], [3.0, 0.1]]))
-        assert A.entry(1, 1) == Fraction(1, 2)
-        assert A.entry(1, 2) == Fraction(-5, 4)
+        A = exact_rows(np.array([[0.5, -1.25], [3.0, 0.1]]))
+        assert A[0] == [Fraction(1, 2), Fraction(-5, 4)]
+        assert type(A[1][0]) is int and A[1][0] == 3
         # 0.1 is not a dyadic rational; rationalization must keep the float bits
-        assert float(A.entry(2, 2)) == 0.1
-
-    def test_matmul_against_numpy(self):
-        rng = random.Random(1)
-        for _ in range(10):
-            A, B = random_exact(4, rng), random_exact(4, rng)
-            expected = A.to_floats() @ B.to_floats()
-            assert np.array_equal(A.matmul(B).to_floats(), expected)
-
-    def test_pattern_support_enforced(self):
-        with pytest.raises(ValueError):
-            ExactMatrix.from_pattern(SparsityPattern.diagonal(2), {(1, 2): 5})
+        assert type(A[1][1]) is Fraction and float(A[1][1]) == 0.1
+        rng = random.Random(23)
+        M = np.array([[rng.uniform(-5, 5) for _ in range(4)] for _ in range(4)])
+        M[0, :] = [0.0, -2.0, 3.0, 1e300]
+        A = exact_rows(M)
+        assert all(type(x) in (int, Fraction) for row in A for x in row)
+        assert [[float(x) for x in row] for row in A] == M.tolist()
 
     def test_determinant_bareiss_matches_gauss(self):
         rng = random.Random(2)
@@ -70,7 +84,7 @@ class TestExactMatrix:
             n = rng.randint(1, 5)
             A = random_exact(n, rng)
             # divide by 3 so the elimination clears a denominator, then compare scaled
-            B = ExactMatrix([[x / Fraction(3) for x in row] for row in A.rows])
+            B = [[Fraction(x, 3) for x in row] for row in A]
             assert determinant(B) * Fraction(3) ** n == determinant(A)
 
     def test_inverse_round_trip(self):
@@ -81,11 +95,11 @@ class TestExactMatrix:
             if determinant(A) == 0:
                 continue
             done += 1
-            assert A.matmul(inverse(A)) == ExactMatrix.identity(4)
+            assert matmul(A, inverse(A)) == identity(4)
 
     def test_inverse_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            inverse(ExactMatrix([[1, 1], [1, 1]]))
+            inverse([[1, 1], [1, 1]])
 
 
 class TestLeadingMinors:
@@ -93,10 +107,10 @@ class TestLeadingMinors:
         assert leading_principal_minors(A_COUNTER) == [0, 2]
 
     def test_identity(self):
-        assert leading_principal_minors(ExactMatrix.identity(4)) == [1, 1, 1, 1]
+        assert leading_principal_minors(identity(4)) == [1, 1, 1, 1]
 
     def test_diagonal_products(self):
-        assert leading_principal_minors(ExactMatrix([[2, 0], [0, 4]])) == [2, 8]
+        assert leading_principal_minors([[2, 0], [0, 4]]) == [2, 8]
 
     def test_counterexample_int_rows(self):
         minors = leading_principal_minors([[0, -1], [2, -1]])
@@ -111,9 +125,9 @@ class TestLeadingMinors:
             rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
             minors = leading_principal_minors(rows)
             assert all(type(m) is int for m in minors)
-            assert minors == leading_principal_minors(ExactMatrix(rows))
+            assert minors == leading_principal_minors([[Fraction(x) for x in row] for row in rows])
             assert minors == [
-                determinant(ExactMatrix([row[:k] for row in rows[:k]])) for k in range(1, n + 1)
+                determinant([row[:k] for row in rows[:k]]) for k in range(1, n + 1)
             ]
             zero_pivots += 0 in minors[:-1]
         assert n == 1 or zero_pivots > 0
@@ -126,7 +140,7 @@ class TestLeadingMinors:
                 for _ in range(5)
             ]
             rows[0][0] = rng.randint(-1, 1)  # an int among the Fractions
-            assert leading_principal_minors(rows) == leading_principal_minors(ExactMatrix(rows))
+            assert leading_principal_minors(rows) == reference_minors(rows)
 
     def test_non_square_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -135,7 +149,7 @@ class TestLeadingMinors:
 
 class TestPSigma:
     def test_identity_matrix_any_sigma(self):
-        I3 = ExactMatrix.identity(3)
+        I3 = identity(3)
         for sigma in all_permutations(3):
             assert p_sigma(I3, sigma) == 1
 
@@ -144,7 +158,7 @@ class TestPSigma:
 
     def test_counterexample_swap_sigma(self):
         swap = Permutation((2, 1))
-        assert conjugate_by_permutation(A_COUNTER, swap) == ExactMatrix([[-1, 2], [-1, 0]])
+        assert conjugate(A_COUNTER, swap) == [[-1, 2], [-1, 0]]
         assert p_sigma(A_COUNTER, swap) == -1
 
     def test_transpose_invariance(self):
@@ -152,14 +166,14 @@ class TestPSigma:
         for _ in range(10):
             A = random_exact(4, rng)
             for sigma in all_permutations(4):
-                assert p_sigma(A, sigma) == p_sigma(A.transpose(), sigma)
+                assert p_sigma(A, sigma) == p_sigma(transpose(A), sigma)
 
     def test_conjugation_composition(self):
         rng = random.Random(7)
         A = random_exact(3, rng)
         for sigma in all_permutations(3):
             for tau in all_permutations(3):
-                lhs = p_sigma(conjugate_by_permutation(A, sigma), tau)
+                lhs = p_sigma(conjugate(A, sigma), tau)
                 assert lhs == p_sigma(A, tau.compose(sigma))
 
     def test_diagonal_scaling_preserves_zero_set(self):
@@ -167,11 +181,11 @@ class TestPSigma:
         for _ in range(10):
             A = random_exact(3, rng)
             diag = [rng.choice([-3, -1, 2, 5]) for _ in range(3)]
-            D = ExactMatrix([[diag[i] if i == j else 0 for j in range(3)] for i in range(3)])
-            DA = D.matmul(A)
+            D = [[diag[i] if i == j else 0 for j in range(3)] for i in range(3)]
+            DA = matmul(D, A)
             for sigma in all_permutations(3):
                 factor = Fraction(1)
-                for m in leading_principal_minors(conjugate_by_permutation(D, sigma))[:2]:
+                for m in leading_principal_minors(conjugate(D, sigma))[:2]:
                     factor *= m
                 assert p_sigma(DA, sigma) == factor * p_sigma(A, sigma)
 
@@ -222,7 +236,7 @@ def _dyadic_rows(n, rng):
     rows = np.array([[rng.uniform(-4, 4) for _ in range(n)] for _ in range(n)])
     for _ in range(n):
         rows[rng.randrange(n), rng.randrange(n)] = 0.1
-    return ExactMatrix.from_floats(rows.reshape(n, n)).rows
+    return exact_rows(rows.reshape(n, n))
 
 
 def _thirds_sevenths_rows(n, rng):
@@ -281,39 +295,37 @@ class TestMatchesReference:
 
     def test_leading_minors_and_determinant(self):
         for label, rows in REFERENCE_CASES:
-            A = ExactMatrix(rows)
-            assert leading_principal_minors(A) == reference_minors(rows), label
-            assert determinant(A) == reference_det(rows), label
+            assert leading_principal_minors(rows) == reference_minors(rows), label
+            assert determinant(rows) == reference_det(rows), label
 
     def test_p_sigma(self):
         rng = random.Random(7)
         for label, rows in REFERENCE_CASES:
             n = len(rows)
-            A = ExactMatrix(rows)
             for sigma in (Permutation(tuple(range(1, n + 1))), random_perm(n, rng)):
-                assert p_sigma(A, sigma) == reference_p_sigma(rows, sigma), (label, sigma)
+                assert p_sigma(rows, sigma) == reference_p_sigma(rows, sigma), (label, sigma)
 
 
 class TestCharPoly:
     def test_counterexample(self):
-        assert char_poly(A_COUNTER).coefficients == (Fraction(1), Fraction(2))
+        assert char_poly(A_COUNTER) == (Fraction(1), Fraction(2))
 
     def test_identity_2(self):
-        assert char_poly(ExactMatrix.identity(2)).coefficients == (Fraction(-2), Fraction(1))
+        assert char_poly(identity(2)) == (Fraction(-2), Fraction(1))
 
     def test_zero_diagonal_pattern_kills_trace(self):
         rng = random.Random(11)
         p = SparsityPattern(4, frozenset((i, j) for i in range(1, 5) for j in range(1, 5) if i != j))
         A = random_pattern_matrix(p, rng)
-        assert char_poly(A).coefficients[0] == 0
+        assert char_poly(A)[0] == 0
 
     def test_head_and_tail_coefficients(self):
         rng = random.Random(13)
         for _ in range(10):
             n = rng.randint(1, 5)
             A = random_exact(n, rng)
-            coeffs = char_poly(A).coefficients
-            assert coeffs[0] == -A.trace()
+            coeffs = char_poly(A)
+            assert coeffs[0] == -sum(A[i][i] for i in range(n))
             assert coeffs[-1] == (-1) ** n * determinant(A)
 
     def test_matches_principal_minor_sums(self):
@@ -325,7 +337,7 @@ class TestCharPoly:
 
     def test_capability_cap(self):
         with pytest.raises(CapabilityError):
-            char_poly(ExactMatrix.identity(65))
+            char_poly(identity(65))
 
 
 class TestSpectralAbscissa:
@@ -376,19 +388,19 @@ class TestVarietySampling:
 
 class TestJacobi:
     def test_diagonal_example(self):
-        assert jacobi_residual(ExactMatrix([[2, 0], [0, 4]]), {1}) == 0
+        assert jacobi_residual([[2, 0], [0, 4]], {1}) == 0
 
     def test_identity_all_subsets(self):
         import itertools
 
-        I4 = ExactMatrix.identity(4)
+        I4 = identity(4)
         for r in range(5):
             for idx in itertools.combinations(range(1, 5), r):
                 assert jacobi_residual(I4, idx) == 0
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            jacobi_residual(ExactMatrix([[1, 2], [2, 4]]), {1})
+            jacobi_residual([[1, 2], [2, 4]], {1})
 
     def test_random_invertible(self):
         rng = random.Random(19)
@@ -409,16 +421,70 @@ class TestJacobi:
         done = 0
         while done < 20:
             n, k = 4, rng.randint(1, 3)
-            rows = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
+            A = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
             if k == 1:
-                rows[0][0] = Fraction(0)
+                A[0][0] = Fraction(0)
             else:
                 for j in range(k):
-                    rows[k - 1][j] = rows[0][j]
-            A = ExactMatrix(rows)
+                    A[k - 1][j] = A[0][j]
             if determinant(A) == 0:
                 continue
-            assert determinant(A.principal_submatrix(range(1, k + 1))) == 0
+            assert determinant(ordering_conjugation(A, range(1, k + 1))) == 0
             done += 1
             comp = range(k + 1, n + 1)
-            assert determinant(inverse(A).principal_submatrix(comp)) == 0
+            assert determinant(ordering_conjugation(inverse(A), comp)) == 0
+
+
+def _scalars(x):
+    """Every scalar of a nested list or tuple result."""
+    if isinstance(x, (list, tuple)):
+        for e in x:
+            yield from _scalars(e)
+    else:
+        yield x
+
+
+EXACT_ROUTINES = {
+    "determinant": determinant,
+    "inverse": inverse,
+    "leading_principal_minors": leading_principal_minors,
+    "ordering_conjugation": lambda A: ordering_conjugation(A, (3, 1, 2)),
+    "p_sigma": lambda A: p_sigma(A, Permutation((2, 3, 1))),
+    "char_poly": char_poly,
+    "char_poly_via_minors": char_poly_via_minors,
+    "jacobi_residual": lambda A: jacobi_residual(A, {1, 3}),
+}
+
+EXACT_INPUTS = {
+    "int": [[2, -1, 3], [1, 4, -2], [5, 0, 7]],  # det 13, minors 2, 9, 13
+    "fraction": [[Fraction(2, 3), Fraction(-1, 2), 3], [1, Fraction(4, 7), -2], [5, 0, Fraction(7, 5)]],
+}
+
+
+class TestExactnessContract:
+    """Every public exact routine keeps int and Fraction input exact: an
+    int / int division anywhere would let a float through."""
+
+    @pytest.mark.parametrize("entries", sorted(EXACT_INPUTS))
+    @pytest.mark.parametrize("name", sorted(EXACT_ROUTINES))
+    def test_no_float(self, name, entries):
+        values = list(_scalars(EXACT_ROUTINES[name](EXACT_INPUTS[entries])))
+        assert values and all(type(v) in (int, Fraction) for v in values), values
+
+    @pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2, 3], [4, 5, 6], [7, 8]]])
+    @pytest.mark.parametrize("name", sorted(EXACT_ROUTINES))
+    def test_non_square_rejected(self, name, rows):
+        with pytest.raises(ValueError):
+            EXACT_ROUTINES[name](rows)
+
+    def test_pattern_routines_return_int_rows(self):
+        full = SparsityPattern.full(3)
+        sample = variety_membership_sample(full, 1, seed=0)
+        for rows in (
+            random_pattern_matrix(full, random.Random(0)),
+            chain_generic_matrix(FIG2_RIGHT, find_nested_chain(FIG2_RIGHT), seed=0),
+            nonsingular_assignment(full, Permutation.identity(3)),
+            sample.witness_matrix,
+        ):
+            assert len(rows) == 3 and all(type(x) is int for row in rows for x in row)
+        assert type(sample.witness_value) in (int, Fraction)

@@ -33,6 +33,38 @@ def random_pattern(n, rng, density=0.4):
     )
 
 
+class TestEntryIndices:
+    @pytest.mark.parametrize(
+        "bad", [1.5, 2.0, True, False, "1"], ids=["float", "integral-float", "true", "false", "str"]
+    )
+    def test_constructor_rejects_non_int(self, bad):
+        with pytest.raises(ValueError):
+            SparsityPattern(2, frozenset({(bad, 1), (2, 2)}))
+        with pytest.raises(ValueError):
+            SparsityPattern(2, frozenset({(1, bad)}))
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, "1"], ids=["float", "integral-float", "bool", "str"])
+    def test_from_pairs_rejects_non_integer(self, bad):
+        with pytest.raises(ValueError):
+            SparsityPattern.from_pairs(2, [(bad, 1)])
+        with pytest.raises(ValueError):
+            SparsityPattern.from_pairs(2, [(2, bad)])
+
+    def test_from_pairs_takes_numpy_ints(self):
+        import numpy as np
+
+        p = SparsityPattern.from_pairs(np.int64(2), [(np.int64(1), np.int32(2)), (np.uint8(2), 2)])
+        assert p == SparsityPattern(2, frozenset({(1, 2), (2, 2)}))
+        assert type(p.n) is int and all(type(x) is int for pair in p.free for x in pair)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, "2", 0])
+    def test_size_must_be_a_positive_int(self, n):
+        with pytest.raises(ValueError):
+            SparsityPattern(n, frozenset({(1, 1)}))
+        with pytest.raises(ValueError):
+            SparsityPattern.from_pairs(n, [(1, 1)])
+
+
 class TestParsing:
     def test_mask_example_matches_display_cells(self):
         # row 2 of the mask is **0*, so (2,4) is free and (2,3) is not

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ import pytest
 import sparsestab
 from sparsestab import (
     CapabilityError,
-    ExactMatrix,
     Permutation,
     SparsityPattern,
     apply_permutation,
@@ -30,7 +30,7 @@ from sparsestab.atlas import config_hash, enumerate_patterns
 from sparsestab.graphs import CHAIN_N_CAP, check_necessary, check_scc_sink, find_nested_chain
 from sparsestab.jsonio import verdict_to_dict
 from sparsestab.patterns import canonical_form, key_to_pattern
-from sparsestab.numerics import HURWITZ_TOLERANCE, spectral_abscissa
+from sparsestab.numerics import HURWITZ_TOLERANCE, ordering_conjugation, spectral_abscissa
 from sparsestab.verdict import (
     NO_HAMILTONIAN_K,
     PROVED_UNSTABLE,
@@ -39,7 +39,7 @@ from sparsestab.verdict import (
     certificate_failures,
     derive_seed,
 )
-from sparsestab.witness import WitnessCertificate, ordering_conjugation
+from sparsestab.witness import WitnessCertificate
 
 from conftest import FIG2_LEFT, FIG2_RIGHT, FIG3, SIGMA_ALPHA, SIGMA_BETA
 
@@ -349,8 +349,8 @@ class TestVerifyCertificate:
         assert "a leading principal minor of the ordered witness is zero" in failures
 
     def test_non_integral_witness_agrees_with_rational_path(self):
-        # the verifier converts float entries itself; ExactMatrix.from_floats
-        # is the reference conversion
+        # the verifier converts float entries to ints and Fractions; a
+        # Fraction for every entry is the reference conversion
         cert = synthesize_stable_witness(SparsityPattern.full(4), seed=6)
         rng = random.Random(11)
         values = [0.0, 0.5, -0.5, 0.25, -1.0, 1.5, 3.0, -0.125, 1e-3, 2.0**60]
@@ -360,8 +360,8 @@ class TestVerifyCertificate:
             ordering = tuple(rng.sample(range(1, 5), 4))
             bad = replace(cert, witness=witness, ordering=ordering)
             flagged = "a leading principal minor of the ordered witness is zero" in certificate_failures(bad)
-            exact = ExactMatrix.from_floats(witness)
-            expected = 0 in leading_principal_minors(ordering_conjugation(exact.rows, ordering))
+            exact = [[Fraction(x) for x in row] for row in witness.tolist()]
+            expected = 0 in leading_principal_minors(ordering_conjugation(exact, ordering))
             assert flagged == expected
             outcomes.add(flagged)
         assert outcomes == {True, False}
@@ -598,7 +598,8 @@ class TestOracleMatchesReference:
         """Restart 0 alone at the default budget, on every corpus pattern,
         against the reference's whole descent: a full free diagonal starts
         at -I and is found at once, any other start never leaves abscissa 0.
-        The descent evaluates the start once; a find adds its re-check."""
+        The descent evaluates the start once, and a find is not evaluated
+        again."""
         config = EngineConfig(oracle_restarts=1, oracle_steps=400)
         eigvals = np.linalg.eigvals
         calls = []
@@ -609,7 +610,7 @@ class TestOracleMatchesReference:
             calls.clear()
             got = oracle_search(p, config, seed=index)
             assert_same_result(got, want)
-            assert len(calls) == (1 + got.found if p.free else 0)
+            assert len(calls) == (1 if p.free else 0)
         # counts at writing: 71 found, 513 floor, 32 budget, 4 empty
         assert exits.count("found") >= 60 and exits.count("floor") >= 400
         assert exits.count("budget") >= 20 and exits.count("empty") >= 3

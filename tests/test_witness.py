@@ -3,13 +3,11 @@ import itertools
 import json
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sparsestab import (
-    ExactMatrix,
     check_scc_sink,
     classify,
     verify_certificate,
@@ -28,8 +26,7 @@ from sparsestab import (
 from sparsestab.jsonio import verdict_to_dict
 from sparsestab.patterns import key_to_pattern
 from sparsestab.verdict import CHAIN_FOUND, PROVED_STABLE
-from sparsestab.numerics import is_hurwitz
-from sparsestab.witness import ordering_conjugation
+from sparsestab.numerics import exact_rows, is_hurwitz, ordering_conjugation
 
 from conftest import FIG2_RIGHT, SIGMA_ALPHA
 
@@ -44,19 +41,19 @@ class TestNonsingularAssignment:
     def test_one_by_one(self):
         p = SparsityPattern.from_pairs(1, [(1, 1)])
         A = nonsingular_assignment(p, Permutation((1,)))
-        assert A.rows == ((Fraction(1),),)
+        assert A == [[1]]
         assert determinant(A) == 1
 
     def test_full_three_identity_support(self):
         A = nonsingular_assignment(SparsityPattern.full(3), Permutation.identity(3))
-        assert all(A.entry(i, i) == 6 for i in range(1, 4))
-        assert A.entry(1, 2) == 1
+        assert all(A[i][i] == 6 for i in range(3))
+        assert A[0][1] == 1
         assert determinant(A) == 200  # 6^3 + 1 + 1 - 6 - 6 - 6
 
     def test_fig2_right_cycle_support(self):
         A = nonsingular_assignment(FIG2_RIGHT, Permutation((2, 3, 1)))
-        assert A.entry(1, 2) == A.entry(2, 3) == A.entry(3, 1) == 6
-        assert A.entry(1, 1) == A.entry(2, 1) == 1
+        assert A[0][1] == A[1][2] == A[2][0] == 6
+        assert A[0][0] == A[1][0] == 1
         assert determinant(A) == 216
 
     def test_support_outside_free_rejected(self):
@@ -104,21 +101,21 @@ class TestChainGenericMatrix:
     def test_fig2_right_minors_nonzero(self):
         chain = find_nested_chain(FIG2_RIGHT)
         A = chain_generic_matrix(FIG2_RIGHT, chain, seed=2)
-        ordered = ordering_conjugation(A.rows, chain.ordering)
+        ordered = ordering_conjugation(A, chain.ordering)
         assert all(m != 0 for m in leading_principal_minors(ordered))
-        assert A.support() <= FIG2_RIGHT.free
+        support = {(i + 1, j + 1) for i, row in enumerate(A) for j, x in enumerate(row) if x != 0}
+        assert support <= FIG2_RIGHT.free
 
     def test_sigma_alpha_five_minors(self):
         chain = find_nested_chain(SIGMA_ALPHA)
         A = chain_generic_matrix(SIGMA_ALPHA, chain, seed=3)
-        minors = leading_principal_minors(ordering_conjugation(A.rows, chain.ordering))
+        minors = leading_principal_minors(ordering_conjugation(A, chain.ordering))
         assert len(minors) == 5 and all(m != 0 for m in minors)
 
     def test_fig2_right_entries_pinned(self):
         # a change to the sampler's rng stream changes every certificate
         A = chain_generic_matrix(FIG2_RIGHT, find_nested_chain(FIG2_RIGHT), seed=2)
-        assert isinstance(A, ExactMatrix)
-        assert A == ExactMatrix([[958, 768, 0], [942, 0, 739], [-885, 0, 0]])
+        assert A == [[958, 768, 0], [942, 0, 739], [-885, 0, 0]]
 
     def test_bogus_chain_rejected(self):
         chain = find_nested_chain(FIG2_RIGHT)
@@ -129,16 +126,22 @@ class TestChainGenericMatrix:
 class TestOrderingConjugation:
     def test_prefix_minors_are_reordered_principal_minors(self):
         rng = random.Random(53)
-        A = ExactMatrix([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
+        A = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
         ordering = (3, 1, 4, 2)
-        B = ordering_conjugation(A.rows, ordering)
+        B = ordering_conjugation(A, ordering)
         for a in range(1, 5):
             for b in range(1, 5):
-                assert B[a - 1][b - 1] == A.entry(ordering[a - 1], ordering[b - 1])
+                assert B[a - 1][b - 1] == A[ordering[a - 1] - 1][ordering[b - 1] - 1]
         for k in range(1, 5):
             assert leading_principal_minors(B)[k - 1] == determinant(
-                A.principal_submatrix(ordering[:k])
+                ordering_conjugation(A, sorted(ordering[:k]))
             )
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            ordering_conjugation([[1, 2], [3, 4]], (0, 1))
+        with pytest.raises(ValueError):
+            ordering_conjugation([[1, 2], [3, 4]], (1, 3))
 
 
 class TestDiagonalStabilize:
@@ -167,8 +170,7 @@ class TestDiagonalStabilize:
         while done < 25:
             n = rng.randint(1, 5)
             A = np.array([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)], dtype=float)
-            exact = ExactMatrix.from_floats(A)
-            if any(m == 0 for m in leading_principal_minors(exact)):
+            if any(m == 0 for m in leading_principal_minors(exact_rows(A))):
                 continue
             done += 1
             D = diagonal_stabilize(A)
@@ -206,11 +208,53 @@ class TestCorollaryStabilize:
         assert corollary_stabilize(np.zeros((2, 2))) is None
 
 
+def _stabilizer_outputs(A):
+    """diagonal_stabilize's and corollary_stabilize's results on A, floats
+    in hex: None where the first rejects A (a zero leading minor) or the
+    second finds no relabeling."""
+    try:
+        d = [x.hex() for x in diagonal_stabilize(A).tolist()]
+    except ValueError:
+        d = None
+    out = corollary_stabilize(A)
+    c = None if out is None else [list(out[0].mapping), [x.hex() for x in out[1].tolist()]]
+    return d, c
+
+
+class TestStabilizersPinned:
+    """Both stabilizers' floats, bit for bit: a change to the exact minors,
+    the float conversion or the reorder and place-back changes them.  The
+    floats also depend on LAPACK's eigenvalues."""
+
+    def test_counterexample(self):
+        A = np.array([[0.0, -1.0], [2.0, -1.0]])
+        assert _stabilizer_outputs(A) == (
+            None,
+            [[2, 1], ["0x1.0000000000001p-1", "0x1.0000000000001p+1"]],
+        )
+
+    def test_seeded_four_by_four(self):
+        rng = random.Random(61)
+        inputs = [
+            np.array([[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)], dtype=float)
+            for _ in range(4)
+        ]
+        inputs += [np.array([[rng.uniform(-3, 3) for _ in range(4)] for _ in range(4)]) for _ in range(2)]
+        inputs[1][0, 0] = 0.0  # the relabeling (2, 1, 3, 4)
+        inputs[3][0, 0] = inputs[3][1, 1] = 0.0  # the 3-cycle (2, 3, 1, 4)
+        outputs = [_stabilizer_outputs(A) for A in inputs]
+        identity = [1, 2, 3, 4]
+        relabelings = [c[0] for _, c in outputs]
+        assert relabelings == [identity, [2, 1, 3, 4], identity, [2, 3, 1, 4], identity, identity]
+        assert hashlib.sha256(json.dumps(outputs).encode()).hexdigest() == (
+            "ef9a679cc24cf82df1072b06055a053e681c97f04317c3c87bc681f244dda674"
+        )
+
+
 def _ordered_minors(cert):
     """The exact leading principal minors of the certificate's witness in
     its chain ordering."""
-    exact = ExactMatrix.from_floats(cert.witness)
-    return leading_principal_minors(ordering_conjugation(exact.rows, cert.ordering))
+    return leading_principal_minors(ordering_conjugation(exact_rows(cert.witness), cert.ordering))
 
 
 class TestSynthesis:
