@@ -9,8 +9,8 @@ the one conversion from floats.  Every determinant and minor comes from
 one fraction-free integer elimination on the matrix with its denominators
 cleared.
 Floating point appears in exactly one place, the eigenvalue computation
-behind the spectral abscissa, because Hurwitz verification is numeric by
-nature.
+behind the spectral abscissa (of one matrix, or of each matrix in the
+oracle's stacks), because Hurwitz verification is numeric by nature.
 """
 
 from __future__ import annotations
@@ -55,7 +55,18 @@ def exact_rows(array) -> list[list[int | Fraction]]:
 
 def _integer_rows(rows) -> tuple[int, list[list[int]]]:
     """(L, rows of L*A as ints), L the lcm of the denominators of A's int or
-    Fraction entries (1 if empty)."""
+    Fraction entries (1 if empty).
+
+    Raises TypeError on any other entry: a numpy integer would wrap in the
+    elimination, and a float is not exact.
+    """
+    kinds = set(map(type, itertools.chain.from_iterable(rows)))
+    if not all(issubclass(kind, (int, Fraction)) for kind in kinds):
+        names = sorted(kind.__name__ for kind in kinds)
+        raise TypeError(
+            f"exact routines take int or Fraction entries, not {names}; "
+            "convert a float matrix with exact_rows"
+        )
     L = math.lcm(*(x.denominator for row in rows for x in row))
     if L == 1:
         return 1, [[x.numerator for x in row] for row in rows]
@@ -232,6 +243,21 @@ def is_hurwitz(abscissa: float) -> bool:
     return abscissa < -HURWITZ_TOLERANCE
 
 
+def _abscissae(stack: np.ndarray) -> np.ndarray:
+    """The largest real part of the eigenvalues of each matrix in a stack
+    (..., n, n) of finite floats, by one LAPACK geev call per matrix;
+    raises NumericalError when one does not converge.
+
+    The one eigenvalue entry point.  It stays private so that it is not
+    traced as a layer: the oracle calls it once per coordinate visit.
+    """
+    try:
+        eig = np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+    return eig.real.max(axis=-1)
+
+
 def spectral_abscissa(A) -> float:
     """The largest real part of the dense nonsymmetric eigenvalues (LAPACK geev)."""
     M = np.asarray(A, dtype=float)
@@ -239,11 +265,7 @@ def spectral_abscissa(A) -> float:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
-    try:
-        eig = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-    return float(np.max(eig.real))
+    return float(_abscissae(M))
 
 
 def random_pattern_matrix(

@@ -32,6 +32,7 @@ from .graphs import (
     verify_chain,
 )
 from .numerics import (
+    _abscissae,
     exact_rows,
     is_hurwitz,
     leading_principal_minors,
@@ -123,16 +124,22 @@ def oracle_search(
     """Multi-start coordinate-descent minimization of the spectral abscissa.
 
     The free entries are the coordinates, and the descent steps them in
-    place in one float matrix.  The first two starts bias the diagonal
-    negative (the single best heuristic for these objectives); the rest
-    are uniform in [-1, 1]^m.  A restart ends when its abscissa clears
-    the Hurwitz guard band, when it has spent ``oracle_steps`` evaluations,
-    or when a sweep without improvement halves the step below 1e-6.  The
-    first start puts -1 on each free diagonal entry and ends after one
-    evaluation: it is -I, which clears the guard band, or diagonal with a
-    zero eigenvalue that no step can move.  Returns the first matrix that
-    clears the guard band -- a stability proof -- with the restarts spent
-    so far, or the best abscissa seen.  A miss is NOT an instability proof.
+    place in one float matrix.  A sweep visits each coordinate once and
+    tries +step, then -step unless +step lowered the abscissa.  Each visit
+    evaluates both trials in one stacked eigenvalue call and takes, counts
+    and leaves in the matrix exactly what trying them one at a time would,
+    so the search path is that of the one-at-a-time descent.  The first
+    two starts bias the diagonal negative (the single best heuristic for
+    these objectives); the rest are uniform in [-1, 1]^m.  A restart ends
+    when its abscissa clears the Hurwitz guard band, when it has evaluated
+    ``oracle_steps`` matrices (its start and every trial taken one at a
+    time, so not a -step that was computed but not needed), or when a
+    sweep without improvement halves the step below 1e-6.  The first start
+    puts -1 on each free diagonal entry and ends after one evaluation: it
+    is -I, which clears the guard band, or diagonal with a zero eigenvalue
+    that no step can move.  Returns the first matrix that clears the guard
+    band -- a stability proof -- with the restarts spent so far, or the
+    best abscissa seen.  A miss is NOT an instability proof.
     """
     config = config or EngineConfig()
     cells = [(i - 1, j - 1) for i, j in p.sorted_free()]
@@ -141,42 +148,56 @@ def oracle_search(
         return OracleResult(None, 0, 0.0)
     rng = random.Random(seed)
     rows, cols = np.array(cells).T
-    M = np.zeros((p.n, p.n))
+    # the current matrix twice: a visit writes its two trials into one
+    # entry, and after it both copies hold that entry's new value
+    pair = np.zeros((2, p.n, p.n))
+    M = pair[0]
 
     best_abscissa = np.inf
     for restart in range(config.oracle_restarts):
         if restart == 0:
-            M[rows, cols] = np.where(rows == cols, -1.0, 0.0)
+            pair[:, rows, cols] = np.where(rows == cols, -1.0, 0.0)
         elif restart == 1:
-            M[rows, cols] = [-1.0 if i == j else rng.uniform(-0.3, 0.3) for i, j in cells]
+            pair[:, rows, cols] = [-1.0 if i == j else rng.uniform(-0.3, 0.3) for i, j in cells]
         else:
-            M[rows, cols] = [rng.uniform(-1.0, 1.0) for _ in range(m)]
+            pair[:, rows, cols] = [rng.uniform(-1.0, 1.0) for _ in range(m)]
         # restart 0 is -I, or diagonal with a zero that no one-entry step moves
         budget = 1 if restart == 0 else config.oracle_steps
-        current = float(np.max(np.linalg.eigvals(M).real))
+        current = float(_abscissae(M))
         evals = 1
         step = 0.35
         improved = False
-        t = 0  # the next trial steps cell t // 2 by +step (t even) or -step
+        c = 0  # the next cell to visit
         while evals < budget and not is_hurwitz(current) and step >= 1e-6:
-            cell = cells[t // 2]
-            delta = -step if t % 2 else step
-            M[cell] += delta
-            cand = float(np.max(np.linalg.eigvals(M).real))
+            # what trying one step at a time puts in the entry: x + s, its
+            # restore x' = (x + s) - s (rounding can move it off x), x' - s,
+            # and that trial's restore
+            r, k = cells[c]
+            plus = M[r, k] + step
+            restored = plus - step
+            minus = restored - step
+            pair[0, r, k], pair[1, r, k] = plus, minus
+            plus_abscissa, minus_abscissa = _abscissae(pair).tolist()
             evals += 1
-            if cand < current:
-                current, improved = cand, True
-                t += 2 - t % 2
+            if plus_abscissa < current:
+                value, current, improved = plus, plus_abscissa, True
+            elif evals == budget:
+                value = restored
             else:
-                M[cell] -= delta
-                t += 1
-            if t == 2 * m:  # end of a sweep
+                evals += 1
+                if minus_abscissa < current:
+                    value, current, improved = minus, minus_abscissa, True
+                else:
+                    value = minus + step
+            pair[:, r, k] = value
+            c += 1
+            if c == m:  # end of a sweep
                 if not improved:
                     step *= 0.5
-                t, improved = 0, False
+                c, improved = 0, False
         best_abscissa = min(best_abscissa, current)
         if is_hurwitz(current):
-            return OracleResult(M, restart + 1, current)
+            return OracleResult(M.copy(), restart + 1, current)
     return OracleResult(None, config.oracle_restarts, float(best_abscissa))
 
 

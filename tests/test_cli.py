@@ -428,6 +428,19 @@ class TestErrorPaths:
         code, text = run(["analyze", str(path)])
         assert code == 12 and text == ""
 
+    @pytest.mark.parametrize("command", ["oracle", "analyze"])
+    def test_eigenvalue_failure_is_an_error_not_a_traceback(
+        self, fig2_right_file, monkeypatch, capsys, command
+    ):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        code, text = run([command, fig2_right_file])
+        assert code == 12 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigenvalue computation failed") and "Traceback" not in err
+
     def test_capability_cap(self, tmp_path):
         path = tmp_path / "big.mask"
         path.write_text("\n".join("0" * 9 for _ in range(9)) + "\n")

@@ -6,6 +6,7 @@ import pytest
 
 from sparsestab import (
     CapabilityError,
+    NumericalError,
     Permutation,
     SingularMatrixError,
     SparsityPattern,
@@ -24,6 +25,7 @@ from sparsestab import (
     variety_membership_sample,
 )
 from sparsestab.numerics import (
+    _abscissae,
     exact_rows,
     is_hurwitz,
     ordering_conjugation,
@@ -361,6 +363,51 @@ class TestSpectralAbscissa:
         with pytest.raises(ValueError):
             spectral_abscissa(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_non_convergence_is_a_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            spectral_abscissa(np.eye(2))
+        with pytest.raises(NumericalError):
+            _abscissae(np.zeros((2, 3, 3)))
+
+
+def _stack_cases(n):
+    """(2, n, n) stacks: random pairs, pairs that differ in one entry as the
+    oracle's step pair does, the zero matrix and a Jordan block."""
+    rng = np.random.default_rng(n)
+    cases = [rng.uniform(-1.0, 1.0, (2, n, n)) for _ in range(20)]
+    for _ in range(20):
+        M = np.where(rng.random((n, n)) < 0.5, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
+        r, k = rng.integers(n, size=2)
+        step = 0.35 * 0.5 ** int(rng.integers(0, 20))
+        pair = np.stack((M, M))
+        plus = M[r, k] + step
+        pair[0, r, k], pair[1, r, k] = plus, plus - step - step
+        cases.append(pair)
+    jordan = np.eye(n, k=1) - 0.5 * np.eye(n)
+    cases.append(np.stack((np.zeros((n, n)), jordan)))
+    return cases
+
+
+class TestStackedEigenvalues:
+    """The oracle evaluates a step pair as one (2, n, n) stack; its descent
+    matches the one-matrix-per-call descent only if LAPACK returns the same
+    bits for a matrix in a stack as for the matrix alone."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stack_equals_single_calls(self, n):
+        for pair in _stack_cases(n):
+            # a stack comes back complex when either matrix has a complex
+            # eigenvalue, a lone matrix with real eigenvalues as floats
+            stacked = np.linalg.eigvals(pair).astype(complex)
+            for i in range(2):
+                alone = np.linalg.eigvals(pair[i]).astype(complex)
+                assert stacked[i].tobytes() == alone.tobytes()
+            assert _abscissae(pair).tolist() == [spectral_abscissa(M) for M in pair]
+
 
 class TestVarietySampling:
     def test_full_two_by_two_escapes(self):
@@ -476,6 +523,32 @@ class TestExactnessContract:
     def test_non_square_rejected(self, name, rows):
         with pytest.raises(ValueError):
             EXACT_ROUTINES[name](rows)
+
+    # the wrap-around case: numpy int64 Bareiss gave a second minor of
+    # -3535985420588157524 and a determinant of 36230
+    BIG = [[3**30, 1, 2], [5, 3**30, 7], [1, 2, 3**30]]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array(BIG),
+            np.array(BIG, dtype=float),
+            [[1.0, 2.0], [3.0, 4.0]],
+            [[1, 2], [3, 4.5]],
+            [[Fraction(1, 2), np.int64(2)], [3, 4]],
+        ],
+    )
+    @pytest.mark.parametrize("routine", [determinant, leading_principal_minors])
+    def test_non_exact_entries_rejected(self, routine, rows):
+        with pytest.raises(TypeError, match="exact_rows"):
+            routine(rows)
+
+    def test_big_int_rows_exact(self):
+        """The same entries as int rows (numpy's tolist) stay exact."""
+        rows = np.array(self.BIG).tolist()
+        minors = leading_principal_minors(rows)
+        assert minors[1] == 3**60 - 5 == 42391158275216203514294433196
+        assert minors[2] == determinant(rows) == -char_poly(rows)[2]
 
     def test_pattern_routines_return_int_rows(self):
         full = SparsityPattern.full(3)

@@ -25,7 +25,7 @@ from sparsestab import (
     verify_certificate,
 )
 import sparsestab.verdict as verdict_module
-from sparsestab.errors import ValidationError
+from sparsestab.errors import NumericalError, ValidationError
 from sparsestab.atlas import config_hash, enumerate_patterns
 from sparsestab.graphs import CHAIN_N_CAP, check_necessary, check_scc_sink, find_nested_chain
 from sparsestab.jsonio import verdict_to_dict
@@ -295,6 +295,14 @@ class TestOracle:
         result = oracle_search(CHAIN8, EngineConfig(oracle_restarts=1))
         assert (result.found, result.restarts_used, result.best_abscissa) == (False, 1, 0.0)
         assert len(calls) == 1
+
+    def test_non_convergence_is_a_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            oracle_search(FIG2_RIGHT, SMALL)
 
 
 class TestVerifyCertificate:
@@ -614,3 +622,69 @@ class TestOracleMatchesReference:
         # counts at writing: 71 found, 513 floor, 32 budget, 4 empty
         assert exits.count("found") >= 60 and exits.count("floor") >= 400
         assert exits.count("budget") >= 20 and exits.count("empty") >= 3
+
+
+# decide-small's heaviest oracle target: 26 restarts, 10 391 evaluations
+HEAVY8_KEY = 72691543438696492
+
+
+class TestStackedDescent:
+    """The descent evaluates both directions of a coordinate step in one
+    (2, n, n) call and must still walk the reference's search path."""
+
+    def test_budget_ends_after_the_plus_half(self):
+        """With two evaluations a restart ends right after the +step half of
+        its first pair: a rejected +step is restored, and its -step value
+        is never counted."""
+        config = EngineConfig(oracle_restarts=4, oracle_steps=2)
+        exits = []
+        for index, p in enumerate(ORACLE_CORPUS):
+            want = reference_oracle(p, config, index, exits)
+            assert_same_result(oracle_search(p, config, seed=index), want)
+        # counts at writing: 1922 budget, 165 found
+        assert exits.count("budget") >= 1500 and exits.count("found") >= 100
+
+    def test_heaviest_decide_small_target(self):
+        p = key_to_pattern(8, HEAVY8_KEY)
+        seed = derive_seed(0, 8, HEAVY8_KEY, "oracle")
+        want = reference_oracle(p, EngineConfig(), seed, [])
+        assert want.found and want.restarts_used == 26
+        assert_same_result(oracle_search(p, EngineConfig(), seed), want)
+
+    @pytest.mark.parametrize(
+        "p, config",
+        [
+            (GAP3, SMALL),
+            (GAP4_UNSTABLE, SMALL),
+            (FIG2_RIGHT, SMALL),
+            (key_to_pattern(8, HEAVY8_KEY), EngineConfig(oracle_restarts=6)),
+        ],
+    )
+    def test_one_call_per_step_pair(self, monkeypatch, p, config):
+        """Each restart's start is one (n, n) call and every later call one
+        (2, n, n) stack, so the calls are fewer than the matrices that the
+        one-matrix-per-call reference evaluates.  The reference runs
+        restart 0 to the end of its descent, where the search stops it after
+        its start, so its calls there count as one evaluation."""
+        shapes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
+
+        class CallsAtRestartEnd(list):
+            def append(self, how):
+                super().append(len(shapes))
+
+        ends = CallsAtRestartEnd()
+        want = reference_oracle(p, config, 0, ends)
+        # the reference evaluates a find once more, after its restart ends
+        evaluated = len(shapes) - want.found - (ends[0] - 1)
+        shapes.clear()
+        got = oracle_search(p, config, seed=0)
+        assert_same_result(got, want)
+        n = p.n
+        starts = shapes.count((n, n))
+        pairs = shapes.count((2, n, n))
+        assert shapes[0] == (n, n) and starts + pairs == len(shapes)
+        assert starts == got.restarts_used
+        assert pairs <= evaluated - starts <= 2 * pairs
+        assert len(shapes) < evaluated
