@@ -8,9 +8,13 @@ is a list of square rows of int and Fraction entries, and exact_rows is
 the one conversion from floats.  Every determinant and minor comes from
 one fraction-free integer elimination on the matrix with its denominators
 cleared.
-Floating point appears in exactly one place, the eigenvalue computation
-behind the spectral abscissa (of one matrix, or of each matrix in the
-oracle's stacks), because Hurwitz verification is numeric by nature.
+Floating point appears in exactly one place, the kernel _abscissae behind
+the spectral abscissa (of one matrix, or of each matrix in the oracle's
+stacks), because Hurwitz verification is numeric by nature.  It calls
+LAPACK geev through numpy's eigvals gufunc, without the np.linalg.eigvals
+wrapper and its per-call checks, so its input must be finite:
+spectral_abscissa checks that, and the oracle's entries are bounded by
+construction.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigvals as _geev  # np.linalg.eigvals without its wrapper
 
 from .errors import CapabilityError, NumericalError, SingularMatrixError
 from .patterns import Permutation, SparsityPattern, all_permutations
@@ -53,20 +58,33 @@ def exact_rows(array) -> list[list[int | Fraction]]:
     ]
 
 
-def _integer_rows(rows) -> tuple[int, list[list[int]]]:
-    """(L, rows of L*A as ints), L the lcm of the denominators of A's int or
-    Fraction entries (1 if empty).
+def _check_exact(rows) -> None:
+    """Raises TypeError unless every entry is an int or a Fraction of ints.
 
-    Raises TypeError on any other entry: a numpy integer would wrap in the
-    elimination, and a float is not exact.
+    The entry check of every exact routine: a numpy integer, alone or as a
+    Fraction's numerator, would wrap in the arithmetic, and a float is not
+    exact.
     """
     kinds = set(map(type, itertools.chain.from_iterable(rows)))
-    if not all(issubclass(kind, (int, Fraction)) for kind in kinds):
-        names = sorted(kind.__name__ for kind in kinds)
+    if any(issubclass(kind, Fraction) for kind in kinds):
+        kinds |= {
+            type(part)
+            for x in itertools.chain.from_iterable(rows)
+            if isinstance(x, Fraction)
+            for part in (x.numerator, x.denominator)
+        }
+    names = sorted(kind.__name__ for kind in kinds if not issubclass(kind, (int, Fraction)))
+    if names:
         raise TypeError(
-            f"exact routines take int or Fraction entries, not {names}; "
+            f"exact routines take int entries or Fractions of ints, not {names}; "
             "convert a float matrix with exact_rows"
         )
+
+
+def _integer_rows(rows) -> tuple[int, list[list[int]]]:
+    """(L, rows of L*A as ints), L the lcm of the denominators of A's int or
+    Fraction entries (1 if empty); raises TypeError on any other entry."""
+    _check_exact(rows)
     L = math.lcm(*(x.denominator for row in rows for x in row))
     if L == 1:
         return 1, [[x.numerator for x in row] for row in rows]
@@ -113,6 +131,7 @@ def inverse(A) -> list[list[Fraction]]:
     """Exact inverse via Gauss-Jordan over the rationals; raises on
     singular input."""
     n = _square(A)
+    _check_exact(A)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
     for k in range(n):
         pivot = None
@@ -213,6 +232,7 @@ def char_poly(A) -> tuple[Fraction, ...]:
     n = _square(A)
     if n > CHARPOLY_N_CAP:
         raise CapabilityError(f"char_poly capped at n={CHARPOLY_N_CAP}")
+    _check_exact(A)
     coeffs = []
     M = A
     for k in range(1, n + 1):
@@ -243,19 +263,24 @@ def is_hurwitz(abscissa: float) -> bool:
     return abscissa < -HURWITZ_TOLERANCE
 
 
-def _abscissae(stack: np.ndarray) -> np.ndarray:
+def _abscissae(stack: np.ndarray) -> list[float]:
     """The largest real part of the eigenvalues of each matrix in a stack
-    (..., n, n) of finite floats, by one LAPACK geev call per matrix;
-    raises NumericalError when one does not converge.
+    (k, n, n) of float64, by one LAPACK geev call per matrix; raises
+    NumericalError when one does not converge.
 
-    The one eigenvalue entry point.  It stays private so that it is not
-    traced as a layer: the oracle calls it once per coordinate visit.
+    The one eigenvalue entry point.  Precondition: every entry is finite.
+    The gufunc does not check it, and LAPACK may misbehave on inf or NaN.
+    spectral_abscissa checks its input; the oracle's entries start in
+    [-1, 1] and move by at most 0.35 per counted evaluation, so they stay
+    within 1 + 0.35 * oracle_steps.  geev fills the eigenvalues of a matrix
+    it fails on with NaN, which the max carries into that abscissa.  It
+    stays private so that it is not traced as a layer: the oracle calls it
+    once per coordinate visit.
     """
-    try:
-        eig = np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-    return eig.real.max(axis=-1)
+    out = _geev(stack, signature="d->D").real.max(axis=-1).tolist()
+    if any(map(math.isnan, out)):
+        raise NumericalError("eigenvalue computation failed: LAPACK geev did not converge")
+    return out
 
 
 def spectral_abscissa(A) -> float:
@@ -265,7 +290,7 @@ def spectral_abscissa(A) -> float:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
-    return float(_abscissae(M))
+    return _abscissae(M[np.newaxis])[0]
 
 
 def random_pattern_matrix(

@@ -189,33 +189,56 @@ def key_to_pattern(n: int, key: int) -> SparsityPattern:
 
 @lru_cache(maxsize=None)
 def _image_table(n: int) -> np.ndarray:
-    """uint8 [n^2, 2*n!]: entry [pos, g] is where symmetry g sends bit
-    position pos (row-major, 0-based).
+    """uint8 [n^2, n!]: entry [pos, r] is where the r-th permutation in
+    lexicographic order sends bit position pos (row-major, 0-based), so
+    column 0 is the identity.
 
-    Column 2*r + t is the r-th permutation in lexicographic order, after a
-    transpose when t is 1, so column 0 is the identity.
+    A transpose followed by permutation r sends position (i, j) to the
+    transpose of where permutation r alone sends it, so the transposed
+    images need no columns of their own (see _key_bits).
     """
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
-    rows, cols = np.divmod(np.arange(n * n), n)
-    plain = perms[:, rows] * n + perms[:, cols]
-    transposed = perms[:, cols] * n + perms[:, rows]
-    table = np.ascontiguousarray(np.stack([plain, transposed], axis=1).reshape(-1, n * n).T)
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))), np.uint8
+    )
+    images = np.ascontiguousarray(perms.reshape(-1, n).T)  # [v, r]: image of vertex v
+    table = np.empty((n * n, images.shape[1]), dtype=np.uint8)
+    for i in range(n):
+        row = images[i] * n
+        for j in range(n):
+            np.add(row, images[j], out=table[i * n + j])
     table.flags.writeable = False  # cached, so shared by every caller
     return table
 
 
+@lru_cache(maxsize=None)
+def _key_bits(n: int) -> np.ndarray:
+    """uint64 [n^2, 2]: row pos holds the key bit of position pos and that
+    of its transpose."""
+    total = n * n
+    weight = _BITS[total - 1 :: -1]
+    transposed = np.arange(total).reshape(n, n).T.ravel()
+    bits = np.stack([weight, weight[transposed]], axis=1)
+    bits.flags.writeable = False  # cached, so shared by every caller
+    return bits
+
+
 def _orbit_keys(n: int, key: int) -> np.ndarray:
-    """The images of a pattern key under the 2*n! symmetries, in table order."""
+    """The images of a pattern key under the 2*n! symmetries.
+
+    Entry 2*r + t is the image under the r-th permutation in lexicographic
+    order, after a transpose when t is 1, so entry 0 is the key itself.
+    """
     if n > CANONICAL_N_CAP:
         raise CapabilityError(f"orbit keys are uint64; n={n} exceeds cap {CANONICAL_N_CAP}")
     total = n * n
     table = _image_table(n)
-    weight = _BITS[total - 1 :: -1]  # weight[pos] is the key bit of position pos
-    keys = np.zeros(table.shape[1], dtype=np.uint64)
+    bits = _key_bits(n)
+    keys = np.zeros((table.shape[1], 2), dtype=np.uint64)  # row r: entries 2r, 2r + 1
+    images = np.empty_like(keys)
     for pos in range(total):
         if key >> (total - 1 - pos) & 1:
-            keys |= weight[table[pos]]
-    return keys
+            keys |= bits.take(table[pos], axis=0, out=images)
+    return keys.ravel()
 
 
 def key_orbit(n: int, key: int) -> set[int]:
@@ -347,7 +370,7 @@ def canonical_form(p: SparsityPattern) -> PatternOrbitInfo:
     n = p.n
     keys = _orbit_keys(n, pattern_to_key(p))
     g = int(keys.argmin())
-    column = _image_table(n)[:: n + 1, g]  # the diagonal (v, v) goes to (perm v, perm v)
+    column = _image_table(n)[:: n + 1, g // 2]  # the diagonal (v, v) goes to (perm v, perm v)
     return PatternOrbitInfo(
         canonical=key_to_pattern(n, int(keys[g])),
         orbit_size=keys.size // int(np.count_nonzero(keys == keys[0])),

@@ -163,7 +163,7 @@ def oracle_search(
             pair[:, rows, cols] = [rng.uniform(-1.0, 1.0) for _ in range(m)]
         # restart 0 is -I, or diagonal with a zero that no one-entry step moves
         budget = 1 if restart == 0 else config.oracle_steps
-        current = float(_abscissae(M))
+        current = _abscissae(pair[:1])[0]
         evals = 1
         step = 0.35
         improved = False
@@ -177,7 +177,7 @@ def oracle_search(
             restored = plus - step
             minus = restored - step
             pair[0, r, k], pair[1, r, k] = plus, minus
-            plus_abscissa, minus_abscissa = _abscissae(pair).tolist()
+            plus_abscissa, minus_abscissa = _abscissae(pair)
             evals += 1
             if plus_abscissa < current:
                 value, current, improved = plus, plus_abscissa, True

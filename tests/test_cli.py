@@ -19,7 +19,7 @@ from sparsestab.jsonio import (
 from sparsestab.patterns import pattern_to_key
 from sparsestab.verdict import EngineConfig, classify
 
-from conftest import FIG2_LEFT, FIG2_RIGHT
+from conftest import FIG2_LEFT, FIG2_RIGHT, failed_geev
 
 
 def run(argv):
@@ -432,10 +432,7 @@ class TestErrorPaths:
     def test_eigenvalue_failure_is_an_error_not_a_traceback(
         self, fig2_right_file, monkeypatch, capsys, command
     ):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        monkeypatch.setattr(sparsestab.numerics, "_geev", failed_geev)
         code, text = run([command, fig2_right_file])
         assert code == 12 and text == ""
         err = capsys.readouterr().err

@@ -24,6 +24,7 @@ from sparsestab import (
     spectral_abscissa,
     variety_membership_sample,
 )
+import sparsestab.numerics as numerics
 from sparsestab.numerics import (
     _abscissae,
     exact_rows,
@@ -32,7 +33,7 @@ from sparsestab.numerics import (
     random_pattern_matrix,
 )
 
-from conftest import FIG2_LEFT, FIG2_RIGHT
+from conftest import FIG2_LEFT, FIG2_RIGHT, failed_geev
 
 A_COUNTER = [[0, -1], [2, -1]]  # stable but det_1 = 0
 
@@ -364,21 +365,22 @@ class TestSpectralAbscissa:
             spectral_abscissa(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_non_convergence_is_a_numerical_error(self, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        monkeypatch.setattr(numerics, "_geev", failed_geev)
         with pytest.raises(NumericalError, match="did not converge"):
             spectral_abscissa(np.eye(2))
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="did not converge"):
             _abscissae(np.zeros((2, 3, 3)))
 
 
 def _stack_cases(n):
-    """(2, n, n) stacks: random pairs, pairs that differ in one entry as the
-    oracle's step pair does, the zero matrix and a Jordan block."""
+    """(2, n, n) stacks: random pairs, pairs with all-real spectra
+    (symmetric, triangular), pairs that differ in one entry as the oracle's
+    step pair does, the zero matrix and a Jordan block."""
     rng = np.random.default_rng(n)
     cases = [rng.uniform(-1.0, 1.0, (2, n, n)) for _ in range(20)]
+    for _ in range(10):
+        S = rng.uniform(-1.0, 1.0, (n, n))
+        cases.append(np.stack((S + S.T, np.triu(S))))
     for _ in range(20):
         M = np.where(rng.random((n, n)) < 0.5, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
         r, k = rng.integers(n, size=2)
@@ -406,7 +408,22 @@ class TestStackedEigenvalues:
             for i in range(2):
                 alone = np.linalg.eigvals(pair[i]).astype(complex)
                 assert stacked[i].tobytes() == alone.tobytes()
-            assert _abscissae(pair).tolist() == [spectral_abscissa(M) for M in pair]
+            assert _abscissae(pair) == [spectral_abscissa(M) for M in pair]
+
+
+class TestAbscissaKernel:
+    """_abscissae calls LAPACK geev through numpy's gufunc, without the
+    np.linalg.eigvals wrapper; it must return the wrapper's bits."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no errstate guards the kernel
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_the_numpy_wrapper(self, n):
+        for pair in _stack_cases(n):
+            for stack in (pair, pair[:1], pair[1:]):
+                want = np.linalg.eigvals(stack).real.max(axis=-1)
+                got = _abscissae(stack)
+                assert all(type(a) is float for a in got)
+                assert np.array(got).tobytes() == want.tobytes()
 
 
 class TestVarietySampling:
@@ -536,9 +553,13 @@ class TestExactnessContract:
             [[1.0, 2.0], [3.0, 4.0]],
             [[1, 2], [3, 4.5]],
             [[Fraction(1, 2), np.int64(2)], [3, 4]],
+            # a numpy numerator wraps as a numpy int does: det gave 36230
+            [[Fraction(np.int64(x)) for x in row] for row in BIG],
         ],
     )
-    @pytest.mark.parametrize("routine", [determinant, leading_principal_minors])
+    @pytest.mark.parametrize(
+        "routine", [determinant, leading_principal_minors, inverse, char_poly]
+    )
     def test_non_exact_entries_rejected(self, routine, rows):
         with pytest.raises(TypeError, match="exact_rows"):
             routine(rows)

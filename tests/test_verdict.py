@@ -24,6 +24,7 @@ from sparsestab import (
     transpose_pattern,
     verify_certificate,
 )
+import sparsestab.numerics as numerics
 import sparsestab.verdict as verdict_module
 from sparsestab.errors import NumericalError, ValidationError
 from sparsestab.atlas import config_hash, enumerate_patterns
@@ -41,7 +42,7 @@ from sparsestab.verdict import (
 )
 from sparsestab.witness import WitnessCertificate
 
-from conftest import FIG2_LEFT, FIG2_RIGHT, FIG3, SIGMA_ALPHA, SIGMA_BETA
+from conftest import FIG2_LEFT, FIG2_RIGHT, FIG3, SIGMA_ALPHA, SIGMA_BETA, failed_geev
 
 SMALL = EngineConfig(oracle_restarts=8, oracle_steps=120)
 
@@ -290,19 +291,31 @@ class TestOracle:
 
     def test_pinned_first_start_evaluated_once(self, monkeypatch):
         calls = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+        geev = numerics._geev
+        monkeypatch.setattr(numerics, "_geev", lambda a, **kw: calls.append(1) or geev(a, **kw))
         result = oracle_search(CHAIN8, EngineConfig(oracle_restarts=1))
         assert (result.found, result.restarts_used, result.best_abscissa) == (False, 1, 0.0)
         assert len(calls) == 1
 
     def test_non_convergence_is_a_numerical_error(self, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        monkeypatch.setattr(numerics, "_geev", failed_geev)
         with pytest.raises(NumericalError, match="did not converge"):
             oracle_search(FIG2_RIGHT, SMALL)
+
+    def test_failed_trial_is_a_numerical_error(self, monkeypatch):
+        """A NaN in either half of a step pair stops the search."""
+        geev = numerics._geev
+        for half in range(2):
+
+            def fail_on_pairs(stack, signature):
+                out = geev(stack, signature=signature)
+                if len(stack) == 2:
+                    out[half] = complex("nan")
+                return out
+
+            monkeypatch.setattr(numerics, "_geev", fail_on_pairs)
+            with pytest.raises(NumericalError, match="did not converge"):
+                oracle_search(FIG2_RIGHT, SMALL)
 
 
 class TestVerifyCertificate:
@@ -609,9 +622,9 @@ class TestOracleMatchesReference:
         The descent evaluates the start once, and a find is not evaluated
         again."""
         config = EngineConfig(oracle_restarts=1, oracle_steps=400)
-        eigvals = np.linalg.eigvals
+        geev = numerics._geev
         calls = []
-        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+        monkeypatch.setattr(numerics, "_geev", lambda a, **kw: calls.append(1) or geev(a, **kw))
         exits = []
         for index, p in enumerate(ORACLE_CORPUS):
             want = reference_oracle(p, config, index, exits)
@@ -622,6 +635,23 @@ class TestOracleMatchesReference:
         # counts at writing: 71 found, 513 floor, 32 budget, 4 empty
         assert exits.count("found") >= 60 and exits.count("floor") >= 400
         assert exits.count("budget") >= 20 and exits.count("empty") >= 3
+
+    def test_stacks_are_finite(self, monkeypatch):
+        """The kernel's precondition holds: every stack the search passes it
+        is finite, with entries within 1 + 0.35 * oracle_steps of zero."""
+        config = EngineConfig(oracle_restarts=3, oracle_steps=50)
+        geev = numerics._geev
+        largest = []
+
+        def checked(stack, signature):
+            assert np.isfinite(stack).all()
+            largest.append(np.abs(stack).max())
+            return geev(stack, signature=signature)
+
+        monkeypatch.setattr(numerics, "_geev", checked)
+        for index, p in enumerate(ORACLE_CORPUS):
+            oracle_search(p, config, seed=index)
+        assert largest and max(largest) <= 1 + 0.35 * config.oracle_steps
 
 
 # decide-small's heaviest oracle target: 26 restarts, 10 391 evaluations
@@ -661,14 +691,18 @@ class TestStackedDescent:
         ],
     )
     def test_one_call_per_step_pair(self, monkeypatch, p, config):
-        """Each restart's start is one (n, n) call and every later call one
-        (2, n, n) stack, so the calls are fewer than the matrices that the
-        one-matrix-per-call reference evaluates.  The reference runs
+        """Each restart's start is one (1, n, n) call and every later call
+        one (2, n, n) stack, so the calls are fewer than the matrices that
+        the one-matrix-per-call reference evaluates.  The reference runs
         restart 0 to the end of its descent, where the search stops it after
-        its start, so its calls there count as one evaluation."""
+        its start, so its calls there count as one evaluation.  The
+        reference calls np.linalg.eigvals, and the search and the
+        reference's final spectral_abscissa call the kernel."""
         shapes = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(np.shape(a)) or eigvals(a))
+        geev = numerics._geev
+        monkeypatch.setattr(numerics, "_geev", lambda a, **kw: shapes.append(np.shape(a)) or geev(a, **kw))
 
         class CallsAtRestartEnd(list):
             def append(self, how):
@@ -682,9 +716,9 @@ class TestStackedDescent:
         got = oracle_search(p, config, seed=0)
         assert_same_result(got, want)
         n = p.n
-        starts = shapes.count((n, n))
+        starts = shapes.count((1, n, n))
         pairs = shapes.count((2, n, n))
-        assert shapes[0] == (n, n) and starts + pairs == len(shapes)
+        assert shapes[0] == (1, n, n) and starts + pairs == len(shapes)
         assert starts == got.restarts_used
         assert pairs <= evaluated - starts <= 2 * pairs
         assert len(shapes) < evaluated
