@@ -117,22 +117,42 @@ def _record_to_dict(rec: AtlasRecord) -> dict:
 def _record_from_dict(d: dict) -> AtlasRecord:
     return AtlasRecord(
         pattern=jsonio.pattern_from_dict(d),
-        orbit_size=d["orbit_size"],
+        orbit_size=_field(d, "orbit_size", int),
         verdict=jsonio.verdict_from_dict(d["verdict"]),
-        minimal_stable=d["minimal_stable"],
-        maximal_unstable=d["maximal_unstable"],
+        minimal_stable=_field(d, "minimal_stable", bool),
+        maximal_unstable=_field(d, "maximal_unstable", bool),
     )
+
+
+def _field(d, name: str, kind: type):
+    """d[name], which must be of exactly type ``kind`` (so a bool is not an
+    int); raises ValidationError otherwise."""
+    if type(d) is not dict or type(d.get(name)) is not kind:
+        raise ValidationError(f"record field {name!r} must be a {kind.__name__}")
+    return d[name]
 
 
 def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
     """Read a persisted atlas, every verdict with its evidence."""
+    return _read_atlas(path)
+
+
+def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
+    """The header of a persisted atlas and its records, decoded in full;
+    with ``keep``, only the records whose parsed line it accepts are
+    decoded.  Every line is parsed; any decode failure raises
+    ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line for line in fh.read().splitlines() if line.strip()]
         if not lines:
             raise ValidationError("no header line")
         header = json.loads(lines[0])
-        records = [_record_from_dict(json.loads(line)) for line in lines[1:]]
+        records = [
+            _record_from_dict(d)
+            for d in map(json.loads, lines[1:])
+            if keep is None or keep(d)
+        ]
     except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
         # any decode failure; JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ValidationError(f"malformed atlas file {path}: {exc}")
@@ -193,10 +213,11 @@ def classify_atlas(
     # per Unknown.
     scaled = config.scaled_oracle(10)
 
-    def tag_of(raw: int) -> str:
+    def tag_of(raw: int, p: SparsityPattern | None = None) -> str:
+        """The verdict tag of raw's orbit; p, if given, is raw's pattern."""
         key = canon[raw]
         if key not in verdicts:
-            verdicts[key] = classify(key_to_pattern(n, key), scaled, seed)
+            verdicts[key] = classify(p or key_to_pattern(n, key), scaled, seed)
         return verdicts[key].tag
 
     bits = [1 << b for b in range(n * n)]
@@ -206,7 +227,8 @@ def classify_atlas(
             if key in existing:
                 records.append(existing[key])
                 continue
-            tag = tag_of(key)
+            p = key_to_pattern(n, key)
+            tag = tag_of(key, p)
             minimal_stable = tag == PROVED_STABLE and all(
                 tag_of(key ^ bit) != PROVED_STABLE for bit in bits if key & bit
             )
@@ -214,7 +236,7 @@ def classify_atlas(
                 tag_of(key | bit) == PROVED_STABLE for bit in bits if not key & bit
             )
             rec = AtlasRecord(
-                pattern=key_to_pattern(n, key),
+                pattern=p,
                 orbit_size=orbit_size,
                 verdict=verdicts[key],
                 minimal_stable=minimal_stable,
@@ -376,26 +398,35 @@ _VERDICT_ALIASES = {
 
 
 def query_atlas(path, query: dict) -> list[AtlasRecord]:
-    """Filter a persisted atlas; results stay ordered by canonical key."""
+    """Filter a persisted atlas; results stay ordered by canonical key.
+
+    Every line is parsed and filtered on its raw fields, and only the
+    matches are decoded, so a malformed record that the query filters out
+    raises nothing (atlas validate checks every record).  A field the query
+    filters on that is missing or of the wrong type raises ValidationError.
+    """
     unknown_fields = set(query) - _QUERY_FIELDS
     if unknown_fields:
         raise ValidationError(f"unknown query fields: {sorted(unknown_fields)}")
-    _, records = load_atlas(path)
-    out = []
-    for rec in records:
-        if "min_dim" in query and rec.dimension < query["min_dim"]:
-            continue
-        if "max_codim" in query and rec.codimension > query["max_codim"]:
-            continue
-        if "verdict" in query:
-            want = _VERDICT_ALIASES.get(str(query["verdict"]).lower())
-            if want is None:
-                raise ValidationError(f"unknown verdict filter: {query['verdict']!r}")
-            if rec.verdict.tag != want:
-                continue
-        if "minimal_stable" in query and rec.minimal_stable != bool(query["minimal_stable"]):
-            continue
-        if "maximal_unstable" in query and rec.maximal_unstable != bool(query["maximal_unstable"]):
-            continue
-        out.append(rec)
-    return sorted(out, key=lambda r: r.key)
+    want = None
+    if "verdict" in query:
+        want = _VERDICT_ALIASES.get(str(query["verdict"]).lower())
+        if want is None:
+            raise ValidationError(f"unknown verdict filter: {query['verdict']!r}")
+    flags = {
+        name: bool(query[name]) for name in ("minimal_stable", "maximal_unstable") if name in query
+    }
+
+    def keep(d) -> bool:
+        if "min_dim" in query or "max_codim" in query:
+            dimension = len(_field(d, "free", list))
+            if "min_dim" in query and dimension < query["min_dim"]:
+                return False
+            if "max_codim" in query and _field(d, "n", int) ** 2 - dimension > query["max_codim"]:
+                return False
+        if want is not None and _field(_field(d, "verdict", dict), "tag", str) != want:
+            return False
+        return all(_field(d, name, bool) == value for name, value in flags.items())
+
+    _, records = _read_atlas(path, keep)
+    return sorted(records, key=lambda r: r.key)

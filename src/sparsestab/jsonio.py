@@ -118,11 +118,20 @@ def _oracle_from_dict(oracle: dict | None, stats: dict | None) -> OracleResult |
 
 def verdict_from_dict(d: dict) -> StabilityVerdict:
     """The inverse of verdict_to_dict, evidence included."""
+    k = d.get("k")
+    # type(x) is int: json's true decodes to a bool, which is an int
+    if k is not None and type(k) is not int:
+        raise ValidationError(f"verdict k must be an integer, got {k!r}")
+    violating = d.get("violating")
+    if "violating" in d and (
+        type(violating) is not list or any(type(v) is not int for v in violating)
+    ):
+        raise ValidationError(f"verdict violating must be a list of integers, got {violating!r}")
     return StabilityVerdict(
         tag=d["tag"],
         reason=d["reason"],
-        k=d.get("k"),
-        violating=frozenset(d["violating"]) if "violating" in d else None,
+        k=k,
+        violating=frozenset(violating) if "violating" in d else None,
         certificate=certificate_from_dict(d["certificate"]) if "certificate" in d else None,
         oracle=_oracle_from_dict(d.get("oracle"), d.get("oracle_stats")),
         diagnostics=tuple(d.get("diagnostics", ())),

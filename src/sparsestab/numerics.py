@@ -12,9 +12,20 @@ Floating point appears in exactly one place, the kernel _abscissae behind
 the spectral abscissa (of one matrix, or of each matrix in the oracle's
 stacks), because Hurwitz verification is numeric by nature.  It calls
 LAPACK geev through numpy's eigvals gufunc, without the np.linalg.eigvals
-wrapper and its per-call checks, so its input must be finite:
-spectral_abscissa checks that, and the oracle's entries are bounded by
-construction.
+wrapper and its per-call checks, so its input must be finite.  Each caller
+relies on one guarantee:
+
+- spectral_abscissa checks shape and finiteness, for outside callers and
+  for the re-checks of an oracle matrix;
+- the oracle (verdict.oracle_search) starts its entries in [-1, 1] and
+  moves them by a bounded step;
+- the stabilizer (witness._stabilize) takes a matrix that exact_rows
+  accepted, so finite, and checks that its own entries and their products
+  with the matrix stay in float range;
+- the synthesis check (synthesize_stable_witness) multiplies that
+  stabilizer into the witness, the same product reordered;
+- the verifier (verdict.certificate_failures) checks both decoded arrays
+  and then their product.
 """
 
 from __future__ import annotations
@@ -269,13 +280,13 @@ def _abscissae(stack: np.ndarray) -> list[float]:
     NumericalError when one does not converge.
 
     The one eigenvalue entry point.  Precondition: every entry is finite.
-    The gufunc does not check it, and LAPACK may misbehave on inf or NaN.
-    spectral_abscissa checks its input; the oracle's entries start in
-    [-1, 1] and move by at most 0.35 per counted evaluation, so they stay
-    within 1 + 0.35 * oracle_steps.  geev fills the eigenvalues of a matrix
-    it fails on with NaN, which the max carries into that abscissa.  It
-    stays private so that it is not traced as a layer: the oracle calls it
-    once per coordinate visit.
+    The gufunc does not check it, and LAPACK may misbehave on inf or NaN;
+    the module docstring lists each caller's guarantee.  The oracle's
+    entries start in [-1, 1] and move by at most 0.35 per counted
+    evaluation, so they stay within 1 + 0.35 * oracle_steps.  geev fills
+    the eigenvalues of a matrix it fails on with NaN, which the max carries
+    into that abscissa.  It stays private so that it is not traced as a
+    layer: the oracle calls it once per coordinate visit.
     """
     out = _geev(stack, signature="d->D").real.max(axis=-1).tolist()
     if any(map(math.isnan, out)):

@@ -179,12 +179,14 @@ def pattern_to_key(p: SparsityPattern) -> int:
 
 
 def key_to_pattern(n: int, key: int) -> SparsityPattern:
+    """The pattern of a row-major bit key; the pairs it decodes are ints
+    in range by construction, so they skip from_pairs's conversion."""
     free = []
     total = n * n
     for pos in range(total):
         if key >> (total - 1 - pos) & 1:
             free.append((pos // n + 1, pos % n + 1))
-    return SparsityPattern.from_pairs(n, free)
+    return SparsityPattern(n, frozenset(free))
 
 
 @lru_cache(maxsize=None)

@@ -326,8 +326,11 @@ def certificate_failures(cert: WitnessCertificate) -> list[str]:
     if any(m == 0 for m in minors):
         failures.append("a leading principal minor of the ordered witness is zero")
 
-    abscissa = spectral_abscissa(np.diag(stabilizer) @ witness)
-    if not is_hurwitz(abscissa):
+    with np.errstate(over="ignore"):  # an overflow is the failed claim below
+        stabilized = stabilizer[:, None] * witness
+    if not np.isfinite(stabilized).all():
+        failures.append("stabilized matrix has entries beyond float range")
+    elif not is_hurwitz(abscissa := _abscissae(stabilized[None])[0]):
         failures.append(f"stabilized matrix is not Hurwitz (abscissa {abscissa:g})")
     return failures
 
@@ -368,7 +371,8 @@ def verify_certificate(obj, p: SparsityPattern | None = None) -> bool:
                 violating = check_scc_sink(p)
                 return bool(violating) and v.violating == violating and v.reason == _sink_reason(p)
             if v.reason == NO_HAMILTONIAN_K:
-                return isinstance(v.k, int) and v.k >= 1 and block_without_cover(p, v.k)
+                # type(k) is int: True is an int, and 1 would be the k it names
+                return type(v.k) is int and v.k >= 1 and block_without_cover(p, v.k)
             return False
         if v.tag == UNKNOWN:
             if p is None:

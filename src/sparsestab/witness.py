@@ -20,6 +20,7 @@ import numpy as np
 from .errors import CapabilityError, StabilizationError, SynthesisError
 from .graphs import ChainCertificate, find_nested_chain, verify_chain
 from .numerics import (
+    _abscissae,
     determinant,
     exact_rows,
     is_hurwitz,
@@ -121,7 +122,9 @@ def diagonal_stabilize(A) -> np.ndarray:
     until the leading k-block reports Hurwitz.  The block is then scaled by
     the positive factor that puts its abscissa at -1 (the spectrum of
     c * D @ A is c times that of D @ A), so later steps never start from a
-    margin inside the Hurwitz test's guard band.
+    margin inside the Hurwitz test's guard band.  Raises ValueError on a
+    vanishing minor and StabilizationError when a stabilizer entry, or its
+    product with an entry of A, would leave float range.
     """
     M = np.asarray(A, dtype=float)
     minors = leading_principal_minors(exact_rows(M))
@@ -142,17 +145,33 @@ def _stabilize_ordered(M: np.ndarray, ordering, minors) -> np.ndarray:
 
 
 def _stabilize(M: np.ndarray, minors) -> np.ndarray:
-    """diagonal_stabilize's sequential step, given M's exact leading minors."""
+    """diagonal_stabilize's sequential step, given M's exact leading minors.
+
+    M must be finite: every caller passes an integer sample or a matrix
+    that exact_rows accepted.  Then only a stabilizer entry can leave float
+    range, and with it an entry of a product d_i * M_ij, so each block goes
+    to the eigenvalue kernel unchecked unless the scalar bound
+    max|d| * max|M| overflows.  Raises StabilizationError on an entry
+    beyond float range, so the returned d and d[:, None] * M are finite.
+    """
     n = M.shape[0]
     d = np.zeros(n)
+    scale = float(abs(M).max()) if n else 0.0
+    top = 0.0  # at least max |d|
     prev = 1
     for k in range(n):
-        # int / int rounds correctly, as float(Fraction) does
-        ratio = float(minors[k] / prev)
+        try:
+            # int / int rounds correctly, as float(Fraction) does
+            ratio = float(minors[k] / prev)
+            d[k] = dk = -math.copysign(0.5 / abs(ratio), ratio)
+        except (OverflowError, ZeroDivisionError):
+            raise StabilizationError(f"minor ratio {k + 1} is beyond float range") from None
         prev = minors[k]
-        d[k] = -math.copysign(0.5 / abs(ratio), ratio)
+        top = max(top, abs(dk))
         for _ in range(HALVING_CAP + 1):
-            abscissa = spectral_abscissa(d[: k + 1, None] * M[: k + 1, : k + 1])
+            block = d[: k + 1, None] * M[: k + 1, : k + 1]
+            _check_range(top * scale, block)
+            abscissa = _abscissae(block[None])[0]
             if is_hurwitz(abscissa):
                 break
             d[k] /= 2
@@ -161,7 +180,16 @@ def _stabilize(M: np.ndarray, minors) -> np.ndarray:
                 f"leading block {k + 1} not Hurwitz after {HALVING_CAP} halvings"
             )
         d[: k + 1] /= -abscissa
+        top /= -abscissa
+    _check_range(top * scale, d[:, None] * M)
     return d
+
+
+def _check_range(bound: float, block: np.ndarray) -> None:
+    """Raises StabilizationError unless every entry of ``block`` is finite;
+    a finite ``bound`` on its magnitudes settles it without a look."""
+    if not math.isfinite(bound) and not np.isfinite(block).all():
+        raise StabilizationError("stabilized matrix has entries beyond float range")
 
 
 def corollary_stabilize(A):
@@ -205,7 +233,8 @@ def synthesize_stable_witness(
     A, minors = _screened_matrix(p, chain, seed)
     witness = np.array(A, dtype=float)
     stabilizer = _stabilize_ordered(witness, chain.ordering, minors)
-    abscissa = spectral_abscissa(np.diag(stabilizer) @ witness)
+    # finite: the witness is integral and _stabilize checks the product's range
+    abscissa = _abscissae((stabilizer[:, None] * witness)[None])[0]
     if not is_hurwitz(abscissa):
         raise SynthesisError(f"stabilized witness not Hurwitz (abscissa {abscissa:g})")
     return WitnessCertificate(

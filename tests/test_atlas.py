@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -144,6 +145,21 @@ class TestPersistence:
             assert verify_certificate(rec.verdict, rec.pattern)
         assert any(rec.verdict.certificate is not None for rec in loaded)
 
+    @pytest.mark.parametrize(
+        "n, size, digest",
+        [
+            (2, 2594, "cbbcea48efca5e6258218b1294768263d5f47f76c024146cbf1c8dbc6ddb19e2"),
+            (3, 24939, "5c88091d630cab864e9e794886507cb2f9dcbc7ef3ab7ad9546338e0d848d947"),
+        ],
+    )
+    def test_file_bytes_pinned(self, tmp_path, n, size, digest):
+        # any change to a verdict, a certificate float or the record layout
+        # changes these; a change that means to must re-pin them
+        path = tmp_path / f"n{n}.jsonl"
+        classify_atlas(n, path=path)
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         classify_atlas(2, path=a, seed=3)
@@ -241,6 +257,43 @@ class TestQuery:
     def test_unknown_field_rejected(self, atlas3_path):
         with pytest.raises(ValidationError):
             query_atlas(atlas3_path, {"sparkle": 1})
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {"min_dim": 5},
+            {"min_dim": 0},
+            {"max_codim": 3},
+            {"max_codim": 9},
+            {"verdict": "stable"},
+            {"verdict": "ProvedUnstable"},
+            {"verdict": "UNKNOWN"},
+            {"minimal_stable": True},
+            {"minimal_stable": False},
+            {"maximal_unstable": True},
+            {"maximal_unstable": False},
+            {"min_dim": 4, "max_codim": 4},
+            {"verdict": "stable", "minimal_stable": True},
+            {"min_dim": 3, "verdict": "unstable", "maximal_unstable": True},
+            {"min_dim": 2, "max_codim": 6, "verdict": "stable", "minimal_stable": False},
+        ],
+    )
+    def test_query_equals_filtering_the_loaded_atlas(self, atlas3_path, query):
+        tags = {"stable": PROVED_STABLE, "provedunstable": PROVED_UNSTABLE, "unknown": "Unknown"}
+        _, records = load_atlas(atlas3_path)
+        expected = [
+            r
+            for r in records
+            if r.dimension >= query.get("min_dim", 0)
+            and r.codimension <= query.get("max_codim", 9)
+            and r.verdict.tag == tags.get(query.get("verdict", "").lower(), r.verdict.tag)
+            and r.minimal_stable == query.get("minimal_stable", r.minimal_stable)
+            and r.maximal_unstable == query.get("maximal_unstable", r.maximal_unstable)
+        ]
+        out = query_atlas(atlas3_path, query)
+        assert [atlas_module._record_to_dict(r) for r in out] == [
+            atlas_module._record_to_dict(r) for r in sorted(expected, key=lambda r: r.key)
+        ]
 
 
 class TestValidate:

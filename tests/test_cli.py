@@ -188,6 +188,18 @@ class TestAtlasCommands:
         code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
         assert code == 1 and f"failing keys: [{key_of(rec)}]" in text
 
+    def test_validate_fails_a_certificate_beyond_float_range(self, atlas2_lines, tmp_path):
+        # witness and stabilizer are finite, diag(stabilizer) @ witness is not
+        records = [json.loads(line) for line in atlas2_lines[1:]]
+        rec = next(r for r in records if r["verdict"]["reason"] == "ChainFound")
+        cert = rec["verdict"]["certificate"]
+        cert["witness"] = [[x * 1e200 for x in row] for row in cert["witness"]]
+        cert["stabilizer"] = [x * 1e200 for x in cert["stabilizer"]]
+        path = tmp_path / "n2.jsonl"
+        path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in records]) + "\n")
+        code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
+        assert code == 1 and f"failing keys: [{key_of(rec)}]" in text
+
     def test_validate_checks_orbit_sizes(self, atlas2_lines, tmp_path):
         # move one pattern of coverage from one record to another, so the
         # orbit sizes still sum to 2^(n^2) but two of them are forged
@@ -284,6 +296,20 @@ MALFORMED_RECORDS = {
         f"index_{name}": lambda rec, i=i: {**rec, "free": [[i, 1]]}
         for name, i in (("float", 1.9), ("string", "1"), ("bool", True))
     },
+    # instability evidence that compares equal to the right ints
+    **{
+        f"k_{name}": lambda rec, k=k: {
+            **rec,
+            "verdict": {"tag": "ProvedUnstable", "reason": "NoHamiltonianK", "k": k},
+        }
+        for name, k in (("bool", True), ("float", 1.0))
+    },
+    **{
+        f"violating_{name}": lambda rec, v=v: {**rec, "verdict": {**rec["verdict"], "violating": [v]}}
+        for name, v in (("bool", True), ("float", 1.0))
+    },
+    "minimal_stable_not_a_bool": lambda rec: {**rec, "minimal_stable": 0},
+    "orbit_size_float": lambda rec: {**rec, "orbit_size": float(rec["orbit_size"])},
 }
 
 
@@ -365,6 +391,46 @@ class TestErrorPaths:
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join([atlas2_lines[0], bad]) + "\n")
         code, _ = run(["atlas", "query", "--atlas", str(path)])
+        assert code == 12
+
+    def test_query_checks_the_records_it_returns(self, atlas2_lines, tmp_path):
+        # a broken certificate on a stable record: a query that returns the
+        # record fails, one that filters it out does not, validate fails
+        lines = list(atlas2_lines)
+        at = next(i for i, line in enumerate(lines) if '"certificate"' in line)
+        lines[at] = _certificate_entry("witness", "NaN")(json.loads(lines[at]))
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["atlas", "query", "--atlas", str(path), "--verdict", "stable"])[0] == 12
+        code, text = run(["atlas", "query", "--atlas", str(path), "--verdict", "unstable"])
+        assert code == 0 and text.startswith("5 matching records")
+        assert run(["atlas", "validate", "-n", "2", "--atlas", str(path)])[0] == 12
+
+    @pytest.mark.parametrize(
+        "flags, field, value",
+        [
+            (["--min-dim", "1"], "free", None),
+            (["--max-codim", "4"], "n", True),
+            (["--max-codim", "4"], "n", 3.0),  # compared untyped, it would drop every record
+            (["--verdict", "stable"], "verdict", "ProvedStable"),
+            (["--verdict", "stable"], "verdict", {"tag": ["ProvedStable"]}),
+            (["--minimal-stable"], "minimal_stable", "true"),
+            (["--maximal-unstable"], "maximal_unstable", None),
+        ],
+    )
+    def test_query_checks_the_fields_it_filters_on(self, atlas2_lines, tmp_path, flags, field, value):
+        # the field wrong on every record, so no filter can skip it
+        records = [json.loads(line) for line in atlas2_lines[1:]]
+        bad = [{**r, field: value} for r in records]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in bad]) + "\n")
+        code, text = run(["atlas", "query", "--atlas", str(path), *flags])
+        assert code == 12 and text == ""
+
+    def test_query_rejects_a_line_that_is_not_json(self, atlas2_lines, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(atlas2_lines + ["{not json"]) + "\n")
+        code, _ = run(["atlas", "query", "--atlas", str(path), "--verdict", "unknown"])
         assert code == 12
 
     @pytest.mark.parametrize("command", ["query", "validate"])

@@ -323,6 +323,19 @@ def symmetric_patterns(n):
     yield SparsityPattern.from_pairs(n, [(1, j) for j in vertices if j > 1])  # star
 
 
+class TestKeyToPattern:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_key_matches_from_pairs_and_round_trips(self, n):
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        for key in range(1 << (n * n)):
+            bits = format(key, f"0{n * n}b")  # the first cell is the highest bit
+            reference = SparsityPattern.from_pairs(n, [c for c, b in zip(cells, bits) if b == "1"])
+            p = key_to_pattern(n, key)
+            assert p == reference
+            assert all(type(i) is int and type(j) is int for i, j in p.free)
+            assert pattern_to_key(p) == key
+
+
 class TestCanonicalFormMatchesReference:
     @staticmethod
     def check(p):

@@ -29,7 +29,7 @@ import sparsestab.verdict as verdict_module
 from sparsestab.errors import NumericalError, ValidationError
 from sparsestab.atlas import config_hash, enumerate_patterns
 from sparsestab.graphs import CHAIN_N_CAP, check_necessary, check_scc_sink, find_nested_chain
-from sparsestab.jsonio import verdict_to_dict
+from sparsestab.jsonio import verdict_from_dict, verdict_to_dict
 from sparsestab.patterns import canonical_form, key_to_pattern
 from sparsestab.numerics import HURWITZ_TOLERANCE, ordering_conjugation, spectral_abscissa
 from sparsestab.verdict import (
@@ -37,6 +37,7 @@ from sparsestab.verdict import (
     PROVED_UNSTABLE,
     EngineConfig,
     OracleResult,
+    StabilityVerdict,
     certificate_failures,
     derive_seed,
 )
@@ -417,6 +418,37 @@ class TestVerifyCertificate:
         matrix[i - 1, j - 1] = value
         with pytest.raises(ValidationError):
             verify_certificate(replace(v, oracle=replace(v.oracle, matrix=matrix)), GAP3)
+
+    def test_stabilized_product_beyond_float_range_fails(self):
+        # both arrays are finite; their product is not, and that is a
+        # failed claim rather than malformed input
+        cert = synthesize_stable_witness(FIG2_RIGHT, seed=5)
+        big = replace(cert, witness=cert.witness * 1e200, stabilizer=cert.stabilizer * 1e200)
+        assert certificate_failures(big) == ["stabilized matrix has entries beyond float range"]
+        assert not verify_certificate(big)
+
+    def test_bool_k_does_not_verify(self):
+        # the 2-cycle has no 1-cycle cover, so k=1 is its exact evidence;
+        # True == 1, but a bool is not a size
+        p = SparsityPattern.from_pairs(2, [(1, 2), (2, 1)])
+        v = StabilityVerdict(tag=PROVED_UNSTABLE, reason=NO_HAMILTONIAN_K, k=1)
+        assert verify_certificate(v, p)
+        assert not verify_certificate(replace(v, k=True), p)
+        assert not verify_certificate(replace(v, k=1.0), p)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"tag": PROVED_UNSTABLE, "reason": NO_HAMILTONIAN_K, "k": True},
+            {"tag": PROVED_UNSTABLE, "reason": NO_HAMILTONIAN_K, "k": 1.0},
+            {"tag": PROVED_UNSTABLE, "reason": "SccWithoutSink", "violating": [True]},
+            {"tag": PROVED_UNSTABLE, "reason": "SccWithoutSink", "violating": [1.0]},
+            {"tag": PROVED_UNSTABLE, "reason": "SccWithoutSink", "violating": "1"},
+        ],
+    )
+    def test_non_integer_instability_evidence_rejected(self, d):
+        with pytest.raises(ValidationError):
+            verdict_from_dict(d)
 
     def test_malformed_raises(self):
         cert = synthesize_stable_witness(FIG2_RIGHT, seed=5)

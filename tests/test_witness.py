@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sparsestab import (
+    StabilizationError,
     check_scc_sink,
     classify,
     verify_certificate,
@@ -163,6 +164,28 @@ class TestDiagonalStabilize:
     def test_zero_minor_rejected(self):
         with pytest.raises(ValueError):
             diagonal_stabilize(np.array([[0.0, -1.0], [2.0, -1.0]]))
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [[1e-310]],  # a finite input whose stabilizer entry 0.5 / 1e-310 is not
+            [[5e-324]],
+            [[3e-309]],  # d_1 = -0.5 / 3e-309 is finite; rescaled to abscissa -1, it is not
+            [[1e-300, 1e300], [1e300, 0.0]],  # the second minor ratio -1e900
+            [[1e-300, 1e300], [1e-300, 1.0]],  # d_1 * A_12 = 5e299 * 1e300
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_entries_beyond_float_range_raise(self, A):
+        with pytest.raises(StabilizationError):
+            diagonal_stabilize(A)
+
+    def test_far_apart_scales_stabilize(self):
+        # max |d| * max |A| overflows, but no entry of diag(D) @ A does
+        A = np.array([[1e-300, 0.0], [0.0, 1e300]])
+        D = diagonal_stabilize(A)
+        assert np.isfinite(D).all()
+        assert is_hurwitz(spectral_abscissa(np.diag(D) @ A))
 
     def test_random_nonzero_minor_inputs(self):
         rng = random.Random(59)
