@@ -2,10 +2,14 @@
 
 Patterns are enumerated as row-major bit keys; scanning keys in increasing
 order visits each orbit at its lexicographic minimum first, so
-representatives fall out of the scan already canonical and sorted.  Every
-representative is classified, then marked minimally-stable /
-maximally-unstable by toggling single cells and looking the neighbors up
-through their canonical keys.
+representatives fall out of the scan already canonical and sorted.  Each
+representative is decided after its children (one free entry removed):
+the stable patterns form an up-set, so a stable child's proof, moved
+through the symmetry that maps the child onto its representative, proves
+the parent stable, and only the rest are classified.  An inherited proof
+names the removed entry in its diagnostics.  Records are then marked
+minimally-stable / maximally-unstable by toggling single cells and looking
+the neighbors up through their canonical keys.
 
 Persistence is line-delimited json -- a header line, then one record per
 representative -- so long enumerations can resume: existing keys are
@@ -19,25 +23,35 @@ import os
 from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jsonio
 from .errors import CapabilityError, ValidationError
 from .graphs import find_nested_chain
+from .numerics import _abscissae, is_hurwitz
 from .patterns import (
     SparsityPattern,
+    _orbit_keys,
+    _symmetry,
     key_orbit,
     key_to_pattern,
     pattern_to_key,
 )
 from .verdict import (
+    CHAIN_FOUND,
+    ORACLE_FOUND,
     PROVED_STABLE,
     PROVED_UNSTABLE,
     UNKNOWN,
     EngineConfig,
+    OracleResult,
     StabilityVerdict,
+    _transport,
     classify,
 )
+from .witness import WitnessCertificate
 
-TOOL_VERSION = "0.4.0"
+TOOL_VERSION = "0.5.0"
 FULL_ENUMERATION_CAP = 4  # 2^(n^2) raw patterns; n=4 is 65536
 
 
@@ -147,7 +161,7 @@ def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
             lines = [line for line in fh.read().splitlines() if line.strip()]
         if not lines:
             raise ValidationError("no header line")
-        header = json.loads(lines[0])
+        header = _checked_header(json.loads(lines[0]))
         records = [
             _record_from_dict(d)
             for d in map(json.loads, lines[1:])
@@ -157,6 +171,16 @@ def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
         # any decode failure; JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ValidationError(f"malformed atlas file {path}: {exc}")
     return header, records
+
+
+def _checked_header(header) -> dict:
+    """The header, which must be a json object with int ``n`` and ``seed``
+    and string ``tool_version`` and ``config_hash``; raises
+    ValidationError otherwise."""
+    for name, kind in (("n", int), ("seed", int), ("tool_version", str), ("config_hash", str)):
+        if type(header) is not dict or type(header.get(name)) is not kind:
+            raise ValidationError(f"header field {name!r} must be a {kind.__name__}")
+    return header
 
 
 def _drop_torn_tail(path) -> None:
@@ -175,7 +199,9 @@ def classify_atlas(
 
     A child (one free entry removed) or parent (one added) is looked up by
     its canonical key, read from the orbit scan's table, in the one verdict
-    memo, so the neighbor scan costs no extra classifications.  With a path
+    memo, so the neighbor scan costs no extra classifications.  A
+    representative with a stable child inherits its proof and is not
+    classified (see _decide).  With a path
     the records stream-append in key order; re-running against an existing
     file resumes after the last written key, its records' verdicts seeding
     the memo; a record torn by a kill mid-write is dropped and redone.
@@ -217,7 +243,7 @@ def classify_atlas(
         """The verdict tag of raw's orbit; p, if given, is raw's pattern."""
         key = canon[raw]
         if key not in verdicts:
-            verdicts[key] = classify(p or key_to_pattern(n, key), scaled, seed)
+            _decide(n, key, p or key_to_pattern(n, key), canon, verdicts, scaled, seed)
         return verdicts[key].tag
 
     bits = [1 << b for b in range(n * n)]
@@ -250,6 +276,89 @@ def classify_atlas(
         if fh is not None:
             fh.close()
     return records
+
+
+def _decide(n, key, p, canon, verdicts, config, seed) -> None:
+    """Store in ``verdicts`` the verdict of representative ``key``, whose
+    pattern is p, after its children's.
+
+    Each child (one free entry removed, looked up by its canonical key) is
+    decided first, through the same memo, so every verdict depends on
+    (n, config, seed) alone, whichever lookup reaches it first.  A child's
+    Hurwitz matrix lies in p's matrix space, so a stable child's proof
+    proves p stable.  The first ChainFound child in bit order lends its
+    certificate: its chain is a chain of p, so classify would also find
+    one.  When every stable child is OracleFound, p gets the first one's
+    matrix unless p has a chain, which classify then certifies.  Without a
+    stable child, or when the carried proof fails its float Hurwitz
+    re-check, p is classified.  Recursion goes at most n^2 levels deep.
+    It is a module function, not a closure: a closure that calls itself
+    is a reference cycle, which would keep the memo alive until the cyclic
+    garbage collector runs.
+    """
+    children = [(b, key ^ 1 << b) for b in range(n * n) if key >> b & 1]
+    for _, raw in children:
+        if canon[raw] not in verdicts:
+            _decide(n, canon[raw], key_to_pattern(n, canon[raw]), canon, verdicts, config, seed)
+    stable = [
+        (b, raw, child)
+        for b, raw in children
+        if (child := verdicts[canon[raw]]).tag == PROVED_STABLE
+    ]
+    donor = next((d for d in stable if d[2].reason == CHAIN_FOUND), None)
+    if donor is None and stable and find_nested_chain(p) is None:
+        donor = stable[0]
+    verdict = _inherit(n, p, *donor) if donor else None
+    verdicts[key] = verdict or classify(p, config, seed)
+
+
+def _inherit(n, p, b, raw, child: StabilityVerdict) -> StabilityVerdict | None:
+    """p's verdict from its stable child ``raw`` (p without key bit b),
+    given the verdict ``child`` of raw's representative, or None when the
+    carried proof fails its float Hurwitz re-check.
+
+    raw is the image of the representative under a symmetry, so the proof
+    moves with it: the certificate's ordering and cycles are relabeled, each
+    cycle reversed under a transpose; the witness is relabeled and, with
+    the symmetry, transposed; the stabilizer is relabeled only, since
+    D W^T = (W D)^T has the spectrum of D W.  Relabeling and transposing
+    keep principal minors and map cycles onto cycles, so only the float
+    Hurwitz claim is checked again, on the product that certificate_failures
+    forms.  An oracle matrix moves like the witness.
+    """
+    # raw's orbit minimum is its representative, and _orbit_keys lists the
+    # symmetry that maps raw onto it first, as canonical_form does
+    image, transposed = _symmetry(n, int(_orbit_keys(n, raw).argmin()))
+    pos = n * n - 1 - b
+    note = (f"inherited from the child without entry ({pos // n + 1}, {pos % n + 1})",)
+    if child.certificate is None:
+        matrix = _transport(child.oracle.matrix, image, transposed)
+        abscissa = _abscissae(matrix[None])[0]
+        if not is_hurwitz(abscissa):
+            return None
+        oracle = OracleResult(matrix=matrix, restarts_used=0, best_abscissa=abscissa)
+        return StabilityVerdict(PROVED_STABLE, ORACLE_FOUND, oracle=oracle, diagnostics=note)
+    cert = child.certificate
+    label = [0] * n  # label[v]: the vertex of p (1-based) at the representative's vertex v
+    for a, v in enumerate(image):
+        label[v] = a + 1
+    witness = _transport(cert.witness, image, transposed)
+    stabilizer = cert.stabilizer.take(image)
+    product = stabilizer[:, None] * witness
+    if not np.isfinite(product).all() or not is_hurwitz(_abscissae(product[None])[0]):
+        return None
+    step = -1 if transposed else 1
+    cert = WitnessCertificate(
+        pattern=p,
+        ordering=tuple(label[v - 1] for v in cert.ordering),
+        prefix_cycles=tuple(
+            tuple(tuple(label[v - 1] for v in cycle[::step]) for cycle in cycles)
+            for cycles in cert.prefix_cycles
+        ),
+        witness=witness,
+        stabilizer=stabilizer,
+    )
+    return StabilityVerdict(PROVED_STABLE, CHAIN_FOUND, certificate=cert, diagnostics=note)
 
 
 @dataclass(frozen=True)

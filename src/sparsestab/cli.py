@@ -314,7 +314,9 @@ def _cmd_atlas(args, out) -> int:
     if args.atlas_command == "validate":
         config = _config(args)
         if args.atlas:
-            _, records = load_atlas(args.atlas)
+            header, records = load_atlas(args.atlas)
+            if header["n"] != args.n:
+                raise ValidationError(f"atlas file {args.atlas} has n={header['n']}, not {args.n}")
         else:
             records = classify_atlas(args.n, config, seed=args.seed)
         report = validate_structure_theorem(records, args.n)

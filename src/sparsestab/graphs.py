@@ -311,31 +311,35 @@ def _chain_order(rows) -> list[int] | None:
     row_of = _perfect_matching(rows, full)
     if row_of is None:
         return None
-    failed = bytearray(1 << len(rows))
     ordering = []
+    found = _reach(rows, bytearray(1 << len(rows)), ordering, full, row_of)
+    return ordering if found else None
 
-    def reach(mask, row_of) -> bool:
-        # mask has the perfect matching row_of; on success ordering holds
-        # a chain of mask, first vertex first
-        if mask & (mask - 1) == 0:
-            ordering.append(mask.bit_length() - 1)
+
+def _reach(rows, failed, ordering, mask, row_of) -> bool:
+    """Is ``mask``, with the perfect matching row_of, reachable?  On
+    success ``ordering`` holds a chain of mask, first vertex first; each set
+    found unreachable is marked in ``failed``.  A module function, not a
+    closure over the search's state: a closure that calls itself is a
+    reference cycle, which would keep ``failed`` alive until the cyclic
+    garbage collector runs."""
+    if mask & (mask - 1) == 0:
+        ordering.append(mask.bit_length() - 1)
+        return True
+    m = mask
+    while m:
+        bit = m & -m
+        m ^= bit
+        sub = mask ^ bit
+        if failed[sub]:
+            continue
+        v = bit.bit_length() - 1
+        rest = _drop_vertex(rows, sub, row_of, v)
+        if rest is not None and _reach(rows, failed, ordering, sub, rest):
+            ordering.append(v)
             return True
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            sub = mask ^ bit
-            if failed[sub]:
-                continue
-            v = bit.bit_length() - 1
-            rest = _drop_vertex(rows, sub, row_of, v)
-            if rest is not None and reach(sub, rest):
-                ordering.append(v)
-                return True
-            failed[sub] = 1
-        return False
-
-    return ordering if reach(full, row_of) else None
+        failed[sub] = 1
+    return False
 
 
 def find_nested_chain(p: SparsityPattern) -> ChainCertificate | None:

@@ -25,7 +25,10 @@ relies on one guarantee:
 - the synthesis check (synthesize_stable_witness) multiplies that
   stabilizer into the witness, the same product reordered;
 - the verifier (verdict.certificate_failures) checks both decoded arrays
-  and then their product.
+  and then their product;
+- the atlas's inherited proofs (atlas._inherit) move a decided child's
+  oracle matrix, whose entries they keep, or check the product of its
+  moved stabilizer and witness.
 """
 
 from __future__ import annotations
@@ -62,11 +65,13 @@ def _square(rows) -> int:
 
 def exact_rows(array) -> list[list[int | Fraction]]:
     """Rows of a float matrix converted exactly (no rounding): an integral
-    entry becomes an int, any other a Fraction."""
-    return [
-        [int(x) if x.is_integer() else Fraction(x) for x in row]
-        for row in np.asarray(array, dtype=float).tolist()
-    ]
+    entry becomes an int, any other a Fraction.  Raises ValueError on an
+    infinite or NaN entry, which only the conversion itself detects."""
+    rows = np.asarray(array, dtype=float).tolist()
+    try:
+        return [[int(x) if x.is_integer() else Fraction(x) for x in row] for row in rows]
+    except (OverflowError, ValueError):  # Fraction(inf), Fraction(nan)
+        raise ValueError("matrix entries must be finite") from None
 
 
 def _check_exact(rows) -> None:

@@ -243,6 +243,13 @@ def _orbit_keys(n: int, key: int) -> np.ndarray:
     return keys.ravel()
 
 
+def _symmetry(n: int, g: int) -> tuple[list[int], bool]:
+    """Symmetry g of _orbit_keys: the image of each vertex (0-based) under
+    its permutation, and whether it transposes first."""
+    column = _image_table(n)[:: n + 1, g // 2]  # the diagonal (v, v) goes to (perm v, perm v)
+    return [pos // (n + 1) for pos in column.tolist()], bool(g % 2)
+
+
 def key_orbit(n: int, key: int) -> set[int]:
     """All distinct images of a pattern key under relabeling and transpose."""
     return set(_orbit_keys(n, key).tolist())
@@ -372,10 +379,10 @@ def canonical_form(p: SparsityPattern) -> PatternOrbitInfo:
     n = p.n
     keys = _orbit_keys(n, pattern_to_key(p))
     g = int(keys.argmin())
-    column = _image_table(n)[:: n + 1, g // 2]  # the diagonal (v, v) goes to (perm v, perm v)
+    image, transposed = _symmetry(n, g)
     return PatternOrbitInfo(
         canonical=key_to_pattern(n, int(keys[g])),
         orbit_size=keys.size // int(np.count_nonzero(keys == keys[0])),
-        relabeling=Permutation(tuple(pos // (n + 1) + 1 for pos in column.tolist())),
-        transposed=bool(g % 2),
+        relabeling=Permutation(tuple(v + 1 for v in image)),
+        transposed=transposed,
     )

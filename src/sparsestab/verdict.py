@@ -201,19 +201,17 @@ def oracle_search(
     return OracleResult(None, config.oracle_restarts, float(best_abscissa))
 
 
-def _transport_from_canonical(matrix: np.ndarray, info) -> np.ndarray:
-    """Map a matrix on the canonical pattern back to the original support.
+def _transport(matrix: np.ndarray, image, transposed: bool) -> np.ndarray:
+    """A matrix on pattern q, given ``matrix`` on q's image under a symmetry
+    that transposes first when ``transposed`` and then sends vertex v to
+    image[v] (0-based).
 
-    canonical = relabel(transpose?(original)), so undo the relabeling with
-    the inverse index map, then transpose if that was applied.  Both moves
-    preserve the spectrum.
+    Entry (a, b) of the result is entry (image[a], image[b]) of ``matrix``,
+    then the result is transposed if the symmetry was.  Both moves preserve
+    the spectrum.
     """
-    sigma = info.relabeling
-    idx = [sigma(a) - 1 for a in range(1, sigma.n + 1)]
-    out = matrix[np.ix_(idx, idx)]
-    if info.transposed:
-        out = out.T
-    return out
+    out = matrix.take(image, axis=0).take(image, axis=1)  # matrix[np.ix_(image, image)], faster
+    return out.T if transposed else out
 
 
 def classify(
@@ -260,7 +258,10 @@ def classify(
         target, config, seed=derive_seed(seed, p.n, target.bitkey(), "oracle")
     )
     if result.found:
-        matrix = result.matrix if info is None else _transport_from_canonical(result.matrix, info)
+        matrix = result.matrix
+        if info is not None:  # canonical = relabeling(transpose?(p))
+            image = [v - 1 for v in info.relabeling.mapping]
+            matrix = _transport(matrix, image, info.transposed)
         if is_hurwitz(spectral_abscissa(matrix)):
             return StabilityVerdict(
                 tag=PROVED_STABLE,

@@ -1,7 +1,11 @@
+import collections
+import gc
 import hashlib
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from sparsestab import (
@@ -21,7 +25,13 @@ import sparsestab.atlas as atlas_module
 from sparsestab.atlas import config_hash
 from sparsestab.jsonio import verdict_to_dict
 from sparsestab.patterns import key_orbit, key_to_pattern, pattern_to_key
-from sparsestab.verdict import PROVED_STABLE, PROVED_UNSTABLE, EngineConfig
+from sparsestab.verdict import (
+    CHAIN_FOUND,
+    ORACLE_FOUND,
+    PROVED_STABLE,
+    PROVED_UNSTABLE,
+    EngineConfig,
+)
 
 
 class TestEnumerate:
@@ -114,11 +124,128 @@ class TestClassifyAtlas:
             for raw in rng.sample(orbit, min(3, len(orbit))):
                 assert classify(key_to_pattern(3, raw), cfg).tag == rec.verdict.tag
 
-    def test_records_match_fresh_classification(self, atlas3):
-        rng = random.Random(71)
-        for rec in rng.sample(atlas3, 8):
-            v = classify(rec.pattern)
-            assert v.tag == rec.verdict.tag and v.reason == rec.verdict.reason
+    def test_records_match_fresh_classification(self, atlas2, atlas3):
+        # an inherited proof keeps the (tag, reason) that classify gives
+        for records in (classify_atlas(1), atlas2, atlas3):
+            for rec in records:
+                v = classify(rec.pattern)
+                assert (v.tag, v.reason) == (rec.verdict.tag, rec.verdict.reason), rec.key
+
+    def test_n4_records_verify(self, atlas4_timed):
+        records = atlas4_timed[0]
+        assert all(verify_certificate(rec.verdict, rec.pattern) for rec in records)
+        # the split a fresh classify of every representative gives
+        reasons = collections.Counter((rec.verdict.tag, rec.verdict.reason) for rec in records)
+        assert reasons == {
+            (PROVED_STABLE, CHAIN_FOUND): 827,
+            (PROVED_STABLE, ORACLE_FOUND): 56,
+            (PROVED_UNSTABLE, "NoHamiltonianK"): 56,
+            (PROVED_UNSTABLE, "NoSink"): 144,
+            (PROVED_UNSTABLE, "SccWithoutSink"): 655,
+            ("Unknown", "Exhausted"): 2,
+        }
+        inherited = [rec.verdict for rec in records if is_inherited(rec)]
+        assert collections.Counter(v.reason for v in inherited) == {CHAIN_FOUND: 804, ORACLE_FOUND: 40}
+        assert all(v.oracle.restarts_used == 0 for v in inherited if v.oracle is not None)
+
+
+def is_inherited(rec) -> bool:
+    return any(d.startswith("inherited from the child") for d in rec.verdict.diagnostics)
+
+
+# GAP3 has no nested chain, and the oracle proves it stable.  At n = 3 every
+# pattern with one more entry has a chain, so only n = 4 atlases inherit
+# oracle matrices, and the tests below move GAP3's by hand.
+GAP3 = SparsityPattern.from_pairs(3, [(1, 3), (2, 1), (2, 2), (3, 1), (3, 2)])
+
+
+class TestInheritance:
+    """A stable representative with a stable child (one entry removed)
+    carries that child's proof over instead of being classified."""
+
+    def test_inherited_records_name_the_removed_entry(self, atlas3):
+        inherited = [rec for rec in atlas3 if is_inherited(rec)]
+        assert len(inherited) == 25
+        for rec in inherited:
+            assert rec.verdict.reason == CHAIN_FOUND and not rec.minimal_stable
+            (note,) = rec.verdict.diagnostics
+            i, j = map(int, note[note.index("(") + 1 : -1].split(", "))
+            child = SparsityPattern(3, rec.pattern.free - {(i, j)})
+            assert verify_certificate(rec.verdict.certificate, child)
+            assert rec.verdict.certificate.pattern == rec.pattern
+
+    def test_both_transport_branches_run(self, monkeypatch):
+        symmetries = []
+
+        def spy(n, g):
+            symmetries.append(atlas_symmetry(n, g))
+            return symmetries[-1]
+
+        atlas_symmetry = atlas_module._symmetry
+        monkeypatch.setattr(atlas_module, "_symmetry", spy)
+        records = classify_atlas(3)
+        assert len(symmetries) == sum(map(is_inherited, records))
+        assert any(transposed for _, transposed in symmetries)
+        assert any(image != sorted(image) for image, _ in symmetries)
+
+    def test_failed_recheck_falls_back_to_classify(self, monkeypatch):
+        monkeypatch.setattr(atlas_module, "is_hurwitz", lambda abscissa: False)
+        scaled = EngineConfig().scaled_oracle(10)
+        for rec in classify_atlas(3):
+            assert verdict_to_dict(rec.verdict) == verdict_to_dict(classify(rec.pattern, scaled))
+
+    def test_oracle_matrix_moves_to_the_parent(self):
+        # every image of GAP3 under relabeling and transpose, as a child of
+        # each pattern with one more entry: GAP3's own matrix moves through
+        # the symmetry that maps the image back onto GAP3
+        n = 3
+        child = classify(GAP3)
+        assert child.reason == ORACLE_FOUND
+        images = set()
+        for perm in itertools.permutations(range(1, n + 1)):
+            for transposed in (False, True):
+                raw_child = SparsityPattern(
+                    n,
+                    frozenset(
+                        (perm[j - 1], perm[i - 1]) if transposed else (perm[i - 1], perm[j - 1])
+                        for i, j in GAP3.free
+                    ),
+                )
+                raw = pattern_to_key(raw_child)
+                images.add(raw)
+                for entry in sorted(set(SparsityPattern.full(n).free) - raw_child.free):
+                    parent = SparsityPattern(n, raw_child.free | {entry})
+                    b = n * n - 1 - ((entry[0] - 1) * n + entry[1] - 1)
+                    v = atlas_module._inherit(n, parent, b, raw, child)
+                    assert (v.tag, v.reason, v.oracle.restarts_used) == (
+                        PROVED_STABLE,
+                        ORACLE_FOUND,
+                        0,
+                    )
+                    assert v.diagnostics == (f"inherited from the child without entry {entry}",)
+                    assert verify_certificate(v, parent), (perm, transposed, entry)
+                    if raw == pattern_to_key(GAP3):
+                        assert np.array_equal(v.oracle.matrix, child.oracle.matrix)
+        assert len(images) == 6
+
+    def test_oracle_recheck_failure_returns_none(self, monkeypatch):
+        monkeypatch.setattr(atlas_module, "is_hurwitz", lambda abscissa: False)
+        parent = SparsityPattern(3, GAP3.free | {(1, 1)})
+        assert atlas_module._inherit(3, parent, 8, pattern_to_key(GAP3), classify(GAP3)) is None
+
+    def test_builds_leave_no_reference_cycles(self):
+        # a cycle keeps a build's memo, or a chain search's 2^|B| table,
+        # alive until the cyclic collector runs
+        classify_atlas(2)
+        gc.collect()
+        gc.disable()
+        try:
+            classify_atlas(3)
+            assert gc.collect() == 0
+            assert classify(SparsityPattern.full(4)).reason == CHAIN_FOUND
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPersistence:
@@ -148,8 +275,8 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "n, size, digest",
         [
-            (2, 2594, "cbbcea48efca5e6258218b1294768263d5f47f76c024146cbf1c8dbc6ddb19e2"),
-            (3, 24939, "5c88091d630cab864e9e794886507cb2f9dcbc7ef3ab7ad9546338e0d848d947"),
+            (2, 2721, "7d1148d74b6f1c14ef7d5cd859ca11cad7f8bed3a4886857625747e70e2e847c"),
+            (3, 26524, "33c41a9ee409a095b5f19a7cf5b8b787ac4917e4593d9301f3ea2552051905fe"),
         ],
     )
     def test_file_bytes_pinned(self, tmp_path, n, size, digest):
@@ -194,6 +321,8 @@ class TestPersistence:
         assert config_hash(EngineConfig()) != config_hash(EngineConfig(oracle_restarts=2))
 
     def test_one_classification_per_representative(self, monkeypatch):
+        # once for each representative that inherits no proof, never for
+        # one that does
         calls = []
 
         def counting(p, config, seed):
@@ -202,7 +331,8 @@ class TestPersistence:
 
         monkeypatch.setattr(atlas_module, "classify", counting)
         records = classify_atlas(3)
-        assert sorted(key for key, _ in calls) == [r.key for r in records]
+        assert sorted(key for key, _ in calls) == [r.key for r in records if not is_inherited(r)]
+        assert len(calls) == 49
         assert {restarts for _, restarts in calls} == {10 * EngineConfig().oracle_restarts}
 
     def test_resume_classifies_only_missing_keys(self, tmp_path, monkeypatch):
@@ -217,8 +347,43 @@ class TestPersistence:
 
         monkeypatch.setattr(atlas_module, "classify", counting)
         classify_atlas(3, path=part)
-        assert sorted(calls) == [r.key for r in records[20:]]
+        assert calls and set(calls) <= {r.key for r in records[20:]}
+        assert len(calls) == len(set(calls))
         assert part.read_bytes() == full.read_bytes()
+
+    def test_resume_from_every_truncation_point(self, tmp_path):
+        # each verdict is decided after its children whichever lookup
+        # reaches it, so a resumed build writes what a full one does
+        full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
+        classify_atlas(3, path=full)
+        data = full.read_bytes()
+        lines = data.splitlines(keepends=True)
+        assert len(lines) == 75
+        for k in range(1, len(lines) + 1):
+            part.write_bytes(b"".join(lines[:k]))
+            classify_atlas(3, path=part)
+            assert part.read_bytes() == data, k
+
+    def test_header_is_checked(self, tmp_path):
+        full = tmp_path / "full.jsonl"
+        classify_atlas(2, path=full)
+        header, *rest = full.read_text().splitlines(keepends=True)
+        good = json.loads(header)
+        for bad in (
+            "not a header",
+            [],
+            {**good, "n": True},
+            {**good, "n": 2.0},
+            {**good, "seed": "0"},
+            {**good, "tool_version": 5},
+            {k: v for k, v in good.items() if k != "config_hash"},
+        ):
+            path = tmp_path / "bad.jsonl"
+            path.write_text(json.dumps(bad) + "\n" + "".join(rest))
+            with pytest.raises(ValidationError, match="header"):
+                load_atlas(path)
+            with pytest.raises(ValidationError, match="header"):
+                query_atlas(path, {})
 
     @pytest.mark.parametrize("n", [-1, 0, 5])
     def test_size_outside_enumeration_rejected(self, n):

@@ -272,6 +272,29 @@ class TestVersion030Files:
         assert code == 12 and text == ""
 
 
+class TestVersion040Files:
+    """Files written by 0.4.0 classified every representative: a stable one
+    carries its own proof, not one inherited from a stable child."""
+
+    PATH = DATA / "atlas_n2_0.4.0.jsonl"
+
+    def test_atlas_validates(self):
+        assert '"inherited' not in self.PATH.read_text()
+        code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(self.PATH)])
+        assert code == 0 and "FAIL" not in text and "re-verified 9 of 9 records" in text
+
+    def test_atlas_queries(self):
+        code, text = run(["atlas", "query", "--atlas", str(self.PATH), "--verdict", "stable"])
+        assert code == 0 and text.startswith("4 matching records")
+
+    def test_classify_does_not_resume(self, tmp_path):
+        path = tmp_path / "n2.jsonl"
+        shutil.copy(self.PATH, path)
+        code, text = run(["atlas", "classify", "-n", "2", "--atlas", str(path)])
+        assert code == 12 and text == ""
+        assert path.read_bytes() == self.PATH.read_bytes()
+
+
 def test_version_is_one_constant():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
@@ -425,6 +448,33 @@ class TestErrorPaths:
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in bad]) + "\n")
         code, text = run(["atlas", "query", "--atlas", str(path), *flags])
+        assert code == 12 and text == ""
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            '"not a header"',
+            "[]",
+            '{"config_hash": "065a4abbe7f4", "n": 2, "seed": 0}',
+            '{"config_hash": "065a4abbe7f4", "n": "2", "seed": 0, "tool_version": "0.5.0"}',
+            '{"config_hash": "065a4abbe7f4", "n": 2, "seed": false, "tool_version": "0.5.0"}',
+            '{"config_hash": 1, "n": 2, "seed": 0, "tool_version": "0.5.0"}',
+        ],
+    )
+    @pytest.mark.parametrize("command", ["query", "validate"])
+    def test_malformed_header(self, atlas2_lines, tmp_path, header, command):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([header] + atlas2_lines[1:]) + "\n")
+        argv = ["atlas", command, "--atlas", str(path)] + (["-n", "2"] if command == "validate" else [])
+        code, text = run(argv)
+        assert code == 12 and text == ""
+
+    def test_validate_checks_the_header_size(self, atlas2_lines, tmp_path):
+        # n=2 records under a header that says n=3
+        header = {**json.loads(atlas2_lines[0]), "n": 3}
+        path = tmp_path / "n2.jsonl"
+        path.write_text("\n".join([json.dumps(header)] + atlas2_lines[1:]) + "\n")
+        code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
         assert code == 12 and text == ""
 
     def test_query_rejects_a_line_that_is_not_json(self, atlas2_lines, tmp_path):

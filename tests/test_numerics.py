@@ -81,6 +81,11 @@ class TestExactMatrix:
         assert all(type(x) in (int, Fraction) for row in A for x in row)
         assert [[float(x) for x in row] for row in A] == M.tolist()
 
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_entry_named(self, x):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            exact_rows(np.array([[1.0, 2.0], [x, 0.5]]))
+
     def test_determinant_bareiss_matches_gauss(self):
         rng = random.Random(2)
         for _ in range(20):

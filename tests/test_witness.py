@@ -214,6 +214,16 @@ class TestDiagonalStabilize:
         assert is_hurwitz(spectral_abscissa(conj_D @ conj_A))
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("stabilize", [diagonal_stabilize, corollary_stabilize])
+    @pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+    def test_named_value_error(self, stabilize, x):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            stabilize([[x]])
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            stabilize(np.array([[1.0, 0.0], [x, 1.0]]))
+
+
 class TestCorollaryStabilize:
     def test_counterexample_matrix(self):
         A = np.array([[0.0, -1.0], [2.0, -1.0]])
