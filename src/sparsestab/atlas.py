@@ -1,8 +1,8 @@
 """Exhaustive classification of small patterns up to symmetry.
 
-Patterns are enumerated as row-major bit keys; scanning keys in increasing
-order visits each orbit at its lexicographic minimum first, so
-representatives fall out of the scan already canonical and sorted.  Each
+Patterns are enumerated as row-major bit keys.  One table per call gives
+every key's orbit minimum, its canonical key; the keys that are their own
+minimum are the representatives, already canonical and sorted.  Each
 representative is decided after its children (one free entry removed):
 the stable patterns form an up-set, so a stable child's proof, moved
 through the symmetry that maps the child onto its representative, proves
@@ -18,10 +18,12 @@ skipped and classification continues where the file stopped.
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +33,9 @@ from .graphs import find_nested_chain
 from .numerics import _abscissae, is_hurwitz
 from .patterns import (
     SparsityPattern,
-    _orbit_keys,
+    _image_table,
+    _key_bits,
     _symmetry,
-    key_orbit,
     key_to_pattern,
     pattern_to_key,
 )
@@ -81,18 +83,48 @@ def config_hash(config: EngineConfig) -> str:
     return blake2b(payload.encode(), digest_size=6).hexdigest()
 
 
-def _scan_orbits(n: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """Every orbit as (canonical key, orbit size) in key order, and the
-    canonical key of each of the 2^(n^2) raw keys."""
-    canon = [-1] * (1 << (n * n))
-    reps = []
-    for key in range(len(canon)):
-        if canon[key] < 0:
-            orbit = key_orbit(n, key)
-            for img in orbit:
-                canon[img] = key
-            reps.append((key, len(orbit)))
-    return reps, canon
+class _OrbitTable(NamedTuple):
+    """Every orbit as (canonical key, orbit size) in key order; then, for
+    each raw key, its canonical key and the first symmetry g of
+    _orbit_keys that maps it there."""
+
+    reps: list[tuple[int, int]]
+    canon: list[int]
+    symmetry: list[int]
+
+
+def _orbit_table(n: int) -> _OrbitTable:
+    """The orbit of each of the 2^(n^2) raw keys: for every key at once,
+    the min and argmin of _orbit_keys, as a running minimum over the
+    2*n! symmetries.
+
+    A symmetry maps a key bit by bit, so its images of all keys fill in
+    one doubling pass: the keys with top bit b are those below 2^b with
+    b's image added.  One image array lives at a time, never a
+    [2^(n^2), 2*n!] matrix.
+    """
+    total = n * n
+    size = 1 << total
+    dtype = np.min_scalar_type(size - 1)
+    # moved[b, g]: where symmetry g sends key bit b (least significant
+    # first); column 2r + t is permutation r after a transpose when t is 1,
+    # as in _orbit_keys
+    moved = _key_bits(n)[_image_table(n)].reshape(total, -1)[::-1].astype(dtype)
+    canon = np.arange(size, dtype=dtype)  # symmetry 0 is the identity
+    first = np.zeros(size, dtype=np.uint8)
+    image = np.zeros_like(canon)
+    less = np.empty(size, dtype=bool)
+    for g in range(1, moved.shape[1]):
+        for b, high in enumerate(moved[:, g]):
+            np.bitwise_or(image[: 1 << b], high, out=image[1 << b : 2 << b])
+        np.less(image, canon, out=less)
+        first[less] = g  # strictly less: the first symmetry reaching the minimum stays
+        np.minimum(image, canon, out=canon)
+    keys = np.flatnonzero(canon == np.arange(size))
+    sizes = np.bincount(canon, minlength=size)[keys]
+    return _OrbitTable(
+        list(zip(keys.tolist(), sizes.tolist())), canon.tolist(), first.tolist()
+    )
 
 
 def enumerate_patterns(n: int, filter=None):
@@ -101,7 +133,7 @@ def enumerate_patterns(n: int, filter=None):
     CapabilityError."""
     if not 1 <= n <= FULL_ENUMERATION_CAP:
         raise CapabilityError(f"enumeration needs 1 <= n <= {FULL_ENUMERATION_CAP}")
-    for key, orbit_size in _scan_orbits(n)[0]:
+    for key, orbit_size in _orbit_table(n).reps:
         p = key_to_pattern(n, key)
         if filter is None or filter(p):
             yield p, orbit_size
@@ -198,19 +230,22 @@ def classify_atlas(
     """Classify every orbit representative and mark minimal/maximal.
 
     A child (one free entry removed) or parent (one added) is looked up by
-    its canonical key, read from the orbit scan's table, in the one verdict
-    memo, so the neighbor scan costs no extra classifications.  A
-    representative with a stable child inherits its proof and is not
-    classified (see _decide).  With a path
-    the records stream-append in key order; re-running against an existing
-    file resumes after the last written key, its records' verdicts seeding
-    the memo; a record torn by a kill mid-write is dropped and redone.
+    its canonical key, read from the orbit table, in the one memo of
+    patterns and verdicts, so the neighbor scan costs no extra
+    classifications.  A representative with a stable child inherits its
+    proof and is not classified (see _decide).  With a path the records
+    stream-append in key order; re-running against an existing file
+    resumes after the last written key, its records seeding the memo; a
+    record torn by a kill mid-write is dropped and redone.  Existing
+    records that repeat a key or hold a key that is not a representative
+    raise ValidationError.
     """
     if not 1 <= n <= FULL_ENUMERATION_CAP:
         raise CapabilityError(f"atlas classification needs 1 <= n <= {FULL_ENUMERATION_CAP}")
     config = config or EngineConfig()
-    reps, canon = _scan_orbits(n)
-    verdicts: dict[int, StabilityVerdict] = {}
+    orbits = _orbit_table(n)
+    # memo[key]: representative key's pattern and verdict
+    memo: dict[int, tuple[SparsityPattern, StabilityVerdict]] = {}
 
     existing: dict[int, AtlasRecord] = {}
     fh = None
@@ -225,8 +260,13 @@ def classify_atlas(
                     f"{header} != {expected}"
                 )
             for rec in old_records:
-                existing[rec.key] = rec
-                verdicts[rec.key] = rec.verdict
+                key = rec.key
+                if rec.pattern.n != n or orbits.canon[key] != key or key in existing:
+                    raise ValidationError(
+                        f"atlas file {path} holds a repeated or non-representative key {key}"
+                    )
+                existing[key] = rec
+                memo[key] = rec.pattern, rec.verdict
             fh = open(path, "a", encoding="utf-8")
         else:
             fh = open(path, "w", encoding="utf-8")
@@ -239,32 +279,32 @@ def classify_atlas(
     # per Unknown.
     scaled = config.scaled_oracle(10)
 
-    def tag_of(raw: int, p: SparsityPattern | None = None) -> str:
-        """The verdict tag of raw's orbit; p, if given, is raw's pattern."""
-        key = canon[raw]
-        if key not in verdicts:
-            _decide(n, key, p or key_to_pattern(n, key), canon, verdicts, scaled, seed)
-        return verdicts[key].tag
+    def tag_of(raw: int) -> str:
+        """The verdict tag of raw's orbit."""
+        key = orbits.canon[raw]
+        if key not in memo:
+            _decide(n, key, orbits, memo, scaled, seed)
+        return memo[key][1].tag
 
     bits = [1 << b for b in range(n * n)]
     records: list[AtlasRecord] = []
     try:
-        for key, orbit_size in reps:
+        for key, orbit_size in orbits.reps:
             if key in existing:
                 records.append(existing[key])
                 continue
-            p = key_to_pattern(n, key)
-            tag = tag_of(key, p)
+            tag = tag_of(key)
             minimal_stable = tag == PROVED_STABLE and all(
                 tag_of(key ^ bit) != PROVED_STABLE for bit in bits if key & bit
             )
             maximal_unstable = tag == PROVED_UNSTABLE and all(
                 tag_of(key | bit) == PROVED_STABLE for bit in bits if not key & bit
             )
+            p, verdict = memo[key]
             rec = AtlasRecord(
                 pattern=p,
                 orbit_size=orbit_size,
-                verdict=verdicts[key],
+                verdict=verdict,
                 minimal_stable=minimal_stable,
                 maximal_unstable=maximal_unstable,
             )
@@ -278,9 +318,9 @@ def classify_atlas(
     return records
 
 
-def _decide(n, key, p, canon, verdicts, config, seed) -> None:
-    """Store in ``verdicts`` the verdict of representative ``key``, whose
-    pattern is p, after its children's.
+def _decide(n, key, orbits: _OrbitTable, memo, config, seed) -> None:
+    """Store in ``memo`` the pattern and verdict of representative ``key``,
+    after its children's.
 
     Each child (one free entry removed, looked up by its canonical key) is
     decided first, through the same memo, so every verdict depends on
@@ -296,39 +336,40 @@ def _decide(n, key, p, canon, verdicts, config, seed) -> None:
     is a reference cycle, which would keep the memo alive until the cyclic
     garbage collector runs.
     """
+    canon = orbits.canon
     children = [(b, key ^ 1 << b) for b in range(n * n) if key >> b & 1]
     for _, raw in children:
-        if canon[raw] not in verdicts:
-            _decide(n, canon[raw], key_to_pattern(n, canon[raw]), canon, verdicts, config, seed)
+        if canon[raw] not in memo:
+            _decide(n, canon[raw], orbits, memo, config, seed)
     stable = [
-        (b, raw, child)
+        (b, orbits.symmetry[raw], child)
         for b, raw in children
-        if (child := verdicts[canon[raw]]).tag == PROVED_STABLE
+        if (child := memo[canon[raw]][1]).tag == PROVED_STABLE
     ]
+    p = key_to_pattern(n, key)
     donor = next((d for d in stable if d[2].reason == CHAIN_FOUND), None)
     if donor is None and stable and find_nested_chain(p) is None:
         donor = stable[0]
     verdict = _inherit(n, p, *donor) if donor else None
-    verdicts[key] = verdict or classify(p, config, seed)
+    memo[key] = p, verdict or classify(p, config, seed)
 
 
-def _inherit(n, p, b, raw, child: StabilityVerdict) -> StabilityVerdict | None:
-    """p's verdict from its stable child ``raw`` (p without key bit b),
-    given the verdict ``child`` of raw's representative, or None when the
-    carried proof fails its float Hurwitz re-check.
+def _inherit(n, p, b, g, child: StabilityVerdict) -> StabilityVerdict | None:
+    """p's verdict from its stable child (p without key bit b), given the
+    verdict ``child`` of the child's representative and the symmetry g of
+    _orbit_keys that maps the child onto that representative, or None when
+    the carried proof fails its float Hurwitz re-check.
 
-    raw is the image of the representative under a symmetry, so the proof
-    moves with it: the certificate's ordering and cycles are relabeled, each
-    cycle reversed under a transpose; the witness is relabeled and, with
-    the symmetry, transposed; the stabilizer is relabeled only, since
-    D W^T = (W D)^T has the spectrum of D W.  Relabeling and transposing
+    The child is the image of the representative under a symmetry, so the
+    proof moves with it: the certificate's ordering and cycles are
+    relabeled, each cycle reversed under a transpose; the witness is
+    relabeled and, with the symmetry, transposed; the stabilizer is
+    relabeled only, since D W^T = (W D)^T has the spectrum of D W.  Relabeling and transposing
     keep principal minors and map cycles onto cycles, so only the float
     Hurwitz claim is checked again, on the product that certificate_failures
     forms.  An oracle matrix moves like the witness.
     """
-    # raw's orbit minimum is its representative, and _orbit_keys lists the
-    # symmetry that maps raw onto it first, as canonical_form does
-    image, transposed = _symmetry(n, int(_orbit_keys(n, raw).argmin()))
+    image, transposed = _symmetry(n, g)
     pos = n * n - 1 - b
     note = (f"inherited from the child without entry ({pos // n + 1}, {pos % n + 1})",)
     if child.certificate is None:
@@ -412,16 +453,28 @@ def validate_structure_theorem(records: list[AtlasRecord], n: int) -> StructureR
     unstable; (e) at least one free diagonal entry plus at most n-2
     off-diagonal zeros forces a nested chain.  A failure here indicates an
     implementation bug and is reported loudly, never silently dropped.
+
+    Records that repeat a key, or whose orbit sizes do not sum to 2^(n^2),
+    raise ValidationError; with distinct keys, each canonical with its own
+    orbit size (which atlas validate checks per record), the sum makes them
+    exactly the representatives.  As for classify_atlas, n outside 1..4
+    raises CapabilityError.
     """
+    if not 1 <= n <= FULL_ENUMERATION_CAP:
+        raise CapabilityError(f"atlas validation needs 1 <= n <= {FULL_ENUMERATION_CAP}")
     if not records:
         raise ValidationError("empty atlas")
+    by_key = {rec.key: rec for rec in records}
+    if len(by_key) != len(records):
+        counts = collections.Counter(rec.key for rec in records)
+        repeated = sorted(key for key in counts if counts[key] > 1)
+        raise ValidationError(f"atlas repeats record keys {repeated}")
     expected = 1 << (n * n)
     covered = sum(rec.orbit_size for rec in records)
     if covered != expected:
         raise ValidationError(
             f"incomplete atlas: orbit sizes cover {covered} of {expected} patterns"
         )
-    by_key = {rec.key: rec for rec in records}
     checks = {}
 
     stable = [r for r in records if r.verdict.tag == PROVED_STABLE]
@@ -452,7 +505,7 @@ def validate_structure_theorem(records: list[AtlasRecord], n: int) -> StructureR
     zero_diag = SparsityPattern(
         n, frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
     )
-    zd_key = min(key_orbit(n, pattern_to_key(zero_diag)))
+    zd_key = pattern_to_key(zero_diag)  # every symmetry fixes it, so it is canonical
     zd_rec = by_key.get(zd_key)
     ok_d = (
         zd_rec is not None

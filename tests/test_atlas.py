@@ -24,7 +24,7 @@ from sparsestab import (
 import sparsestab.atlas as atlas_module
 from sparsestab.atlas import config_hash
 from sparsestab.jsonio import verdict_to_dict
-from sparsestab.patterns import key_orbit, key_to_pattern, pattern_to_key
+from sparsestab.patterns import _orbit_keys, key_orbit, key_to_pattern, pattern_to_key
 from sparsestab.verdict import (
     CHAIN_FOUND,
     ORACLE_FOUND,
@@ -68,6 +68,45 @@ class TestEnumerate:
     def test_n6_rejected(self):
         with pytest.raises(CapabilityError):
             list(enumerate_patterns(6))
+
+
+class TestOrbitTable:
+    @pytest.mark.parametrize("n, stride", [(1, 1), (2, 1), (3, 1), (4, 97)])
+    def test_min_and_argmin_of_orbit_keys(self, n, stride):
+        table = atlas_module._orbit_table(n)
+        for raw in range(0, 1 << (n * n), stride):
+            keys = _orbit_keys(n, raw)
+            assert (table.canon[raw], table.symmetry[raw]) == (keys.min(), keys.argmin()), raw
+
+    @pytest.mark.parametrize("n, count", [(1, 2), (2, 9), (3, 74), (4, 1740)])
+    def test_representatives_cover_every_key(self, n, count):
+        table = atlas_module._orbit_table(n)
+        assert len(table.reps) == count
+        assert sum(size for _, size in table.reps) == 1 << (n * n)
+        assert [key for key, _ in table.reps] == sorted(set(table.canon))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_zero_diagonal_is_its_own_orbit(self, n):
+        # validate_structure_theorem looks its record up by its own key,
+        # without an orbit lookup
+        free = SparsityPattern.full(n).free - SparsityPattern.diagonal(n).free
+        key = pattern_to_key(SparsityPattern(n, free))
+        assert key_orbit(n, key) == {key}
+
+    def test_n3_build_decodes_each_representative_once(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(atlas_module, name, wrapper)
+
+        counting("key_to_pattern", atlas_module.key_to_pattern)
+        counting("_orbit_table", atlas_module._orbit_table)
+        classify_atlas(3)
+        assert calls == {"key_to_pattern": 74, "_orbit_table": 1}
 
 
 class TestClassifyAtlas:
@@ -199,6 +238,7 @@ class TestInheritance:
         # each pattern with one more entry: GAP3's own matrix moves through
         # the symmetry that maps the image back onto GAP3
         n = 3
+        symmetry = atlas_module._orbit_table(n).symmetry
         child = classify(GAP3)
         assert child.reason == ORACLE_FOUND
         images = set()
@@ -216,7 +256,7 @@ class TestInheritance:
                 for entry in sorted(set(SparsityPattern.full(n).free) - raw_child.free):
                     parent = SparsityPattern(n, raw_child.free | {entry})
                     b = n * n - 1 - ((entry[0] - 1) * n + entry[1] - 1)
-                    v = atlas_module._inherit(n, parent, b, raw, child)
+                    v = atlas_module._inherit(n, parent, b, symmetry[raw], child)
                     assert (v.tag, v.reason, v.oracle.restarts_used) == (
                         PROVED_STABLE,
                         ORACLE_FOUND,
@@ -231,7 +271,8 @@ class TestInheritance:
     def test_oracle_recheck_failure_returns_none(self, monkeypatch):
         monkeypatch.setattr(atlas_module, "is_hurwitz", lambda abscissa: False)
         parent = SparsityPattern(3, GAP3.free | {(1, 1)})
-        assert atlas_module._inherit(3, parent, 8, pattern_to_key(GAP3), classify(GAP3)) is None
+        g = atlas_module._orbit_table(3).symmetry[pattern_to_key(GAP3)]
+        assert atlas_module._inherit(3, parent, 8, g, classify(GAP3)) is None
 
     def test_builds_leave_no_reference_cycles(self):
         # a cycle keeps a build's memo, or a chain search's 2^|B| table,
@@ -479,6 +520,20 @@ class TestValidate:
     def test_incomplete_atlas_rejected(self, atlas2):
         with pytest.raises(ValidationError):
             validate_structure_theorem(atlas2[:-1], 2)
+
+    def test_repeated_key_rejected(self, atlas3):
+        # {(3,3)} (key 1) in place of {(2,3),(3,2)} (key 10): both orbits
+        # have size 3, so the sizes still cover all 512 patterns
+        one = next(r for r in atlas3 if r.key == 1)
+        records = [one if r.key == 10 else r for r in atlas3]
+        assert sum(r.orbit_size for r in records) == 512
+        with pytest.raises(ValidationError, match=r"repeats record keys \[1\]"):
+            validate_structure_theorem(records, 3)
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_size_outside_enumeration_rejected(self, atlas2, n):
+        with pytest.raises(CapabilityError):
+            validate_structure_theorem(atlas2, n)
 
     def test_report_summary_mentions_all_checks(self, atlas2):
         text = validate_structure_theorem(atlas2, 2).summary()

@@ -213,6 +213,33 @@ class TestAtlasCommands:
         assert code == 1 and "FAIL" not in text and "re-verified 7 of 9 records" in text
         assert f"failing keys: {sorted([key_of(small), key_of(large)])}" in text
 
+    def test_repeated_key_rejected_by_validate_and_resume(self, atlas3_lines, tmp_path):
+        # {(3,3)} (key 1) in place of {(2,3),(3,2)} (key 10): both orbits
+        # have size 3, so the sizes still cover all 512 patterns
+        records = [json.loads(line) for line in atlas3_lines[1:]]
+        one = next(r for r in records if key_of(r) == 1)
+        forged = [one if key_of(r) == 10 else r for r in records]
+        path = tmp_path / "n3.jsonl"
+        path.write_text("\n".join([atlas3_lines[0]] + [json.dumps(r) for r in forged]) + "\n")
+        data = path.read_bytes()
+        assert run(["atlas", "validate", "-n", "3", "--atlas", str(path)]) == (12, "")
+        assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)]) == (12, "")
+        assert path.read_bytes() == data
+
+    def test_non_representative_key_rejected_by_validate_and_resume(self, atlas3_lines, tmp_path):
+        # key 10's record moved to key 160, {(1,2),(2,1)}: the same orbit,
+        # but not its minimum
+        records = [json.loads(line) for line in atlas3_lines[1:]]
+        rec = next(r for r in records if key_of(r) == 10)
+        rec["free"] = [[1, 2], [2, 1]]
+        path = tmp_path / "n3.jsonl"
+        path.write_text("\n".join([atlas3_lines[0]] + [json.dumps(r) for r in records]) + "\n")
+        data = path.read_bytes()
+        code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
+        assert code == 1 and "FAIL" not in text and "failing keys: [160]" in text
+        assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)]) == (12, "")
+        assert path.read_bytes() == data
+
 
 DATA = Path(__file__).parent / "data"
 
@@ -306,6 +333,13 @@ def test_version_is_one_constant():
 def atlas2_lines(tmp_path_factory):
     path = tmp_path_factory.mktemp("atlas") / "n2.jsonl"
     assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0
+    return path.read_text().splitlines()
+
+
+@pytest.fixture(scope="module")
+def atlas3_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("atlas") / "n3.jsonl"
+    assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)])[0] == 0
     return path.read_text().splitlines()
 
 
