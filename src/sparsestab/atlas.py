@@ -53,8 +53,10 @@ from .verdict import (
 )
 from .witness import WitnessCertificate
 
-TOOL_VERSION = "0.5.0"
+TOOL_VERSION = "0.6.0"
 FULL_ENUMERATION_CAP = 4  # 2^(n^2) raw patterns; n=4 is 65536
+
+_ENCODER = json.JSONEncoder(sort_keys=True)  # writes the header and every record
 
 
 @dataclass(frozen=True)
@@ -150,21 +152,23 @@ def _header(n: int, seed: int, config: EngineConfig) -> dict:
 
 def _record_to_dict(rec: AtlasRecord) -> dict:
     """The record's evidence; its key, dimension and codimension are
-    derived from ``free`` on load."""
+    derived from ``free`` on load, and its certificate's pattern is the
+    record's own."""
     return {
         **jsonio.pattern_to_dict(rec.pattern),
         "orbit_size": rec.orbit_size,
-        "verdict": jsonio.verdict_to_dict(rec.verdict),
+        "verdict": jsonio.verdict_to_dict(rec.verdict, rec.pattern),
         "minimal_stable": rec.minimal_stable,
         "maximal_unstable": rec.maximal_unstable,
     }
 
 
 def _record_from_dict(d: dict) -> AtlasRecord:
+    pattern = jsonio.pattern_from_dict(d)
     return AtlasRecord(
-        pattern=jsonio.pattern_from_dict(d),
+        pattern=pattern,
         orbit_size=_field(d, "orbit_size", int),
-        verdict=jsonio.verdict_from_dict(d["verdict"]),
+        verdict=jsonio.verdict_from_dict(_field(d, "verdict", dict), pattern),
         minimal_stable=_field(d, "minimal_stable", bool),
         maximal_unstable=_field(d, "maximal_unstable", bool),
     )
@@ -236,9 +240,13 @@ def classify_atlas(
     proof and is not classified (see _decide).  With a path the records
     stream-append in key order; re-running against an existing file
     resumes after the last written key, its records seeding the memo; a
-    record torn by a kill mid-write is dropped and redone.  Existing
-    records that repeat a key or hold a key that is not a representative
-    raise ValidationError.
+    record torn by a kill mid-write is dropped and redone.  When the
+    existing records are not the first representatives in key order (one
+    is missing from the middle, or they are out of order), the file is
+    rewritten in key order from them and the missing ones, so a resumed
+    file is byte-identical to a fresh build.  Existing records that repeat
+    a key or hold a key that is not a representative raise
+    ValidationError.
     """
     if not 1 <= n <= FULL_ENUMERATION_CAP:
         raise CapabilityError(f"atlas classification needs 1 <= n <= {FULL_ENUMERATION_CAP}")
@@ -248,6 +256,7 @@ def classify_atlas(
     memo: dict[int, tuple[SparsityPattern, StabilityVerdict]] = {}
 
     existing: dict[int, AtlasRecord] = {}
+    written = 0  # the file already holds the records of the first `written` representatives
     fh = None
     if path is not None:
         expected = _header(n, seed, config)
@@ -267,10 +276,13 @@ def classify_atlas(
                     )
                 existing[key] = rec
                 memo[key] = rec.pattern, rec.verdict
+            if list(existing) == [key for key, _ in orbits.reps[: len(existing)]]:
+                written = len(existing)
+        if written:
             fh = open(path, "a", encoding="utf-8")
         else:
             fh = open(path, "w", encoding="utf-8")
-            fh.write(json.dumps(expected, sort_keys=True) + "\n")
+            fh.write(_ENCODER.encode(expected) + "\n")
 
     # The gap set is tiny at desk scale, so an Unknown is recorded only
     # after a 10x oracle search.  The oracle draws its starts by restart
@@ -289,28 +301,27 @@ def classify_atlas(
     bits = [1 << b for b in range(n * n)]
     records: list[AtlasRecord] = []
     try:
-        for key, orbit_size in orbits.reps:
-            if key in existing:
-                records.append(existing[key])
-                continue
-            tag = tag_of(key)
-            minimal_stable = tag == PROVED_STABLE and all(
-                tag_of(key ^ bit) != PROVED_STABLE for bit in bits if key & bit
-            )
-            maximal_unstable = tag == PROVED_UNSTABLE and all(
-                tag_of(key | bit) == PROVED_STABLE for bit in bits if not key & bit
-            )
-            p, verdict = memo[key]
-            rec = AtlasRecord(
-                pattern=p,
-                orbit_size=orbit_size,
-                verdict=verdict,
-                minimal_stable=minimal_stable,
-                maximal_unstable=maximal_unstable,
-            )
+        for index, (key, orbit_size) in enumerate(orbits.reps):
+            rec = existing.get(key)
+            if rec is None:
+                tag = tag_of(key)
+                minimal_stable = tag == PROVED_STABLE and all(
+                    tag_of(key ^ bit) != PROVED_STABLE for bit in bits if key & bit
+                )
+                maximal_unstable = tag == PROVED_UNSTABLE and all(
+                    tag_of(key | bit) == PROVED_STABLE for bit in bits if not key & bit
+                )
+                p, verdict = memo[key]
+                rec = AtlasRecord(
+                    pattern=p,
+                    orbit_size=orbit_size,
+                    verdict=verdict,
+                    minimal_stable=minimal_stable,
+                    maximal_unstable=maximal_unstable,
+                )
             records.append(rec)
-            if fh is not None:
-                fh.write(json.dumps(_record_to_dict(rec), sort_keys=True) + "\n")
+            if fh is not None and index >= written:
+                fh.write(_ENCODER.encode(_record_to_dict(rec)) + "\n")
                 fh.flush()
     finally:
         if fh is not None:
@@ -454,11 +465,11 @@ def validate_structure_theorem(records: list[AtlasRecord], n: int) -> StructureR
     off-diagonal zeros forces a nested chain.  A failure here indicates an
     implementation bug and is reported loudly, never silently dropped.
 
-    Records that repeat a key, or whose orbit sizes do not sum to 2^(n^2),
-    raise ValidationError; with distinct keys, each canonical with its own
-    orbit size (which atlas validate checks per record), the sum makes them
-    exactly the representatives.  As for classify_atlas, n outside 1..4
-    raises CapabilityError.
+    Records that repeat a key, are not in increasing key order, or whose
+    orbit sizes do not sum to 2^(n^2) raise ValidationError; with distinct
+    keys, each canonical with its own orbit size (which atlas validate
+    checks per record), the sum makes them exactly the representatives.
+    As for classify_atlas, n outside 1..4 raises CapabilityError.
     """
     if not 1 <= n <= FULL_ENUMERATION_CAP:
         raise CapabilityError(f"atlas validation needs 1 <= n <= {FULL_ENUMERATION_CAP}")
@@ -469,6 +480,8 @@ def validate_structure_theorem(records: list[AtlasRecord], n: int) -> StructureR
         counts = collections.Counter(rec.key for rec in records)
         repeated = sorted(key for key in counts if counts[key] > 1)
         raise ValidationError(f"atlas repeats record keys {repeated}")
+    if list(by_key) != sorted(by_key):  # distinct keys, in record order
+        raise ValidationError("atlas records are not in increasing key order")
     expected = 1 << (n * n)
     covered = sum(rec.orbit_size for rec in records)
     if covered != expected:

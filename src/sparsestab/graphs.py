@@ -69,11 +69,12 @@ class ChainCertificate:
 def strongly_connected_components(p: SparsityPattern) -> SccReport:
     """Components from the reflexive transitive closure of the pattern.
 
-    Warshall's closure runs on the row bitmasks; u and v share a component
-    when each reaches the other.  Taking v in increasing order and skipping
-    placed vertices yields the components sorted by smallest vertex.  The
-    last report is kept, so the sink check, the cover check and the chain
-    search of one pattern share one pass.
+    Warshall's closure runs on the row bitmasks.  u and v share a component
+    exactly when they reach the same vertices (each then reaches the
+    other), so the components are the classes of equal reach masks, met in
+    increasing vertex order: sorted by smallest vertex.  The last report is
+    kept, so the sink check, the cover check and the chain search of one
+    pattern share one pass.
     """
     n = p.n
     rows = _row_masks(p)
@@ -82,14 +83,12 @@ def strongly_connected_components(p: SparsityPattern) -> SccReport:
         for v in range(n):
             if reach[v] >> k & 1:
                 reach[v] |= reach[k]
-    placed = set()
+    classes: dict[int, list[int]] = {}
+    for v, mask in enumerate(reach):
+        classes.setdefault(mask, []).append(v)
     components = []
     violating = set()
-    for v in range(n):
-        if v in placed:
-            continue
-        comp = [u for u in range(n) if reach[v] >> u & 1 and reach[u] >> v & 1]
-        placed.update(comp)
+    for comp in classes.values():
         members = frozenset(u + 1 for u in comp)
         components.append(members)
         if not any(rows[u] >> u & 1 for u in comp):

@@ -17,6 +17,7 @@ json:  {"n": int, "free": [[i, j], ...]} with 1-based indices; the
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import operator
@@ -180,13 +181,22 @@ def pattern_to_key(p: SparsityPattern) -> int:
 
 def key_to_pattern(n: int, key: int) -> SparsityPattern:
     """The pattern of a row-major bit key; the pairs it decodes are ints
-    in range by construction, so they skip from_pairs's conversion."""
+    in range by construction, so they skip from_pairs's conversion.  Only
+    the set bits are visited, lowest first."""
+    cells = _bit_cells(n)
     free = []
-    total = n * n
-    for pos in range(total):
-        if key >> (total - 1 - pos) & 1:
-            free.append((pos // n + 1, pos % n + 1))
+    while key:
+        low = key & -key
+        free.append(cells[low.bit_length() - 1])
+        key ^= low
     return SparsityPattern(n, frozenset(free))
+
+
+@lru_cache(maxsize=None)
+def _bit_cells(n: int) -> tuple[tuple[int, int], ...]:
+    """Entry b is the (row, col) pair of key bit b (least significant
+    first), so bit n^2 - 1 is (1, 1)."""
+    return tuple((i, j) for i in range(n, 0, -1) for j in range(n, 0, -1))
 
 
 @lru_cache(maxsize=None)
@@ -317,17 +327,20 @@ def decode_json_pattern(data) -> SparsityPattern:
         raise PatternFormatError(f'"n" must be a positive integer, got {n!r}')
     if not isinstance(data["free"], list):
         raise PatternFormatError(f'"free" must be a list of pairs, got {data["free"]!r}')
-    seen = set()
+    pairs = []
     for entry in data["free"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise PatternFormatError(f"free entry must be a pair, got {entry!r}")
-        i, j = entry
-        if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n):
-            raise PatternFormatError(f"index pair must be integers in 1..{n}, got {entry!r}")
-        if (i, j) in seen:
-            raise PatternFormatError(f"duplicate pair: ({i}, {j})")
-        seen.add((i, j))
-    return SparsityPattern(n, frozenset(seen))
+        pairs.append(tuple(entry))
+    try:
+        # the constructor's check is the one type and range check
+        p = SparsityPattern(n, frozenset(pairs))
+    except (TypeError, ValueError) as exc:  # TypeError: an unhashable index
+        raise PatternFormatError(f"index pairs must be integers in 1..{n}: {exc}") from None
+    if len(p.free) != len(pairs):
+        repeated = next(pair for pair, count in collections.Counter(pairs).items() if count > 1)
+        raise PatternFormatError(f"duplicate pair: {repeated}")
+    return p
 
 
 def serialize_pattern(p: SparsityPattern, format: str = "mask") -> str:

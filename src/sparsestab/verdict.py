@@ -16,6 +16,7 @@ Unknown.
 
 from __future__ import annotations
 
+import itertools
 import random
 from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 from dataclasses import dataclass, field, replace
@@ -311,6 +312,11 @@ def certificate_failures(cert: WitnessCertificate) -> list[str]:
         )
     if not (np.isfinite(witness).all() and np.isfinite(stabilizer).all()):
         raise ValidationError("certificate arrays have non-finite entries")
+    for entries in (cert.ordering, *itertools.chain.from_iterable(cert.prefix_cycles)):
+        for v in entries:
+            # type(v) is int: 2.0 and True compare equal to the ints they stand for
+            if type(v) is not int:
+                raise ValidationError(f"certificate ordering and cycles must hold ints, got {v!r}")
     if sorted(cert.ordering) != list(range(1, n + 1)) or len(cert.prefix_cycles) != n:
         raise ValidationError("certificate ordering is not a permutation of 1..n, or prefix length mismatch")
 

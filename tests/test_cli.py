@@ -232,6 +232,7 @@ class TestAtlasCommands:
         records = [json.loads(line) for line in atlas3_lines[1:]]
         rec = next(r for r in records if key_of(r) == 10)
         rec["free"] = [[1, 2], [2, 1]]
+        records.sort(key=key_of)  # in key order, so only the key itself is wrong
         path = tmp_path / "n3.jsonl"
         path.write_text("\n".join([atlas3_lines[0]] + [json.dumps(r) for r in records]) + "\n")
         data = path.read_bytes()
@@ -239,6 +240,23 @@ class TestAtlasCommands:
         assert code == 1 and "FAIL" not in text and "failing keys: [160]" in text
         assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)]) == (12, "")
         assert path.read_bytes() == data
+
+    def test_resume_fills_a_hole(self, atlas3_lines, tmp_path):
+        # the sixth line deleted: the resumed file is a fresh build's
+        path = tmp_path / "n3.jsonl"
+        path.write_text("\n".join(atlas3_lines[:5] + atlas3_lines[6:]) + "\n")
+        assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)])[0] == 0
+        assert path.read_text() == "\n".join(atlas3_lines) + "\n"
+        assert run(["atlas", "validate", "-n", "3", "--atlas", str(path)])[0] == 0
+
+    def test_records_out_of_key_order(self, atlas3_lines, tmp_path):
+        # the sixth line moved to the end: validate rejects it, resume
+        # rewrites it in key order
+        path = tmp_path / "n3.jsonl"
+        path.write_text("\n".join(atlas3_lines[:5] + atlas3_lines[6:] + atlas3_lines[5:6]) + "\n")
+        assert run(["atlas", "validate", "-n", "3", "--atlas", str(path)]) == (12, "")
+        assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)])[0] == 0
+        assert path.read_text() == "\n".join(atlas3_lines) + "\n"
 
 
 DATA = Path(__file__).parent / "data"
@@ -322,6 +340,47 @@ class TestVersion040Files:
         assert path.read_bytes() == self.PATH.read_bytes()
 
 
+class TestVersion050Files:
+    """Files written by 0.5.0 store each certificate's copy of its record's
+    pattern; 0.6.0 checks that it is the record's own."""
+
+    PATH = DATA / "atlas_n2_0.5.0.jsonl"
+
+    def test_atlas_validates(self):
+        assert '"pattern"' in self.PATH.read_text()
+        code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(self.PATH)])
+        assert code == 0 and "FAIL" not in text and "re-verified 9 of 9 records" in text
+
+    def test_atlas_queries(self):
+        code, text = run(["atlas", "query", "--atlas", str(self.PATH), "--verdict", "stable"])
+        assert code == 0 and text.startswith("4 matching records")
+
+    def test_classify_does_not_resume(self, tmp_path):
+        path = tmp_path / "n2.jsonl"
+        shutil.copy(self.PATH, path)
+        assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)]) == (12, "")
+        assert path.read_bytes() == self.PATH.read_bytes()
+
+    def test_records_are_the_new_ones_with_the_certificate_pattern(self, atlas2_lines):
+        old = [json.loads(line) for line in self.PATH.read_text().splitlines()[1:]]
+        for rec in old:
+            rec["verdict"].get("certificate", {}).pop("pattern", None)
+        assert old == [json.loads(line) for line in atlas2_lines[1:]]
+
+    @pytest.mark.parametrize("command", ["query", "validate"])
+    def test_certificate_pattern_must_be_the_records(self, tmp_path, command):
+        # a stored certificate pattern that is a pattern, but another one
+        lines = self.PATH.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if '"certificate"' in line)
+        rec = json.loads(lines[at])
+        rec["verdict"]["certificate"]["pattern"]["free"].pop()
+        lines[at] = json.dumps(rec)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["atlas", command, "--atlas", str(path)] + (["-n", "2"] if command == "validate" else [])
+        assert run(argv) == (12, "")
+
+
 def test_version_is_one_constant():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
@@ -366,6 +425,10 @@ MALFORMED_RECORDS = {
         for name, v in (("bool", True), ("float", 1.0))
     },
     "minimal_stable_not_a_bool": lambda rec: {**rec, "minimal_stable": 0},
+    **{
+        f"diagnostics_{name}": lambda rec, d=d: {**rec, "verdict": {**rec["verdict"], "diagnostics": d}}
+        for name, d in (("string", "inherited"), ("number", [1]))
+    },
     "orbit_size_float": lambda rec: {**rec, "orbit_size": float(rec["orbit_size"])},
 }
 
@@ -410,10 +473,31 @@ def _oracle_verdict(literal, stats=True, at="matrix"):
 
 
 def _certificate_pattern_float_index(rec):
-    """The record with its certificate pattern's first index written as a float."""
-    free = rec["verdict"]["certificate"]["pattern"]["free"]
+    """The record with a certificate pattern, as 0.5.0 stored it, whose
+    first index is written as a float."""
+    free = [list(pair) for pair in rec["free"]]
     free[0][0] = float(free[0][0])
+    rec["verdict"]["certificate"]["pattern"] = {"n": rec["n"], "free": free}
     return json.dumps(rec)
+
+
+def _chain_evidence(field, convert):
+    """The record with each vertex v of its certificate's ``field``
+    (ordering or prefix_cycles) written as ``convert(v)``."""
+
+    def line(rec):
+        cert = rec["verdict"]["certificate"]
+        if field == "ordering":
+            cert[field] = [convert(v) for v in cert[field]]
+        else:
+            cert[field] = [[[convert(v) for v in c] for c in cycles] for cycles in cert[field]]
+        return json.dumps(rec)
+
+    return line
+
+
+def _true_for_one(v):
+    return True if v == 1 else v
 
 
 MALFORMED_CERTIFICATES = {
@@ -436,6 +520,11 @@ MALFORMED_CERTIFICATES = {
     "oracle_restarts_negative": _oracle_verdict("-1", at="restarts"),
     "oracle_best_abscissa_null": _oracle_verdict("null", at="best_abscissa"),
     "oracle_best_abscissa_infinity": _oracle_verdict("Infinity", at="best_abscissa"),
+    # chain evidence that compares equal to the right ints
+    "ordering_float": _chain_evidence("ordering", float),
+    "ordering_bool": _chain_evidence("ordering", _true_for_one),
+    "prefix_cycles_float": _chain_evidence("prefix_cycles", float),
+    "prefix_cycles_bool": _chain_evidence("prefix_cycles", _true_for_one),
 }
 
 
@@ -697,8 +786,16 @@ class TestSchemas:
     def test_atlas_record_keys(self, atlas2_lines):
         records = [json.loads(line) for line in atlas2_lines[1:]]
         assert all(set(r) == RECORD_KEYS for r in records)
+        # the record states the pattern once, for itself and its certificate
         certs = [r["verdict"]["certificate"] for r in records if "certificate" in r["verdict"]]
-        assert certs and all(set(c) == CERTIFICATE_KEYS for c in certs)
+        assert certs and all(set(c) == CERTIFICATE_KEYS - {"pattern"} for c in certs)
+
+    def test_stated_pattern_must_be_the_certificates(self):
+        # a record states its pattern for its certificate, so it must be that one
+        v = classify(FIG2_RIGHT)
+        assert "pattern" not in verdict_to_dict(v, FIG2_RIGHT)["certificate"]
+        with pytest.raises(ValueError):
+            verdict_to_dict(v, FIG2_LEFT)
 
     def test_verdict_dict_fields(self):
         cfg = EngineConfig(oracle_restarts=6, oracle_steps=80)

@@ -118,6 +118,26 @@ class TestParsing:
         with pytest.raises(PatternFormatError, match="free"):
             parse_pattern('{"n": 3, "free": %s}' % free, "json")
 
+    @pytest.mark.parametrize(
+        "free",
+        ["[[1, [2]]]", "[[1.0, 1]]", "[[0, 1]]", "[[1, 1, 1]]", "[5]"],
+        ids=["unhashable", "float", "zero", "triple", "number"],
+    )
+    def test_json_bad_pair(self, free):
+        with pytest.raises(PatternFormatError):
+            parse_pattern('{"n": 2, "free": %s}' % free, "json")
+
+    def test_json_pair_repeated_as_a_float(self):
+        # (1.0, 1) equals (1, 1), so a set of pairs holds only one of them
+        for free in ("[[1, 1], [1.0, 1]]", "[[1.0, 1], [1, 1]]"):
+            with pytest.raises(PatternFormatError):
+                parse_pattern('{"n": 2, "free": %s}' % free, "json")
+
+    def test_key_to_pattern_inverts_pattern_to_key(self):
+        for n in (1, 2, 3):
+            for key in range(1 << (n * n)):
+                assert pattern_to_key(key_to_pattern(n, key)) == key
+
     def test_json_duplicate_pair(self):
         with pytest.raises(PatternFormatError) as err:
             parse_pattern('{"n":2,"free":[[1,2],[1,2]]}', "json")

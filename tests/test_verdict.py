@@ -394,6 +394,19 @@ class TestVerifyCertificate:
         with pytest.raises(ValidationError):
             certificate_failures(replace(cert, ordering=ordering))
 
+    @pytest.mark.parametrize("convert", [float, lambda v: True if v == 1 else v], ids=["float", "bool"])
+    @pytest.mark.parametrize("field", ["ordering", "prefix_cycles"])
+    def test_chain_evidence_must_be_ints(self, field, convert):
+        # 2.0 and True compare equal to the vertices they stand for
+        cert = synthesize_stable_witness(FIG2_RIGHT, seed=4)
+        if field == "ordering":
+            bad = replace(cert, ordering=tuple(map(convert, cert.ordering)))
+        else:
+            cycles = tuple(tuple(tuple(map(convert, c)) for c in cs) for cs in cert.prefix_cycles)
+            bad = replace(cert, prefix_cycles=cycles)
+        with pytest.raises(ValidationError):
+            certificate_failures(bad)
+
     def test_zero_stabilizer_entry_detected(self):
         cert = synthesize_stable_witness(FIG2_RIGHT, seed=4)
         stabilizer = cert.stabilizer.copy()
