@@ -164,22 +164,10 @@ def _record_to_dict(rec: AtlasRecord) -> dict:
 
 
 def _record_from_dict(d: dict) -> AtlasRecord:
+    jsonio.check(d, jsonio.RECORD, "record")
     pattern = jsonio.pattern_from_dict(d)
-    return AtlasRecord(
-        pattern=pattern,
-        orbit_size=_field(d, "orbit_size", int),
-        verdict=jsonio.verdict_from_dict(_field(d, "verdict", dict), pattern),
-        minimal_stable=_field(d, "minimal_stable", bool),
-        maximal_unstable=_field(d, "maximal_unstable", bool),
-    )
-
-
-def _field(d, name: str, kind: type):
-    """d[name], which must be of exactly type ``kind`` (so a bool is not an
-    int); raises ValidationError otherwise."""
-    if type(d) is not dict or type(d.get(name)) is not kind:
-        raise ValidationError(f"record field {name!r} must be a {kind.__name__}")
-    return d[name]
+    verdict = jsonio._verdict(d["verdict"], pattern)
+    return AtlasRecord(pattern, d["orbit_size"], verdict, d["minimal_stable"], d["maximal_unstable"])
 
 
 def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
@@ -197,26 +185,18 @@ def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
             lines = [line for line in fh.read().splitlines() if line.strip()]
         if not lines:
             raise ValidationError("no header line")
-        header = _checked_header(json.loads(lines[0]))
+        header = json.loads(lines[0])
+        jsonio.check(header, jsonio.HEADER, "header")
         records = [
             _record_from_dict(d)
             for d in map(json.loads, lines[1:])
             if keep is None or keep(d)
         ]
-    except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
-        # any decode failure; JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (ValueError, ValidationError) as exc:
+        # any decode failure; JSONDecodeError, UnicodeDecodeError and a
+        # ragged matrix's are ValueErrors
         raise ValidationError(f"malformed atlas file {path}: {exc}")
     return header, records
-
-
-def _checked_header(header) -> dict:
-    """The header, which must be a json object with int ``n`` and ``seed``
-    and string ``tool_version`` and ``config_hash``; raises
-    ValidationError otherwise."""
-    for name, kind in (("n", int), ("seed", int), ("tool_version", str), ("config_hash", str)):
-        if type(header) is not dict or type(header.get(name)) is not kind:
-            raise ValidationError(f"header field {name!r} must be a {kind.__name__}")
-    return header
 
 
 def _drop_torn_tail(path) -> None:
@@ -578,7 +558,8 @@ def query_atlas(path, query: dict) -> list[AtlasRecord]:
     Every line is parsed and filtered on its raw fields, and only the
     matches are decoded, so a malformed record that the query filters out
     raises nothing (atlas validate checks every record).  A field the query
-    filters on that is missing or of the wrong type raises ValidationError.
+    filters on that is missing or not of its kind in jsonio.RECORD, or a
+    malformed pattern under a dimension filter, raises ValidationError.
     """
     unknown_fields = set(query) - _QUERY_FIELDS
     if unknown_fields:
@@ -591,17 +572,22 @@ def query_atlas(path, query: dict) -> list[AtlasRecord]:
     flags = {
         name: bool(query[name]) for name in ("minimal_stable", "maximal_unstable") if name in query
     }
+    # the raw fields the filters read, with their kinds in the record format
+    read = {name: jsonio.RECORD[name] for name in flags}
+    if want is not None:
+        read["verdict"] = {"tag": jsonio.VERDICT["tag"]}
 
     def keep(d) -> bool:
+        jsonio.check(d, read, "record")
         if "min_dim" in query or "max_codim" in query:
-            dimension = len(_field(d, "free", list))
-            if "min_dim" in query and dimension < query["min_dim"]:
+            p = jsonio.pattern_from_dict(d)
+            if "min_dim" in query and p.dimension < query["min_dim"]:
                 return False
-            if "max_codim" in query and _field(d, "n", int) ** 2 - dimension > query["max_codim"]:
+            if "max_codim" in query and p.codimension > query["max_codim"]:
                 return False
-        if want is not None and _field(_field(d, "verdict", dict), "tag", str) != want:
+        if want is not None and d["verdict"]["tag"] != want:
             return False
-        return all(_field(d, name, bool) == value for name, value in flags.items())
+        return all(d[name] == value for name, value in flags.items())
 
     _, records = _read_atlas(path, keep)
     return sorted(records, key=lambda r: r.key)

@@ -1,22 +1,135 @@
-"""JSON wire formats for certificates and verdicts.
+"""JSON wire formats for certificates, verdicts and atlas files.
 
-Matrices serialize as nested float lists.  Pattern payloads reuse the
-json pattern schema ({"n": ..., "free": [[i, j], ...]}); a certificate
-inside an atlas record leaves its pattern to the record.  Only evidence is
-stored: a verifier recomputes minors and spectra from the matrices.  Keys
-a decoder does not read are ignored.
+Each persisted format is one table of field -> kind below; ``check`` walks
+a decoded value against it and raises ValidationError with the bad field's
+path, e.g. ``verdict.certificate.prefix_cycles[2][0][1]``.  The decoders
+then only build objects (a ragged matrix fails numpy's conversion with a
+ValueError).  Keys a table does not list are ignored.  Matrices serialize
+as nested float lists and patterns as {"n": ..., "free": [[i, j], ...]},
+which patterns.decode_json_pattern alone checks; a certificate inside an
+atlas record leaves its pattern to the record.  Only evidence is stored:
+a verifier recomputes minors and spectra from the matrices.
 """
 
 from __future__ import annotations
 
+import reprlib
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PatternFormatError, ValidationError
 from .patterns import SparsityPattern, decode_json_pattern
-from .verdict import OracleResult, StabilityVerdict
+from .verdict import REASONS, OracleResult, StabilityVerdict
 from .witness import WitnessCertificate
+
+# Kinds: int, bool and str match exactly that type (json's true is not an
+# int), a frozenset is an enum of strings, [kind] a list of that kind and a
+# dict a nested table; these are the other leaves.
+COUNT = "an int >= 0"
+NUMBER = "a finite number"  # an int within float range, or a finite float
+PATTERN = "a json pattern field"  # checked by patterns.decode_json_pattern alone
+REASON = "a reason of the verdict's tag"  # one of REASONS[tag]; the tag is checked first
+
+
+class optional(NamedTuple):
+    """A field that may be absent; present, it is ``kind``, and the field
+    ``needs`` is present too."""
+
+    kind: object
+    needs: str | None = None
+
+
+CERTIFICATE = {
+    "ordering": [int], "prefix_cycles": [[[int]]], "witness": [[NUMBER]], "stabilizer": [NUMBER],
+    "pattern": optional(PATTERN),  # left to the record inside an atlas record
+}
+ORACLE = {"matrix": [[NUMBER]]}
+ORACLE_STATS = {"restarts": COUNT, "best_abscissa": NUMBER}
+VERDICT = {
+    "tag": frozenset(REASONS), "reason": REASON, "k": optional(int), "violating": optional([int]),
+    "certificate": optional(CERTIFICATE),
+    "oracle": optional(ORACLE, needs="oracle_stats"), "oracle_stats": optional(ORACLE_STATS),
+    "diagnostics": optional([str]),
+}
+HEADER = {"n": int, "tool_version": str, "seed": int, "config_hash": str}
+RECORD = {
+    "n": PATTERN, "free": PATTERN, "orbit_size": int, "verdict": VERDICT,
+    "minimal_stable": bool, "maximal_unstable": bool,
+}
+
+
+class _Mismatch(Exception):
+    """A value not of its kind: args are the problem and the steps down to
+    it, innermost first."""
+
+
+def check(value, kind, name: str) -> None:
+    """Raise ValidationError, naming the bad field's path from ``name``,
+    unless ``value`` is of ``kind``, typically a table."""
+    try:
+        _walk(value, kind)
+    except _Mismatch as exc:
+        problem, path = exc.args
+        raise ValidationError(f"{name}{''.join(reversed(path))} {problem}") from None
+
+
+def _walk(value, kind) -> None:
+    # exact-type leaves, finite floats, enum members and pattern fields are
+    # checked in the loops, without a call: they are most of the values
+    if type(kind) is list and type(value) is list:
+        element = kind[0]
+        for x in value:
+            # x - x is 0.0 for a finite float, nan otherwise
+            if type(x) is element or element is NUMBER and type(x) is float and x - x == 0.0:
+                continue
+            try:
+                _walk(x, element)
+            except _Mismatch as exc:  # an earlier element that is x would have failed first
+                exc.args[1].append(f"[{next(i for i, y in enumerate(value) if y is x)}]")
+                raise
+    elif type(kind) is dict and type(value) is dict:
+        for name, sub in kind.items():
+            if type(sub) is optional:
+                if name not in value:
+                    continue
+                sub, needs = sub
+                if needs is not None and needs not in value:
+                    raise _Mismatch(f"has {name!r} without {needs!r}", [])
+            elif name not in value:
+                raise _Mismatch(f"is missing {name!r}", [])
+            x = value[name]
+            if sub is REASON:
+                sub = REASONS[value["tag"]]
+            if type(x) is sub or sub is PATTERN or type(sub) is frozenset and type(x) is str and x in sub:
+                continue
+            try:
+                _walk(x, sub)
+            except _Mismatch as exc:
+                exc.args[1].append("." + name)
+                raise
+    elif not _is_leaf(value, kind):
+        if type(kind) is frozenset:
+            what = f"one of {sorted(kind)}"
+        else:
+            what = {list: "a list", dict: "an object"}.get(type(kind)) or getattr(kind, "__name__", kind)
+        raise _Mismatch(f"must be {what}, got {reprlib.repr(value)}", [])
+
+
+def _is_leaf(value, kind) -> bool:
+    """Whether ``value`` is of the leaf ``kind``; json reads NaN, Infinity,
+    1e999 and ints beyond float range, and none of them is a number here."""
+    if kind is NUMBER:
+        try:
+            return (type(value) is float or type(value) is int) and isfinite(value)
+        except OverflowError:  # an int beyond float range
+            return False
+    if kind is COUNT:
+        return type(value) is int and value >= 0
+    if type(kind) is frozenset:
+        return type(value) is str and value in kind
+    return type(value) is kind
 
 
 def pattern_to_dict(p: SparsityPattern) -> dict:
@@ -52,69 +165,27 @@ def _float_lists(matrix) -> list:
     return np.asarray(matrix, dtype=float).tolist()
 
 
-def _finite_array(values) -> np.ndarray:
-    """A float array of ``values``, a number or nested lists of numbers.
-
-    Every leaf must be a non-bool int or a finite float, so a string, a
-    bool or null is rejected rather than cast.  json reads NaN, Infinity,
-    1e999 and integers beyond float range, so a non-finite entry is
-    rejected here rather than deep in a re-check.
-    """
-    stack = [values]
-    while stack:
-        x = stack.pop()
-        kind = type(x)
-        if kind is list:
-            stack.extend(x)
-        elif kind is float:
-            if not isfinite(x):
-                raise ValidationError(f"non-finite entry in {values!r}")
-        elif kind is not int:
-            raise ValidationError(f"expected a number, got {x!r}")
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:  # an int beyond float range
-        raise ValidationError(f"non-finite entry in {values!r}") from None
-
-
-def _finite_real(value) -> float:
-    """``value`` as a float; a list, a bool, a string, null or a
-    non-finite number is rejected."""
-    if type(value) is list:
-        raise ValidationError(f"expected a number, got {value!r}")
-    return float(_finite_array(value))
-
-
-def _list_of(kind: type, values, name: str) -> list:
-    """``values``, which must be a list of exactly type ``kind`` (so a bool
-    is not an int); raises ValidationError otherwise."""
-    if type(values) is list:
-        for x in values:
-            if type(x) is not kind:
-                break
-        else:
-            return values
-    raise ValidationError(f"{name} must be a list of {kind.__name__}s, got {values!r}")
-
-
 def certificate_from_dict(d: dict, pattern: SparsityPattern | None = None) -> WitnessCertificate:
     """The inverse of certificate_to_dict.  With the enclosing record's
     ``pattern``, a certificate that still stores its own (files of 0.5.0
     and older) must store that one."""
+    check(d, CERTIFICATE, "certificate")
+    return _certificate(d, pattern)
+
+
+def _certificate(d: dict, pattern: SparsityPattern | None) -> WitnessCertificate:
+    """certificate_from_dict of a ``d`` that passed check."""
     if pattern is None or "pattern" in d:
-        stored = pattern_from_dict(d["pattern"])
+        stored = pattern_from_dict(d.get("pattern"))  # None, when absent, fails decoding
         if pattern is not None and stored != pattern:
             raise ValidationError("certificate pattern differs from its record's")
         pattern = stored
     return WitnessCertificate(
         pattern=pattern,
-        ordering=tuple(_list_of(int, d["ordering"], "certificate ordering")),
-        prefix_cycles=tuple(
-            tuple(tuple(_list_of(int, cycle, "certificate cycle")) for cycle in cycles)
-            for cycles in _list_of(list, d["prefix_cycles"], "certificate prefix_cycles")
-        ),
-        witness=_finite_array(d["witness"]),
-        stabilizer=_finite_array(d["stabilizer"]),
+        ordering=tuple(d["ordering"]),
+        prefix_cycles=tuple(tuple(map(tuple, cycles)) for cycles in d["prefix_cycles"]),
+        witness=np.array(d["witness"], dtype=float),
+        stabilizer=np.array(d["stabilizer"], dtype=float),
     )
 
 
@@ -140,38 +211,27 @@ def verdict_to_dict(v: StabilityVerdict, pattern: SparsityPattern | None = None)
     return out
 
 
-def _oracle_from_dict(oracle: dict | None, stats: dict | None) -> OracleResult | None:
-    if stats is None:
-        if oracle is not None:
-            raise ValidationError("verdict has an oracle matrix but no oracle_stats")
-        return None
-    restarts = stats["restarts"]
-    if type(restarts) is not int or restarts < 0:
-        raise ValidationError(f"oracle_stats restarts must be an integer >= 0, got {restarts!r}")
-    return OracleResult(
-        matrix=None if oracle is None else _finite_array(oracle["matrix"]),
-        restarts_used=restarts,
-        best_abscissa=_finite_real(stats["best_abscissa"]),
-    )
-
-
 def verdict_from_dict(d: dict, pattern: SparsityPattern | None = None) -> StabilityVerdict:
     """The inverse of verdict_to_dict, evidence included; ``pattern`` as
     for certificate_from_dict."""
-    k = d.get("k")
-    # type(x) is int: json's true decodes to a bool, which is an int
-    if k is not None and type(k) is not int:
-        raise ValidationError(f"verdict k must be an integer, got {k!r}")
+    check(d, VERDICT, "verdict")
+    return _verdict(d, pattern)
+
+
+def _verdict(d: dict, pattern: SparsityPattern | None) -> StabilityVerdict:
+    """verdict_from_dict of a ``d`` that passed check."""
+    stats = d.get("oracle_stats")
+    oracle = d.get("oracle")
     return StabilityVerdict(
         tag=d["tag"],
         reason=d["reason"],
-        k=k,
-        violating=(
-            frozenset(_list_of(int, d["violating"], "verdict violating")) if "violating" in d else None
+        k=d.get("k"),
+        violating=frozenset(d["violating"]) if "violating" in d else None,
+        certificate=_certificate(d["certificate"], pattern) if "certificate" in d else None,
+        oracle=None if stats is None else OracleResult(
+            matrix=None if oracle is None else np.array(oracle["matrix"], dtype=float),
+            restarts_used=stats["restarts"],
+            best_abscissa=float(stats["best_abscissa"]),
         ),
-        certificate=certificate_from_dict(d["certificate"], pattern) if "certificate" in d else None,
-        oracle=_oracle_from_dict(d.get("oracle"), d.get("oracle_stats")),
-        diagnostics=(
-            tuple(_list_of(str, d["diagnostics"], "verdict diagnostics")) if "diagnostics" in d else ()
-        ),
+        diagnostics=tuple(d.get("diagnostics", ())),
     )

@@ -54,6 +54,13 @@ CHAIN_FOUND = "ChainFound"
 ORACLE_FOUND = "OracleFound"
 EXHAUSTED = "Exhausted"
 
+# the reasons each tag may give
+REASONS = {
+    PROVED_STABLE: frozenset({CHAIN_FOUND, ORACLE_FOUND}),
+    PROVED_UNSTABLE: frozenset({NO_SINK, SCC_WITHOUT_SINK, NO_HAMILTONIAN_K}),
+    UNKNOWN: frozenset({EXHAUSTED}),
+}
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -347,11 +354,13 @@ def verify_certificate(obj, p: SparsityPattern | None = None) -> bool:
 
     Accepts a WitnessCertificate or a whole StabilityVerdict (the pattern
     argument is required for verdicts that do not embed a certificate, and
-    a certificate built on another pattern fails).  An instability verdict
-    must name its exact evidence: the violating vertices of the sink check,
-    or a size k such that some strongly connected block B has |B| >= k and
-    no Hamiltonian k-subgraph.  An Unknown must pass both checks and have a
-    block without a nested chain.  Raises ValidationError on evidence that
+    a certificate built on another pattern fails).  Each verdict must name
+    its evidence.  ChainFound needs a certificate and OracleFound a found
+    oracle matrix.  An instability verdict needs its exact evidence: the
+    violating vertices of the sink check, or a size k such that some
+    strongly connected block B has |B| >= k and no Hamiltonian k-subgraph.
+    An Unknown must say Exhausted, pass both checks and have a block
+    without a nested chain.  Raises ValidationError on evidence that
     cannot be checked, such as non-finite entries or a missing pattern.
     """
     if isinstance(obj, WitnessCertificate):
@@ -360,11 +369,13 @@ def verify_certificate(obj, p: SparsityPattern | None = None) -> bool:
         v = obj
         if v.tag == PROVED_STABLE:
             if v.certificate is not None:
-                if p is not None and v.certificate.pattern != p:
+                if v.reason != CHAIN_FOUND or p is not None and v.certificate.pattern != p:
                     return False
                 return not certificate_failures(v.certificate)
             if v.oracle is None or not v.oracle.found or p is None:
                 raise ValidationError("stable verdict carries no evidence")
+            if v.reason != ORACLE_FOUND:
+                return False
             matrix = np.asarray(v.oracle.matrix, dtype=float)
             if not np.isfinite(matrix).all():
                 raise ValidationError("oracle matrix has non-finite entries")
@@ -385,7 +396,8 @@ def verify_certificate(obj, p: SparsityPattern | None = None) -> bool:
             if p is None:
                 raise ValidationError("verifying an Unknown verdict needs the pattern")
             return (
-                not check_scc_sink(p)
+                v.reason == EXHAUSTED
+                and not check_scc_sink(p)
                 and check_necessary(p) is None
                 and find_nested_chain(p) is None
             )

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import sparsestab
-from sparsestab import load_atlas, verify_certificate
+import sparsestab.atlas as atlas_module
+from sparsestab import jsonio, load_atlas, verify_certificate
 from sparsestab.atlas import TOOL_VERSION
 from sparsestab.cli import dispatch
 from sparsestab.jsonio import (
@@ -16,7 +17,7 @@ from sparsestab.jsonio import (
     pattern_from_dict,
     verdict_to_dict,
 )
-from sparsestab.patterns import pattern_to_key
+from sparsestab.patterns import key_to_pattern, pattern_to_key
 from sparsestab.verdict import EngineConfig, classify
 
 from conftest import FIG2_LEFT, FIG2_RIGHT, failed_geev
@@ -430,6 +431,14 @@ MALFORMED_RECORDS = {
         for name, d in (("string", "inherited"), ("number", [1]))
     },
     "orbit_size_float": lambda rec: {**rec, "orbit_size": float(rec["orbit_size"])},
+    # a tag or reason outside the allowed (tag, reason) pairs
+    "tag_not_a_string": lambda rec: {**rec, "verdict": {**rec["verdict"], "tag": 1}},
+    "tag_unknown": lambda rec: {**rec, "verdict": {**rec["verdict"], "tag": "Bogus"}},
+    "reason_not_a_string": lambda rec: {**rec, "verdict": {**rec["verdict"], "reason": 5}},
+    "reason_not_of_tag": lambda rec: {
+        **rec,
+        "verdict": {**rec["verdict"], "tag": "Unknown", "reason": "ChainFound"},
+    },
 }
 
 
@@ -538,6 +547,15 @@ class TestErrorPaths:
         path.write_text("\n".join([atlas2_lines[0], bad]) + "\n")
         code, _ = run(["atlas", "query", "--atlas", str(path)])
         assert code == 12
+
+    @pytest.mark.parametrize("case", list(MALFORMED_RECORDS))
+    def test_malformed_atlas_record_fails_validate(self, atlas2_lines, tmp_path, case):
+        records = [json.loads(line) for line in atlas2_lines[1:]]
+        rec = next(r for r in records if "violating" in r["verdict"])
+        bad = json.dumps(MALFORMED_RECORDS[case](rec))
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([atlas2_lines[0], bad]) + "\n")
+        assert run(["atlas", "validate", "-n", "2", "--atlas", str(path)]) == (12, "")
 
     def test_query_checks_the_records_it_returns(self, atlas2_lines, tmp_path):
         # a broken certificate on a stable record: a query that returns the
@@ -760,7 +778,41 @@ CERTIFICATE_KEYS = {"pattern", "ordering", "prefix_cycles", "witness", "stabiliz
 RECORD_KEYS = {"n", "free", "orbit_size", "verdict", "minimal_stable", "maximal_unstable"}
 
 
+def assert_declared(d, table):
+    """Every key of the encoded object ``d`` is declared in ``table`` and
+    every required field is written, in nested tables too."""
+    kinds = {name: getattr(kind, "kind", kind) for name, kind in table.items()}
+    required = {name for name, kind in table.items() if not isinstance(kind, jsonio.optional)}
+    assert set(d) <= set(kinds), f"undeclared keys {set(d) - set(kinds)}"
+    assert required <= set(d), f"required keys not written {required - set(d)}"
+    for name, value in d.items():
+        if isinstance(kinds[name], dict):
+            assert_declared(value, kinds[name])
+
+
 class TestSchemas:
+    def test_encoders_write_the_schema(self, atlas2, atlas3):
+        small = EngineConfig(oracle_restarts=8, oracle_steps=120)
+        unknown = classify(key_to_pattern(4, 4780), small)
+        oracle = classify(key_to_pattern(3, 118), small)
+        assert (unknown.tag, oracle.reason) == ("Unknown", "OracleFound")
+        written = [(atlas_module._header(n, 0, EngineConfig()), jsonio.HEADER) for n in (2, 3)]
+        written += [(atlas_module._record_to_dict(r), jsonio.RECORD) for r in atlas2 + atlas3]
+        for v in [r.verdict for r in atlas2 + atlas3] + [unknown, oracle]:
+            written.append((verdict_to_dict(v), jsonio.VERDICT))
+            if v.certificate is not None:
+                written.append((certificate_to_dict(v.certificate), jsonio.CERTIFICATE))
+        for d, table in written:
+            assert_declared(d, table)
+            jsonio.check(json.loads(json.dumps(d)), table, "written")
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.jsonl")), ids=lambda path: path.name)
+    def test_committed_files_pass_the_walker(self, path):
+        header, *records = map(json.loads, path.read_text().splitlines())
+        jsonio.check(header, jsonio.HEADER, "header")
+        for rec in records:
+            jsonio.check(rec, jsonio.RECORD, "record")
+
     def test_text_output_stable_under_fixed_seed(self, fig2_right_file):
         first = run(["analyze", fig2_right_file, "--seed", "7"])
         second = run(["analyze", fig2_right_file, "--seed", "7"])

@@ -29,12 +29,14 @@ import sparsestab.verdict as verdict_module
 from sparsestab.errors import NumericalError, ValidationError
 from sparsestab.atlas import config_hash, enumerate_patterns
 from sparsestab.graphs import CHAIN_N_CAP, check_necessary, check_scc_sink, find_nested_chain
-from sparsestab.jsonio import verdict_from_dict, verdict_to_dict
+from sparsestab.jsonio import certificate_from_dict, certificate_to_dict, verdict_from_dict, verdict_to_dict
 from sparsestab.patterns import canonical_form, key_to_pattern
 from sparsestab.numerics import HURWITZ_TOLERANCE, ordering_conjugation, spectral_abscissa
 from sparsestab.verdict import (
     NO_HAMILTONIAN_K,
+    PROVED_STABLE,
     PROVED_UNSTABLE,
+    UNKNOWN,
     EngineConfig,
     OracleResult,
     StabilityVerdict,
@@ -463,6 +465,33 @@ class TestVerifyCertificate:
         with pytest.raises(ValidationError):
             verdict_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"tag": PROVED_STABLE},
+            {"tag": UNKNOWN, "reason": "Exhausted", "oracle_stats": []},
+            {"tag": PROVED_STABLE, "reason": "ChainFound", "certificate": []},
+            {"tag": 1, "reason": []},
+        ],
+        ids=["no_reason", "oracle_stats_a_list", "certificate_a_list", "tag_and_reason_not_strings"],
+    )
+    def test_malformed_verdict_dict_raises_validation_error(self, d):
+        # not a bare KeyError or TypeError
+        with pytest.raises(ValidationError):
+            verdict_from_dict(d)
+
+    @pytest.mark.parametrize("without", ["prefix_cycles", "everything"])
+    def test_malformed_certificate_dict_raises_validation_error(self, without):
+        d = certificate_to_dict(synthesize_stable_witness(FIG2_RIGHT, seed=5))
+        with pytest.raises(ValidationError):
+            certificate_from_dict([] if without == "everything" else {k: v for k, v in d.items() if k != without})
+
+    def test_decoding_error_names_the_field_path(self):
+        d = verdict_to_dict(classify(SparsityPattern.full(3)))
+        d["certificate"]["prefix_cycles"][2][0][1] = 2.0
+        with pytest.raises(ValidationError, match=r"verdict\.certificate\.prefix_cycles\[2\]\[0\]\[1\] "):
+            verdict_from_dict(d)
+
     def test_malformed_raises(self):
         cert = synthesize_stable_witness(FIG2_RIGHT, seed=5)
         bad = WitnessCertificate(
@@ -497,6 +526,31 @@ class TestVerifyCertificate:
         assert verify_certificate(genuine, FIG3)
         forged = replace(genuine, reason=reason, violating=violating and frozenset(violating))
         assert not verify_certificate(forged, FIG3)
+
+    @pytest.mark.parametrize(
+        "pattern,reason",
+        [
+            *((SparsityPattern.full(3), reason) for reason in ("OracleFound", "NoSink", "Exhausted", 7)),
+            (GAP3, "ChainFound"),  # an oracle matrix, not a certificate
+            (GAP3, "Exhausted"),
+            (GAP4_UNSTABLE, "ChainFound"),  # an Unknown says Exhausted
+            (GAP4_UNSTABLE, "OracleFound"),
+        ],
+        ids=[
+            "chain-as-OracleFound",
+            "chain-as-NoSink",
+            "chain-as-Exhausted",
+            "chain-as-7",
+            "oracle-as-ChainFound",
+            "oracle-as-Exhausted",
+            "unknown-as-ChainFound",
+            "unknown-as-OracleFound",
+        ],
+    )
+    def test_stable_verdict_must_name_its_evidence(self, pattern, reason):
+        genuine = classify(pattern, SMALL)
+        assert verify_certificate(genuine, pattern)
+        assert not verify_certificate(replace(genuine, reason=reason), pattern)
 
     @pytest.mark.parametrize("k", [0, 4, "2"])
     def test_hamiltonian_size_out_of_range_fails(self, k):
