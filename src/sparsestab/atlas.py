@@ -193,8 +193,8 @@ def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
             if keep is None or keep(d)
         ]
     except (ValueError, ValidationError) as exc:
-        # any decode failure; JSONDecodeError, UnicodeDecodeError and a
-        # ragged matrix's are ValueErrors
+        # any decode failure; JSONDecodeError and UnicodeDecodeError are
+        # ValueErrors
         raise ValidationError(f"malformed atlas file {path}: {exc}")
     return header, records
 
@@ -264,18 +264,11 @@ def classify_atlas(
             fh = open(path, "w", encoding="utf-8")
             fh.write(_ENCODER.encode(expected) + "\n")
 
-    # The gap set is tiny at desk scale, so an Unknown is recorded only
-    # after a 10x oracle search.  The oracle draws its starts by restart
-    # index, so the default-budget search is a prefix of this one: every
-    # verdict it would reach comes out the same, with one oracle pass less
-    # per Unknown.
-    scaled = config.scaled_oracle(10)
-
     def tag_of(raw: int) -> str:
         """The verdict tag of raw's orbit."""
         key = orbits.canon[raw]
         if key not in memo:
-            _decide(n, key, orbits, memo, scaled, seed)
+            _decide(n, key, orbits, memo, config, seed)
         return memo[key][1].tag
 
     bits = [1 << b for b in range(n * n)]

@@ -83,10 +83,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
+    defaults = EngineConfig()
+
     def engine(p):
         # only the subcommands that build an EngineConfig take its settings
-        p.add_argument("--restarts", type=int, default=64, help="oracle restarts")
-        p.add_argument("--steps", type=int, default=400, help="oracle steps per restart")
+        p.add_argument("--restarts", type=int, default=defaults.oracle_restarts, help="oracle restarts")
+        p.add_argument("--steps", type=int, default=defaults.oracle_steps, help="oracle steps per restart")
 
     for name in ("analyze", "witness", "oracle", "canon"):
         p = sub.add_parser(name)

@@ -2,9 +2,9 @@
 
 Each persisted format is one table of field -> kind below; ``check`` walks
 a decoded value against it and raises ValidationError with the bad field's
-path, e.g. ``verdict.certificate.prefix_cycles[2][0][1]``.  The decoders
-then only build objects (a ragged matrix fails numpy's conversion with a
-ValueError).  Keys a table does not list are ignored.  Matrices serialize
+path, e.g. ``verdict.certificate.prefix_cycles[2][0][1]``, or
+``verdict.oracle.matrix`` for a ragged matrix.  The decoders then only
+build objects.  Keys a table does not list are ignored.  Matrices serialize
 as nested float lists and patterns as {"n": ..., "free": [[i, j], ...]},
 which patterns.decode_json_pattern alone checks; a certificate inside an
 atlas record leaves its pattern to the record.  Only evidence is stored:
@@ -31,6 +31,7 @@ COUNT = "an int >= 0"
 NUMBER = "a finite number"  # an int within float range, or a finite float
 PATTERN = "a json pattern field"  # checked by patterns.decode_json_pattern alone
 REASON = "a reason of the verdict's tag"  # one of REASONS[tag]; the tag is checked first
+MATRIX = [[NUMBER]]  # known by identity: its rows must also be of equal length
 
 
 class optional(NamedTuple):
@@ -42,10 +43,10 @@ class optional(NamedTuple):
 
 
 CERTIFICATE = {
-    "ordering": [int], "prefix_cycles": [[[int]]], "witness": [[NUMBER]], "stabilizer": [NUMBER],
+    "ordering": [int], "prefix_cycles": [[[int]]], "witness": MATRIX, "stabilizer": [NUMBER],
     "pattern": optional(PATTERN),  # left to the record inside an atlas record
 }
-ORACLE = {"matrix": [[NUMBER]]}
+ORACLE = {"matrix": MATRIX}
 ORACLE_STATS = {"restarts": COUNT, "best_abscissa": NUMBER}
 VERDICT = {
     "tag": frozenset(REASONS), "reason": REASON, "k": optional(int), "violating": optional([int]),
@@ -89,6 +90,8 @@ def _walk(value, kind) -> None:
             except _Mismatch as exc:  # an earlier element that is x would have failed first
                 exc.args[1].append(f"[{next(i for i, y in enumerate(value) if y is x)}]")
                 raise
+        if kind is MATRIX and len(set(map(len, value))) > 1:
+            raise _Mismatch(f"must have rows of equal length, got {reprlib.repr(value)}", [])
     elif type(kind) is dict and type(value) is dict:
         for name, sub in kind.items():
             if type(sub) is optional:

@@ -80,9 +80,6 @@ class EngineConfig:
         if bad:
             raise ValueError(f"EngineConfig needs integer counts >= 1: {bad}")
 
-    def scaled_oracle(self, factor: int) -> "EngineConfig":
-        return replace(self, oracle_restarts=self.oracle_restarts * factor)
-
 
 @dataclass(frozen=True)
 class OracleResult:

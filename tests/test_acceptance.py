@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -272,7 +273,7 @@ def test_criterion_7_structure_theorem(atlas2, atlas3, atlas4_timed):
 def test_criterion_8_soundness_audit(atlas3, audit_config):
     verified = 0
     audited = 0
-    tenfold = audit_config.scaled_oracle(10)
+    tenfold = dataclasses.replace(audit_config, oracle_restarts=10 * audit_config.oracle_restarts)
     for rec in atlas3:
         p = rec.pattern
         verdict = classify(p, audit_config)

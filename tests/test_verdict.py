@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -34,6 +35,7 @@ from sparsestab.patterns import canonical_form, key_to_pattern
 from sparsestab.numerics import HURWITZ_TOLERANCE, ordering_conjugation, spectral_abscissa
 from sparsestab.verdict import (
     NO_HAMILTONIAN_K,
+    ORACLE_FOUND,
     PROVED_STABLE,
     PROVED_UNSTABLE,
     UNKNOWN,
@@ -466,25 +468,48 @@ class TestVerifyCertificate:
             verdict_from_dict(d)
 
     @pytest.mark.parametrize(
-        "d",
+        "d, field",
         [
-            {"tag": PROVED_STABLE},
-            {"tag": UNKNOWN, "reason": "Exhausted", "oracle_stats": []},
-            {"tag": PROVED_STABLE, "reason": "ChainFound", "certificate": []},
-            {"tag": 1, "reason": []},
+            ({"tag": PROVED_STABLE}, "verdict"),
+            ({"tag": UNKNOWN, "reason": "Exhausted", "oracle_stats": []}, "verdict.oracle_stats"),
+            ({"tag": PROVED_STABLE, "reason": "ChainFound", "certificate": []}, "verdict.certificate"),
+            ({"tag": 1, "reason": []}, "verdict.tag"),
+            (
+                {
+                    "tag": PROVED_STABLE,
+                    "reason": ORACLE_FOUND,
+                    "oracle": {"matrix": [[0.0, 1.0], [2.0]]},
+                    "oracle_stats": {"restarts": 1, "best_abscissa": -1.0},
+                },
+                "verdict.oracle.matrix",
+            ),
         ],
-        ids=["no_reason", "oracle_stats_a_list", "certificate_a_list", "tag_and_reason_not_strings"],
+        ids=[
+            "no_reason",
+            "oracle_stats_a_list",
+            "certificate_a_list",
+            "tag_and_reason_not_strings",
+            "oracle_matrix_ragged",
+        ],
     )
-    def test_malformed_verdict_dict_raises_validation_error(self, d):
-        # not a bare KeyError or TypeError
-        with pytest.raises(ValidationError):
+    def test_malformed_verdict_dict_raises_validation_error(self, d, field):
+        # not a bare KeyError, TypeError or numpy's ValueError, and the
+        # message names the field
+        with pytest.raises(ValidationError, match=rf"^{re.escape(field)} "):
             verdict_from_dict(d)
 
-    @pytest.mark.parametrize("without", ["prefix_cycles", "everything"])
-    def test_malformed_certificate_dict_raises_validation_error(self, without):
+    @pytest.mark.parametrize("case", ["prefix_cycles", "everything", "witness_ragged"])
+    def test_malformed_certificate_dict_raises_validation_error(self, case):
         d = certificate_to_dict(synthesize_stable_witness(FIG2_RIGHT, seed=5))
-        with pytest.raises(ValidationError):
-            certificate_from_dict([] if without == "everything" else {k: v for k, v in d.items() if k != without})
+        if case == "everything":
+            d, field = [], "certificate"
+        elif case == "witness_ragged":
+            d["witness"], field = [[0.0, 1.0], [2.0]], "certificate.witness"
+        else:
+            del d[case]
+            field = "certificate"
+        with pytest.raises(ValidationError, match=rf"^{re.escape(field)} "):
+            certificate_from_dict(d)
 
     def test_decoding_error_names_the_field_path(self):
         d = verdict_to_dict(classify(SparsityPattern.full(3)))
