@@ -11,9 +11,9 @@ names the removed entry in its diagnostics.  Records are then marked
 minimally-stable / maximally-unstable by toggling single cells and looking
 the neighbors up through their canonical keys.
 
-Persistence is line-delimited json -- a header line, then one record per
-representative -- so long enumerations can resume: existing keys are
-skipped and classification continues where the file stopped.
+Persistence is line-delimited json: a header line, then one record per
+representative in key order.  The file is a build output: a build never
+reads it, and replaces it whole once every record is decided.
 """
 
 from __future__ import annotations
@@ -129,12 +129,20 @@ def _orbit_table(n: int) -> _OrbitTable:
     )
 
 
+def _check_size(n) -> None:
+    """Reject a size the atlas cannot enumerate: ValueError for an n that
+    is not exactly an int (True and 2.0 are not), CapabilityError for an
+    int outside 1..FULL_ENUMERATION_CAP."""
+    if type(n) is not int:
+        raise ValueError(f"atlas size n must be an int, not {n!r}")
+    if not 1 <= n <= FULL_ENUMERATION_CAP:
+        raise CapabilityError(f"the atlas needs 1 <= n <= {FULL_ENUMERATION_CAP}, not n={n}")
+
+
 def enumerate_patterns(n: int, filter=None):
     """One canonical representative per symmetry orbit, with orbit sizes
-    (they sum to 2^(n^2)), for 1 <= n <= 4; any other n raises
-    CapabilityError."""
-    if not 1 <= n <= FULL_ENUMERATION_CAP:
-        raise CapabilityError(f"enumeration needs 1 <= n <= {FULL_ENUMERATION_CAP}")
+    (they sum to 2^(n^2)), for 1 <= n <= 4 (see _check_size)."""
+    _check_size(n)
     for key, orbit_size in _orbit_table(n).reps:
         p = key_to_pattern(n, key)
         if filter is None or filter(p):
@@ -199,12 +207,6 @@ def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
     return header, records
 
 
-def _drop_torn_tail(path) -> None:
-    """Cut the file back to its last complete line."""
-    with open(path, "rb+") as fh:
-        fh.truncate(fh.read().rfind(b"\n") + 1)
-
-
 def classify_atlas(
     n: int,
     config: EngineConfig | None = None,
@@ -217,52 +219,15 @@ def classify_atlas(
     its canonical key, read from the orbit table, in the one memo of
     patterns and verdicts, so the neighbor scan costs no extra
     classifications.  A representative with a stable child inherits its
-    proof and is not classified (see _decide).  With a path the records
-    stream-append in key order; re-running against an existing file
-    resumes after the last written key, its records seeding the memo; a
-    record torn by a kill mid-write is dropped and redone.  When the
-    existing records are not the first representatives in key order (one
-    is missing from the middle, or they are out of order), the file is
-    rewritten in key order from them and the missing ones, so a resumed
-    file is byte-identical to a fresh build.  Existing records that repeat
-    a key or hold a key that is not a representative raise
-    ValidationError.
+    proof and is not classified (see _decide).  With a path, the header and
+    records are written in key order once all are decided, and replace
+    whatever file is at the path without reading it.
     """
-    if not 1 <= n <= FULL_ENUMERATION_CAP:
-        raise CapabilityError(f"atlas classification needs 1 <= n <= {FULL_ENUMERATION_CAP}")
+    _check_size(n)
     config = config or EngineConfig()
     orbits = _orbit_table(n)
     # memo[key]: representative key's pattern and verdict
     memo: dict[int, tuple[SparsityPattern, StabilityVerdict]] = {}
-
-    existing: dict[int, AtlasRecord] = {}
-    written = 0  # the file already holds the records of the first `written` representatives
-    fh = None
-    if path is not None:
-        expected = _header(n, seed, config)
-        if os.path.exists(path):
-            _drop_torn_tail(path)
-            header, old_records = load_atlas(path)
-            if header != expected:
-                raise ValidationError(
-                    f"atlas file {path} was built with different parameters: "
-                    f"{header} != {expected}"
-                )
-            for rec in old_records:
-                key = rec.key
-                if rec.pattern.n != n or orbits.canon[key] != key or key in existing:
-                    raise ValidationError(
-                        f"atlas file {path} holds a repeated or non-representative key {key}"
-                    )
-                existing[key] = rec
-                memo[key] = rec.pattern, rec.verdict
-            if list(existing) == [key for key, _ in orbits.reps[: len(existing)]]:
-                written = len(existing)
-        if written:
-            fh = open(path, "a", encoding="utf-8")
-        else:
-            fh = open(path, "w", encoding="utf-8")
-            fh.write(_ENCODER.encode(expected) + "\n")
 
     def tag_of(raw: int) -> str:
         """The verdict tag of raw's orbit."""
@@ -273,32 +238,29 @@ def classify_atlas(
 
     bits = [1 << b for b in range(n * n)]
     records: list[AtlasRecord] = []
-    try:
-        for index, (key, orbit_size) in enumerate(orbits.reps):
-            rec = existing.get(key)
-            if rec is None:
-                tag = tag_of(key)
-                minimal_stable = tag == PROVED_STABLE and all(
-                    tag_of(key ^ bit) != PROVED_STABLE for bit in bits if key & bit
-                )
-                maximal_unstable = tag == PROVED_UNSTABLE and all(
-                    tag_of(key | bit) == PROVED_STABLE for bit in bits if not key & bit
-                )
-                p, verdict = memo[key]
-                rec = AtlasRecord(
-                    pattern=p,
-                    orbit_size=orbit_size,
-                    verdict=verdict,
-                    minimal_stable=minimal_stable,
-                    maximal_unstable=maximal_unstable,
-                )
-            records.append(rec)
-            if fh is not None and index >= written:
-                fh.write(_ENCODER.encode(_record_to_dict(rec)) + "\n")
-                fh.flush()
-    finally:
-        if fh is not None:
-            fh.close()
+    for key, orbit_size in orbits.reps:
+        tag = tag_of(key)
+        minimal_stable = tag == PROVED_STABLE and all(
+            tag_of(key ^ bit) != PROVED_STABLE for bit in bits if key & bit
+        )
+        maximal_unstable = tag == PROVED_UNSTABLE and all(
+            tag_of(key | bit) == PROVED_STABLE for bit in bits if not key & bit
+        )
+        p, verdict = memo[key]
+        records.append(AtlasRecord(p, orbit_size, verdict, minimal_stable, maximal_unstable))
+    if path is not None:
+        # a new file beside path, moved onto it in one os.replace: a crash
+        # leaves the old file or the new one, never part of one
+        tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")  # "x": a name no other writer holds
+        try:
+            with fh:
+                fh.write(_ENCODER.encode(_header(n, seed, config)) + "\n")
+                fh.writelines(_ENCODER.encode(_record_to_dict(rec)) + "\n" for rec in records)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return records
 
 
@@ -442,10 +404,9 @@ def validate_structure_theorem(records: list[AtlasRecord], n: int) -> StructureR
     orbit sizes do not sum to 2^(n^2) raise ValidationError; with distinct
     keys, each canonical with its own orbit size (which atlas validate
     checks per record), the sum makes them exactly the representatives.
-    As for classify_atlas, n outside 1..4 raises CapabilityError.
+    As for classify_atlas, n is checked by _check_size.
     """
-    if not 1 <= n <= FULL_ENUMERATION_CAP:
-        raise CapabilityError(f"atlas validation needs 1 <= n <= {FULL_ENUMERATION_CAP}")
+    _check_size(n)
     if not records:
         raise ValidationError("empty atlas")
     by_key = {rec.key: rec for rec in records}
@@ -551,12 +512,16 @@ def query_atlas(path, query: dict) -> list[AtlasRecord]:
     Every line is parsed and filtered on its raw fields, and only the
     matches are decoded, so a malformed record that the query filters out
     raises nothing (atlas validate checks every record).  A field the query
-    filters on that is missing or not of its kind in jsonio.RECORD, or a
-    malformed pattern under a dimension filter, raises ValidationError.
+    filters on that is missing or not of its kind in jsonio.RECORD, a
+    malformed pattern under a dimension filter, or a min_dim or max_codim
+    that is not an int raises ValidationError.
     """
     unknown_fields = set(query) - _QUERY_FIELDS
     if unknown_fields:
         raise ValidationError(f"unknown query fields: {sorted(unknown_fields)}")
+    for name in ("min_dim", "max_codim"):
+        if name in query and type(query[name]) is not int:  # True is an int too
+            raise ValidationError(f"query field {name} must be an int, not {query[name]!r}")
     want = None
     if "verdict" in query:
         want = _VERDICT_ALIASES.get(str(query["verdict"]).lower())

@@ -369,8 +369,10 @@ def verify_certificate(obj, p: SparsityPattern | None = None) -> bool:
                 if v.reason != CHAIN_FOUND or p is not None and v.certificate.pattern != p:
                     return False
                 return not certificate_failures(v.certificate)
-            if v.oracle is None or not v.oracle.found or p is None:
+            if v.oracle is None or not v.oracle.found:
                 raise ValidationError("stable verdict carries no evidence")
+            if p is None:
+                raise ValidationError("verifying an OracleFound verdict needs the pattern")
             if v.reason != ORACLE_FOUND:
                 return False
             matrix = np.asarray(v.oracle.matrix, dtype=float)

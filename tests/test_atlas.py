@@ -371,10 +371,14 @@ class TestPersistence:
         assert part.read_bytes() == full.read_bytes()
 
     def test_mismatched_parameters_rejected(self, tmp_path):
-        path = tmp_path / "n2.jsonl"
+        # a file built with other parameters is not reused: the re-run
+        # replaces it with a fresh build's bytes
+        path, fresh = tmp_path / "n2.jsonl", tmp_path / "fresh.jsonl"
         classify_atlas(2, path=path, seed=0)
-        with pytest.raises(ValidationError):
-            classify_atlas(2, path=path, seed=1)
+        classify_atlas(2, path=path, seed=1)
+        classify_atlas(2, path=fresh, seed=1)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert load_atlas(path)[0]["seed"] == 1
 
     def test_config_hash_depends_on_fields(self):
         assert config_hash(EngineConfig()) != config_hash(EngineConfig(oracle_restarts=2))
@@ -406,8 +410,9 @@ class TestPersistence:
 
         monkeypatch.setattr(atlas_module, "classify", counting)
         classify_atlas(3, path=part)
-        assert calls and set(calls) <= {r.key for r in records[20:]}
-        assert len(calls) == len(set(calls))
+        # the file's records are not reused: the same 49 calls as a fresh build
+        assert sorted(calls) == [r.key for r in records if not is_inherited(r)]
+        assert len(calls) == 49
         assert part.read_bytes() == full.read_bytes()
 
     def test_resume_from_every_truncation_point(self, tmp_path):
@@ -422,6 +427,48 @@ class TestPersistence:
             part.write_bytes(b"".join(lines[:k]))
             classify_atlas(3, path=part)
             assert part.read_bytes() == data, k
+
+    def test_stale_oracle_stats_are_rebuilt(self, tmp_path):
+        # a record whose header matches but whose evidence a fresh build
+        # would not write (here an older budget's restarts) is not kept
+        path = tmp_path / "n3.jsonl"
+        classify_atlas(3, path=path)
+        data = path.read_bytes()
+        header, *lines = data.decode().splitlines()
+        at = next(i for i, line in enumerate(lines) if '"OracleFound"' in line)
+        rec = json.loads(lines[at])
+        rec["verdict"]["oracle_stats"]["restarts"] *= 10
+        lines[at] = json.dumps(rec, sort_keys=True)
+        path.write_text("\n".join([header, *lines]) + "\n")
+        assert path.read_bytes() != data
+        classify_atlas(3, path=path)
+        assert path.read_bytes() == data
+
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "n2.jsonl"
+        classify_atlas(2, path=path)
+        data = path.read_bytes()
+
+        def failing(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(atlas_module.os, "replace", failing)
+        with pytest.raises(OSError, match="replace failed"):
+            classify_atlas(2, path=path, seed=1)
+        assert path.read_bytes() == data
+        assert [f.name for f in tmp_path.iterdir()] == ["n2.jsonl"]
+
+    def test_build_never_reads_the_file(self, tmp_path, monkeypatch):
+        path, fresh = tmp_path / "n2.jsonl", tmp_path / "fresh.jsonl"
+        classify_atlas(2, path=path)
+        classify_atlas(2, path=fresh)
+
+        def failing(*args, **kwargs):
+            raise AssertionError("the build read the atlas file")
+
+        monkeypatch.setattr(atlas_module, "_read_atlas", failing)
+        classify_atlas(2, path=path)
+        assert path.read_bytes() == fresh.read_bytes()
 
     def test_header_is_checked(self, tmp_path):
         full = tmp_path / "full.jsonl"
@@ -449,6 +496,13 @@ class TestPersistence:
         with pytest.raises(CapabilityError):
             classify_atlas(n)
         with pytest.raises(CapabilityError):
+            list(enumerate_patterns(n))
+
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_size_that_is_not_an_int_rejected(self, n):
+        with pytest.raises(ValueError, match="must be an int"):
+            classify_atlas(n)
+        with pytest.raises(ValueError, match="must be an int"):
             list(enumerate_patterns(n))
 
 
@@ -481,6 +535,13 @@ class TestQuery:
     def test_unknown_field_rejected(self, atlas3_path):
         with pytest.raises(ValidationError):
             query_atlas(atlas3_path, {"sparkle": 1})
+
+    @pytest.mark.parametrize(
+        "field, value", [("min_dim", "3"), ("max_codim", None), ("min_dim", True), ("max_codim", 2.0)]
+    )
+    def test_dimension_bound_must_be_an_int(self, atlas3_path, field, value):
+        with pytest.raises(ValidationError, match=f"query field {field} must be an int"):
+            query_atlas(atlas3_path, {field: value})
 
     @pytest.mark.parametrize(
         "query",
@@ -551,6 +612,11 @@ class TestValidate:
     @pytest.mark.parametrize("n", [0, 5])
     def test_size_outside_enumeration_rejected(self, atlas2, n):
         with pytest.raises(CapabilityError):
+            validate_structure_theorem(atlas2, n)
+
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_size_that_is_not_an_int_rejected(self, atlas2, n):
+        with pytest.raises(ValueError, match="must be an int"):
             validate_structure_theorem(atlas2, n)
 
     def test_report_summary_mentions_all_checks(self, atlas2):

@@ -222,10 +222,10 @@ class TestAtlasCommands:
         forged = [one if key_of(r) == 10 else r for r in records]
         path = tmp_path / "n3.jsonl"
         path.write_text("\n".join([atlas3_lines[0]] + [json.dumps(r) for r in forged]) + "\n")
-        data = path.read_bytes()
         assert run(["atlas", "validate", "-n", "3", "--atlas", str(path)]) == (12, "")
-        assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)]) == (12, "")
-        assert path.read_bytes() == data
+        # classify never reads the file: it writes a fresh build's bytes
+        assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)])[0] == 0
+        assert path.read_text() == "\n".join(atlas3_lines) + "\n"
 
     def test_non_representative_key_rejected_by_validate_and_resume(self, atlas3_lines, tmp_path):
         # key 10's record moved to key 160, {(1,2),(2,1)}: the same orbit,
@@ -236,14 +236,13 @@ class TestAtlasCommands:
         records.sort(key=key_of)  # in key order, so only the key itself is wrong
         path = tmp_path / "n3.jsonl"
         path.write_text("\n".join([atlas3_lines[0]] + [json.dumps(r) for r in records]) + "\n")
-        data = path.read_bytes()
         code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
         assert code == 1 and "FAIL" not in text and "failing keys: [160]" in text
-        assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)]) == (12, "")
-        assert path.read_bytes() == data
+        assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)])[0] == 0
+        assert path.read_text() == "\n".join(atlas3_lines) + "\n"
 
     def test_resume_fills_a_hole(self, atlas3_lines, tmp_path):
-        # the sixth line deleted: the resumed file is a fresh build's
+        # the sixth line deleted: classify writes a fresh build's bytes
         path = tmp_path / "n3.jsonl"
         path.write_text("\n".join(atlas3_lines[:5] + atlas3_lines[6:]) + "\n")
         assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)])[0] == 0
@@ -251,8 +250,8 @@ class TestAtlasCommands:
         assert run(["atlas", "validate", "-n", "3", "--atlas", str(path)])[0] == 0
 
     def test_records_out_of_key_order(self, atlas3_lines, tmp_path):
-        # the sixth line moved to the end: validate rejects it, resume
-        # rewrites it in key order
+        # the sixth line moved to the end: validate rejects it, and
+        # classify writes a fresh build in key order
         path = tmp_path / "n3.jsonl"
         path.write_text("\n".join(atlas3_lines[:5] + atlas3_lines[6:] + atlas3_lines[5:6]) + "\n")
         assert run(["atlas", "validate", "-n", "3", "--atlas", str(path)]) == (12, "")
@@ -292,11 +291,11 @@ class TestVersion020Files:
         code, text = run(["atlas", "query", "--atlas", str(path)])
         assert code == 12 and text == ""
 
-    def test_classify_does_not_resume(self, tmp_path):
+    def test_classify_does_not_resume(self, tmp_path, atlas2_lines):
         path = tmp_path / "n2.jsonl"
         shutil.copy(DATA / "atlas_n2_0.2.0.jsonl", path)
-        code, text = run(["atlas", "classify", "-n", "2", "--atlas", str(path)])
-        assert code == 12 and text == ""
+        assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0
+        assert path.read_text() == "\n".join(atlas2_lines) + "\n"
 
 
 class TestVersion030Files:
@@ -311,11 +310,11 @@ class TestVersion030Files:
         code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(self.PATH)])
         assert code == 0 and "FAIL" not in text and "re-verified 9 of 9 records" in text
 
-    def test_classify_does_not_resume(self, tmp_path):
+    def test_classify_does_not_resume(self, tmp_path, atlas2_lines):
         path = tmp_path / "n2.jsonl"
         shutil.copy(self.PATH, path)
-        code, text = run(["atlas", "classify", "-n", "2", "--atlas", str(path)])
-        assert code == 12 and text == ""
+        assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0
+        assert path.read_text() == "\n".join(atlas2_lines) + "\n"
 
 
 class TestVersion040Files:
@@ -333,12 +332,11 @@ class TestVersion040Files:
         code, text = run(["atlas", "query", "--atlas", str(self.PATH), "--verdict", "stable"])
         assert code == 0 and text.startswith("4 matching records")
 
-    def test_classify_does_not_resume(self, tmp_path):
+    def test_classify_does_not_resume(self, tmp_path, atlas2_lines):
         path = tmp_path / "n2.jsonl"
         shutil.copy(self.PATH, path)
-        code, text = run(["atlas", "classify", "-n", "2", "--atlas", str(path)])
-        assert code == 12 and text == ""
-        assert path.read_bytes() == self.PATH.read_bytes()
+        assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0
+        assert path.read_text() == "\n".join(atlas2_lines) + "\n"
 
 
 class TestVersion050Files:
@@ -356,11 +354,11 @@ class TestVersion050Files:
         code, text = run(["atlas", "query", "--atlas", str(self.PATH), "--verdict", "stable"])
         assert code == 0 and text.startswith("4 matching records")
 
-    def test_classify_does_not_resume(self, tmp_path):
+    def test_classify_does_not_resume(self, tmp_path, atlas2_lines):
         path = tmp_path / "n2.jsonl"
         shutil.copy(self.PATH, path)
-        assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)]) == (12, "")
-        assert path.read_bytes() == self.PATH.read_bytes()
+        assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0
+        assert path.read_text() == "\n".join(atlas2_lines) + "\n"
 
     def test_records_are_the_new_ones_with_the_certificate_pattern(self, atlas2_lines):
         old = [json.loads(line) for line in self.PATH.read_text().splitlines()[1:]]

@@ -537,6 +537,12 @@ class TestVerifyCertificate:
         with pytest.raises(ValidationError):
             verify_certificate(u)  # instability re-check needs the pattern
 
+    def test_oracle_verification_needs_the_pattern(self):
+        v = classify(GAP3, SMALL)
+        assert v.reason == "OracleFound" and verify_certificate(v, GAP3)
+        with pytest.raises(ValidationError, match="needs the pattern"):
+            verify_certificate(v)
+
     @pytest.mark.parametrize(
         "reason,violating",
         [
