@@ -18,6 +18,7 @@ from .atlas import (
     load_atlas,
     query_atlas,
     validate_structure_theorem,
+    verify_records,
 )
 from .errors import (
     CapabilityError,

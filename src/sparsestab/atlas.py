@@ -2,14 +2,15 @@
 
 Patterns are enumerated as row-major bit keys.  One table per call gives
 every key's orbit minimum, its canonical key; the keys that are their own
-minimum are the representatives, already canonical and sorted.  Each
-representative is decided after its children (one free entry removed):
-the stable patterns form an up-set, so a stable child's proof, moved
-through the symmetry that maps the child onto its representative, proves
-the parent stable, and only the rest are classified.  An inherited proof
-names the removed entry in its diagnostics.  Records are then marked
-minimally-stable / maximally-unstable by toggling single cells and looking
-the neighbors up through their canonical keys.
+minimum are the representatives, already canonical and sorted.  Deciding
+them in key order puts every child (one free entry removed) first, since a
+child's canonical key is at most its raw key, below the parent's.  The
+stable patterns form an up-set, so a stable child's proof, moved through
+the symmetry that maps the child onto its representative, proves the
+parent stable, and only the rest are classified.  An inherited proof names
+the removed entry in its diagnostics.  One function (_marks) then marks
+the records minimally-stable / maximally-unstable from the neighbors'
+tags, for the build and for verify_records alike.
 
 Persistence is line-delimited json: a header line, then one record per
 representative in key order.  The file is a build output: a build never
@@ -50,6 +51,7 @@ from .verdict import (
     StabilityVerdict,
     _transport,
     classify,
+    verify_certificate,
 )
 from .witness import WitnessCertificate
 
@@ -142,11 +144,9 @@ def _check_size(n) -> None:
 def enumerate_patterns(n: int, filter=None):
     """One canonical representative per symmetry orbit, with orbit sizes
     (they sum to 2^(n^2)), for 1 <= n <= 4 (see _check_size)."""
-    _check_size(n)
-    for key, orbit_size in _orbit_table(n).reps:
-        p = key_to_pattern(n, key)
-        if filter is None or filter(p):
-            yield p, orbit_size
+    _check_size(n)  # here, not at the first next()
+    reps = ((key_to_pattern(n, key), size) for key, size in _orbit_table(n).reps)
+    return reps if filter is None else ((p, size) for p, size in reps if filter(p))
 
 
 def _header(n: int, seed: int, config: EngineConfig) -> dict:
@@ -171,9 +171,11 @@ def _record_to_dict(rec: AtlasRecord) -> dict:
     }
 
 
-def _record_from_dict(d: dict) -> AtlasRecord:
+def _record_from_dict(d: dict, n: int) -> AtlasRecord:
     jsonio.check(d, jsonio.RECORD, "record")
     pattern = jsonio.pattern_from_dict(d)
+    if pattern.n != n:
+        raise ValidationError(f"record has n={pattern.n}, not the header's n={n}")
     verdict = jsonio._verdict(d["verdict"], pattern)
     return AtlasRecord(pattern, d["orbit_size"], verdict, d["minimal_stable"], d["maximal_unstable"])
 
@@ -186,7 +188,8 @@ def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
 def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
     """The header of a persisted atlas and its records, decoded in full;
     with ``keep``, only the records whose parsed line it accepts are
-    decoded.  Every line is parsed; any decode failure raises
+    decoded.  Every line is parsed; any decode failure, a header n outside
+    1..FULL_ENUMERATION_CAP or a decoded record of another n raises
     ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -195,8 +198,10 @@ def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
             raise ValidationError("no header line")
         header = json.loads(lines[0])
         jsonio.check(header, jsonio.HEADER, "header")
+        if not 1 <= header["n"] <= FULL_ENUMERATION_CAP:
+            raise ValidationError(f"header n={header['n']} is outside 1..{FULL_ENUMERATION_CAP}")
         records = [
-            _record_from_dict(d)
+            _record_from_dict(d, header["n"])
             for d in map(json.loads, lines[1:])
             if keep is None or keep(d)
         ]
@@ -215,12 +220,11 @@ def classify_atlas(
 ) -> list[AtlasRecord]:
     """Classify every orbit representative and mark minimal/maximal.
 
-    A child (one free entry removed) or parent (one added) is looked up by
-    its canonical key, read from the orbit table, in the one memo of
-    patterns and verdicts, so the neighbor scan costs no extra
-    classifications.  A representative with a stable child inherits its
-    proof and is not classified (see _decide).  With a path, the header and
-    records are written in key order once all are decided, and replace
+    One pass decides the representatives in key order (see _decide), so
+    each comes after its children: removing an entry lowers the raw key,
+    and a canonical key is at most its raw key.  A second pass marks each
+    record from the decided tags (see _marks).  With a path, the header
+    and records are written in key order once all are decided, and replace
     whatever file is at the path without reading it.
     """
     _check_size(n)
@@ -228,26 +232,13 @@ def classify_atlas(
     orbits = _orbit_table(n)
     # memo[key]: representative key's pattern and verdict
     memo: dict[int, tuple[SparsityPattern, StabilityVerdict]] = {}
-
-    def tag_of(raw: int) -> str:
-        """The verdict tag of raw's orbit."""
-        key = orbits.canon[raw]
-        if key not in memo:
-            _decide(n, key, orbits, memo, config, seed)
-        return memo[key][1].tag
-
-    bits = [1 << b for b in range(n * n)]
-    records: list[AtlasRecord] = []
-    for key, orbit_size in orbits.reps:
-        tag = tag_of(key)
-        minimal_stable = tag == PROVED_STABLE and all(
-            tag_of(key ^ bit) != PROVED_STABLE for bit in bits if key & bit
-        )
-        maximal_unstable = tag == PROVED_UNSTABLE and all(
-            tag_of(key | bit) == PROVED_STABLE for bit in bits if not key & bit
-        )
-        p, verdict = memo[key]
-        records.append(AtlasRecord(p, orbit_size, verdict, minimal_stable, maximal_unstable))
+    for key, _ in orbits.reps:
+        memo[key] = _decide(n, key, orbits, memo, config, seed)
+    tags = {key: v.tag for key, (_, v) in memo.items()}
+    records = [
+        AtlasRecord(p, orbit_size, v, *_marks(n, orbits.canon, tags, key))
+        for (key, orbit_size), (p, v) in zip(orbits.reps, memo.values())
+    ]
     if path is not None:
         # a new file beside path, moved onto it in one os.replace: a crash
         # leaves the old file or the new one, never part of one
@@ -264,29 +255,21 @@ def classify_atlas(
     return records
 
 
-def _decide(n, key, orbits: _OrbitTable, memo, config, seed) -> None:
-    """Store in ``memo`` the pattern and verdict of representative ``key``,
-    after its children's.
+def _decide(n, key, orbits: _OrbitTable, memo, config, seed):
+    """The pattern and verdict of representative ``key``, read from
+    ``memo``, which holds every lower representative's, so that each child
+    (one free entry removed) is there under its canonical key.
 
-    Each child (one free entry removed, looked up by its canonical key) is
-    decided first, through the same memo, so every verdict depends on
-    (n, config, seed) alone, whichever lookup reaches it first.  A child's
-    Hurwitz matrix lies in p's matrix space, so a stable child's proof
-    proves p stable.  The first ChainFound child in bit order lends its
-    certificate: its chain is a chain of p, so classify would also find
-    one.  When every stable child is OracleFound, p gets the first one's
-    matrix unless p has a chain, which classify then certifies.  Without a
-    stable child, or when the carried proof fails its float Hurwitz
-    re-check, p is classified.  Recursion goes at most n^2 levels deep.
-    It is a module function, not a closure: a closure that calls itself
-    is a reference cycle, which would keep the memo alive until the cyclic
-    garbage collector runs.
+    A child's Hurwitz matrix lies in p's matrix space, so a stable
+    child's proof proves p stable.  The first ChainFound child in bit
+    order lends its certificate: its chain is a chain of p, so classify
+    would also find one.  When every stable child is OracleFound, p gets
+    the first one's matrix unless p has a chain, which classify then
+    certifies.  Without a stable child, or when the carried proof fails
+    its float Hurwitz re-check, p is classified.
     """
     canon = orbits.canon
     children = [(b, key ^ 1 << b) for b in range(n * n) if key >> b & 1]
-    for _, raw in children:
-        if canon[raw] not in memo:
-            _decide(n, canon[raw], orbits, memo, config, seed)
     stable = [
         (b, orbits.symmetry[raw], child)
         for b, raw in children
@@ -297,7 +280,21 @@ def _decide(n, key, orbits: _OrbitTable, memo, config, seed) -> None:
     if donor is None and stable and find_nested_chain(p) is None:
         donor = stable[0]
     verdict = _inherit(n, p, *donor) if donor else None
-    memo[key] = p, verdict or classify(p, config, seed)
+    return p, verdict or classify(p, config, seed)
+
+
+def _marks(n: int, canon: list[int], tags: dict, key: int) -> tuple[bool, bool]:
+    """(minimal_stable, maximal_unstable) of raw ``key``, given ``tags``,
+    the verdict tag of each canonical key: stable with no stable child, or
+    unstable with every parent (one entry added) stable."""
+    tag = tags.get(canon[key])
+    bits = [1 << b for b in range(n * n)]
+    return (
+        tag == PROVED_STABLE
+        and all(tags.get(canon[key ^ bit]) != PROVED_STABLE for bit in bits if key & bit),
+        tag == PROVED_UNSTABLE
+        and all(tags.get(canon[key | bit]) == PROVED_STABLE for bit in bits if not key & bit),
+    )
 
 
 def _inherit(n, p, b, g, child: StabilityVerdict) -> StabilityVerdict | None:
@@ -377,19 +374,6 @@ class StructureReport:
         return "\n".join(lines)
 
 
-def _diag_free_count(p: SparsityPattern) -> int:
-    return sum(1 for i in range(1, p.n + 1) if (i, i) in p.free)
-
-
-def _offdiag_zero_count(p: SparsityPattern) -> int:
-    return sum(
-        1
-        for i in range(1, p.n + 1)
-        for j in range(1, p.n + 1)
-        if i != j and (i, j) not in p.free
-    )
-
-
 def validate_structure_theorem(records: list[AtlasRecord], n: int) -> StructureReport:
     """Check the small-scale structural facts on a complete atlas.
 
@@ -402,8 +386,8 @@ def validate_structure_theorem(records: list[AtlasRecord], n: int) -> StructureR
 
     Records that repeat a key, are not in increasing key order, or whose
     orbit sizes do not sum to 2^(n^2) raise ValidationError; with distinct
-    keys, each canonical with its own orbit size (which atlas validate
-    checks per record), the sum makes them exactly the representatives.
+    keys, each canonical with its own orbit size (which verify_records
+    checks), the sum makes them exactly the representatives.
     As for classify_atlas, n is checked by _check_size.
     """
     _check_size(n)
@@ -466,10 +450,12 @@ def validate_structure_theorem(records: list[AtlasRecord], n: int) -> StructureR
     )
     checks["d: zero-diagonal pattern maximally unstable"] = (ok_d, detail_d)
 
+    # a free diagonal entry, and at most n-2 of the n(n-1) off-diagonal cells zero
     eligible = [
         r
         for r in records
-        if _diag_free_count(r.pattern) >= 1 and _offdiag_zero_count(r.pattern) <= n - 2
+        if any(i == j for i, j in r.pattern.free)
+        and n * (n - 1) - sum(i != j for i, j in r.pattern.free) <= n - 2
     ]
     bad_e = [
         r.key
@@ -492,6 +478,26 @@ def validate_structure_theorem(records: list[AtlasRecord], n: int) -> StructureR
         unknown_keys=tuple(r.key for r in unknown),
         stable_raw_count=sum(r.orbit_size for r in stable),
     )
+
+
+def verify_records(records: list[AtlasRecord], n: int) -> list[int]:
+    """The keys of the records whose verdict fails verify_certificate, whose
+    order is not n, whose key and orbit size are not a representative's,
+    or whose marks differ from those _marks gives from the records' tags.
+    As for classify_atlas, n is checked by _check_size."""
+    _check_size(n)
+    orbits = _orbit_table(n)
+    sizes = dict(orbits.reps)
+    # by orbit, so a record at a non-representative key fails only itself
+    tags = {orbits.canon[r.key]: r.verdict.tag for r in records if r.pattern.n == n}
+    return [
+        r.key
+        for r in records
+        if not verify_certificate(r.verdict, r.pattern)
+        or r.pattern.n != n
+        or sizes.get(r.key) != r.orbit_size
+        or _marks(n, orbits.canon, tags, r.key) != (r.minimal_stable, r.maximal_unstable)
+    ]
 
 
 _QUERY_FIELDS = {"min_dim", "max_codim", "verdict", "minimal_stable", "maximal_unstable"}

@@ -26,12 +26,12 @@ import numpy as np
 from . import jsonio
 from .atlas import (
     TOOL_VERSION,
-    _orbit_table,
     classify_atlas,
     enumerate_patterns,
     load_atlas,
     query_atlas,
     validate_structure_theorem,
+    verify_records,
 )
 from .errors import (
     CapabilityError,
@@ -50,7 +50,6 @@ from .verdict import (
     EngineConfig,
     classify,
     oracle_search,
-    verify_certificate,
 )
 from .witness import synthesize_stable_witness
 
@@ -280,97 +279,101 @@ def _cmd_identities(args, out) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def _cmd_atlas(args, out) -> int:
-    if args.atlas_command == "enumerate":
-        rows = []
-        total = 0
-        count = 0
-        for p, orbit_size in enumerate_patterns(args.n):
-            count += 1
-            total += orbit_size
-            rows.append({"pattern": jsonio.pattern_to_dict(p), "orbit_size": orbit_size})
-        if args.format == "json":
-            _emit(args, json.dumps({"representatives": rows, "raw_total": total}), out)
-        else:
-            _emit(
-                args,
-                f"{count} orbit representatives covering {total} raw patterns at n={args.n}",
-                out,
-            )
-        return 0
-    if args.atlas_command == "classify":
-        records = classify_atlas(args.n, _config(args), seed=args.seed, path=args.atlas)
-        stable = sum(1 for r in records if r.verdict.tag == PROVED_STABLE)
+def _atlas_enumerate(args, out) -> int:
+    rows = [
+        {"pattern": jsonio.pattern_to_dict(p), "orbit_size": orbit_size}
+        for p, orbit_size in enumerate_patterns(args.n)
+    ]
+    total = sum(row["orbit_size"] for row in rows)
+    if args.format == "json":
+        _emit(args, json.dumps({"representatives": rows, "raw_total": total}), out)
+    else:
         _emit(
             args,
-            f"classified {len(records)} representatives at n={args.n} "
-            f"({stable} stable)" + (f"; written to {args.atlas}" if args.atlas else ""),
+            f"{len(rows)} orbit representatives covering {total} raw patterns at n={args.n}",
             out,
         )
-        return 0
-    if args.atlas_command == "validate":
-        config = _config(args)
-        if args.atlas:
-            header, records = load_atlas(args.atlas)
-            if header["n"] != args.n:
-                raise ValidationError(f"atlas file {args.atlas} has n={header['n']}, not {args.n}")
-        else:
-            records = classify_atlas(args.n, config, seed=args.seed)
-        report = validate_structure_theorem(records, args.n)
-        # a record's key must be a representative's and its size that orbit's
-        sizes = dict(_orbit_table(args.n).reps)
-        failing = [
-            r.key
+    return 0
+
+
+def _atlas_classify(args, out) -> int:
+    records = classify_atlas(args.n, _config(args), seed=args.seed, path=args.atlas)
+    stable = sum(1 for r in records if r.verdict.tag == PROVED_STABLE)
+    _emit(
+        args,
+        f"classified {len(records)} representatives at n={args.n} "
+        f"({stable} stable)" + (f"; written to {args.atlas}" if args.atlas else ""),
+        out,
+    )
+    return 0
+
+
+def _atlas_validate(args, out) -> int:
+    config = _config(args)
+    if args.atlas:
+        header, records = load_atlas(args.atlas)
+        if header["n"] != args.n:
+            raise ValidationError(f"atlas file {args.atlas} has n={header['n']}, not {args.n}")
+    else:
+        records = classify_atlas(args.n, config, seed=args.seed)
+    report = validate_structure_theorem(records, args.n)
+    failing = verify_records(records, args.n)
+    verified = len(records) - len(failing)
+    lines = [report.summary(), f"  re-verified {verified} of {len(records)} records"]
+    if failing:
+        lines.append(f"  failing keys: {failing}")
+    _emit(args, "\n".join(lines), out)
+    return 0 if report.all_passed and not failing else 1
+
+
+def _atlas_query(args, out) -> int:
+    if not args.atlas:
+        raise _UsageError("atlas query needs --atlas PATH")
+    # each flag given, under its query_atlas field name
+    query = {
+        name: value
+        for name in ("min_dim", "max_codim", "verdict", "minimal_stable", "maximal_unstable")
+        if (value := getattr(args, name)) is not None and value is not False
+    }
+    records = query_atlas(args.atlas, query)
+    if args.format == "json":
+        payload = [
+            {
+                "pattern": jsonio.pattern_to_dict(r.pattern),
+                "orbit_size": r.orbit_size,
+                "dimension": r.dimension,
+                "codimension": r.codimension,
+                "verdict": r.verdict.tag,
+                "minimal_stable": r.minimal_stable,
+                "maximal_unstable": r.maximal_unstable,
+            }
             for r in records
-            if not verify_certificate(r.verdict, r.pattern)
-            or r.pattern.n != args.n
-            or sizes.get(r.key) != r.orbit_size
         ]
-        verified = len(records) - len(failing)
-        lines = [report.summary(), f"  re-verified {verified} of {len(records)} records"]
-        if failing:
-            lines.append(f"  failing keys: {failing}")
+        _emit(args, json.dumps(payload), out)
+    else:
+        lines = [f"{len(records)} matching records"]
+        for r in records:
+            lines.append(
+                f"  key={r.key} dim={r.dimension} codim={r.codimension} "
+                f"{r.verdict.tag} min={r.minimal_stable} max={r.maximal_unstable}"
+            )
         _emit(args, "\n".join(lines), out)
-        return 0 if report.all_passed and not failing else 1
-    if args.atlas_command == "query":
-        if not args.atlas:
-            raise _UsageError("atlas query needs --atlas PATH")
-        query = {}
-        if args.min_dim is not None:
-            query["min_dim"] = args.min_dim
-        if args.max_codim is not None:
-            query["max_codim"] = args.max_codim
-        if args.verdict is not None:
-            query["verdict"] = args.verdict
-        if args.minimal_stable:
-            query["minimal_stable"] = True
-        if args.maximal_unstable:
-            query["maximal_unstable"] = True
-        records = query_atlas(args.atlas, query)
-        if args.format == "json":
-            payload = [
-                {
-                    "pattern": jsonio.pattern_to_dict(r.pattern),
-                    "orbit_size": r.orbit_size,
-                    "dimension": r.dimension,
-                    "codimension": r.codimension,
-                    "verdict": r.verdict.tag,
-                    "minimal_stable": r.minimal_stable,
-                    "maximal_unstable": r.maximal_unstable,
-                }
-                for r in records
-            ]
-            _emit(args, json.dumps(payload), out)
-        else:
-            lines = [f"{len(records)} matching records"]
-            for r in records:
-                lines.append(
-                    f"  key={r.key} dim={r.dimension} codim={r.codimension} "
-                    f"{r.verdict.tag} min={r.minimal_stable} max={r.maximal_unstable}"
-                )
-            _emit(args, "\n".join(lines), out)
-        return 0
-    raise _UsageError(f"unknown atlas subcommand {args.atlas_command!r}")
+    return 0
+
+
+# every (command, atlas subcommand); argparse's required subparsers reject
+# any other (exit 10)
+_COMMANDS = {
+    ("analyze", None): _cmd_analyze,
+    ("witness", None): _cmd_witness,
+    ("oracle", None): _cmd_oracle,
+    ("canon", None): _cmd_canon,
+    ("identities", None): _cmd_identities,
+    ("atlas", "enumerate"): _atlas_enumerate,
+    ("atlas", "classify"): _atlas_classify,
+    ("atlas", "validate"): _atlas_validate,
+    ("atlas", "query"): _atlas_query,
+}
 
 
 def dispatch(argv, out=None) -> int:
@@ -379,19 +382,7 @@ def dispatch(argv, out=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "analyze":
-            return _cmd_analyze(args, out)
-        if args.command == "witness":
-            return _cmd_witness(args, out)
-        if args.command == "oracle":
-            return _cmd_oracle(args, out)
-        if args.command == "canon":
-            return _cmd_canon(args, out)
-        if args.command == "identities":
-            return _cmd_identities(args, out)
-        if args.command == "atlas":
-            return _cmd_atlas(args, out)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command, getattr(args, "atlas_command", None)](args, out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -86,6 +86,15 @@ class TestOrbitTable:
         assert [key for key, _ in table.reps] == sorted(set(table.canon))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_children_have_lower_canonical_keys(self, n):
+        # the build decides in key order, so each child must come first
+        table = atlas_module._orbit_table(n)
+        for key, _ in table.reps:
+            for b in range(n * n):
+                if key >> b & 1:
+                    assert table.canon[key ^ 1 << b] < key, (key, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_zero_diagonal_is_its_own_orbit(self, n):
         # validate_structure_theorem looks its record up by its own key,
         # without an orbit lookup
@@ -398,6 +407,19 @@ class TestPersistence:
         assert len(calls) == 49
         assert {restarts for _, restarts in calls} == {EngineConfig().oracle_restarts}
 
+    @pytest.mark.parametrize("n, count", [(3, 49), (4, 896)])
+    def test_classifications_run_in_key_order(self, monkeypatch, n, count):
+        calls = []
+
+        def counting(p, config, seed):
+            calls.append(pattern_to_key(p))
+            return classify(p, config, seed)
+
+        monkeypatch.setattr(atlas_module, "classify", counting)
+        classify_atlas(n)
+        assert len(calls) == count
+        assert calls == sorted(calls)
+
     def test_resume_classifies_only_missing_keys(self, tmp_path, monkeypatch):
         full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
         records = classify_atlas(3, path=full)
@@ -416,8 +438,8 @@ class TestPersistence:
         assert part.read_bytes() == full.read_bytes()
 
     def test_resume_from_every_truncation_point(self, tmp_path):
-        # each verdict is decided after its children whichever lookup
-        # reaches it, so a resumed build writes what a full one does
+        # classify never reads the file, so whatever prefix of a full build
+        # the path holds, it is replaced with the full build's bytes
         full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
         classify_atlas(3, path=full)
         data = full.read_bytes()
@@ -483,6 +505,9 @@ class TestPersistence:
             {**good, "seed": "0"},
             {**good, "tool_version": 5},
             {k: v for k, v in good.items() if k != "config_hash"},
+            {**good, "n": 0},
+            {**good, "n": 5},
+            {**good, "n": 3},  # over the n=2 records
         ):
             path = tmp_path / "bad.jsonl"
             path.write_text(json.dumps(bad) + "\n" + "".join(rest))
@@ -490,6 +515,11 @@ class TestPersistence:
                 load_atlas(path)
             with pytest.raises(ValidationError, match="header"):
                 query_atlas(path, {})
+        # the header's n is checked even when no record is decoded
+        for n in (0, 5):
+            path.write_text(json.dumps({**good, "n": n}) + "\n" + "".join(rest))
+            with pytest.raises(ValidationError, match="header n="):
+                query_atlas(path, {"min_dim": 5})
 
     @pytest.mark.parametrize("n", [-1, 0, 5])
     def test_size_outside_enumeration_rejected(self, n):
@@ -497,6 +527,8 @@ class TestPersistence:
             classify_atlas(n)
         with pytest.raises(CapabilityError):
             list(enumerate_patterns(n))
+        with pytest.raises(CapabilityError):
+            enumerate_patterns(n)  # at the call, not at the first next()
 
     @pytest.mark.parametrize("n", [True, 2.0])
     def test_size_that_is_not_an_int_rejected(self, n):
@@ -504,6 +536,8 @@ class TestPersistence:
             classify_atlas(n)
         with pytest.raises(ValueError, match="must be an int"):
             list(enumerate_patterns(n))
+        with pytest.raises(ValueError, match="must be an int"):
+            enumerate_patterns(n)
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from sparsestab.jsonio import (
     pattern_from_dict,
     verdict_to_dict,
 )
-from sparsestab.patterns import key_to_pattern, pattern_to_key
+from sparsestab.patterns import key_orbit, key_to_pattern, pattern_to_key
 from sparsestab.verdict import EngineConfig, classify
 
 from conftest import FIG2_LEFT, FIG2_RIGHT, failed_geev
@@ -240,6 +240,37 @@ class TestAtlasCommands:
         assert code == 1 and "FAIL" not in text and "failing keys: [160]" in text
         assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)])[0] == 0
         assert path.read_text() == "\n".join(atlas3_lines) + "\n"
+
+    @pytest.mark.parametrize("forge", ["every_stable_maximal", "one_minimal_flipped"])
+    def test_validate_rederives_the_marks(self, atlas3_lines, tmp_path, forge):
+        # the marks are checked against the file's own tags, so a forged
+        # mark fails its record and no other
+        records = [json.loads(line) for line in atlas3_lines[1:]]
+        if forge == "every_stable_maximal":
+            changed = [r for r in records if r["verdict"]["tag"] == "ProvedStable"]
+            for r in changed:
+                r["maximal_unstable"] = True
+            assert len(changed) == 31
+        else:
+            changed = [next(r for r in records if r["minimal_stable"])]
+            changed[0]["minimal_stable"] = False
+        path = tmp_path / "n3.jsonl"
+        path.write_text("\n".join([atlas3_lines[0]] + [json.dumps(r) for r in records]) + "\n")
+        code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
+        assert code == 1 and f"failing keys: {[key_of(r) for r in changed]}" in text
+
+    def test_stable_record_off_its_orbit_minimum_fails_only_itself(self, atlas3_lines, tmp_path):
+        # minimally stable key 85 moved to its orbit's largest key: the
+        # marks read each record's tag by orbit, so its neighbors still pass
+        records = [json.loads(line) for line in atlas3_lines[1:]]
+        rec = next(r for r in records if key_of(r) == 85)
+        moved = max(key_orbit(3, 85))
+        rec["free"] = jsonio.pattern_to_dict(key_to_pattern(3, moved))["free"]
+        records.sort(key=key_of)
+        path = tmp_path / "n3.jsonl"
+        path.write_text("\n".join([atlas3_lines[0]] + [json.dumps(r) for r in records]) + "\n")
+        code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
+        assert code == 1 and "FAIL" not in text and f"failing keys: [{moved}]" in text
 
     def test_resume_fills_a_hole(self, atlas3_lines, tmp_path):
         # the sixth line deleted: classify writes a fresh build's bytes
@@ -598,6 +629,9 @@ class TestErrorPaths:
             '{"config_hash": "065a4abbe7f4", "n": "2", "seed": 0, "tool_version": "0.5.0"}',
             '{"config_hash": "065a4abbe7f4", "n": 2, "seed": false, "tool_version": "0.5.0"}',
             '{"config_hash": 1, "n": 2, "seed": 0, "tool_version": "0.5.0"}',
+            '{"config_hash": "x", "n": 0, "seed": -5, "tool_version": "banana"}',
+            '{"config_hash": "065a4abbe7f4", "n": 5, "seed": 0, "tool_version": "0.6.0"}',
+            '{"config_hash": "065a4abbe7f4", "n": 3, "seed": 0, "tool_version": "0.6.0"}',
         ],
     )
     @pytest.mark.parametrize("command", ["query", "validate"])
