@@ -5,16 +5,20 @@ every key's orbit minimum, its canonical key; the keys that are their own
 minimum are the representatives, already canonical and sorted.  Deciding
 them in key order puts every child (one free entry removed) first, since a
 child's canonical key is at most its raw key, below the parent's.  The
-stable patterns form an up-set, so a stable child's proof, moved through
-the symmetry that maps the child onto its representative, proves the
-parent stable, and only the rest are classified.  An inherited proof names
-the removed entry in its diagnostics.  One function (_marks) then marks
-the records minimally-stable / maximally-unstable from the neighbors'
-tags, for the build and for verify_records alike.
+stable patterns form an up-set: a Hurwitz matrix of a child lies in the
+parent's space.  So a representative with a stable child gets an Inherited
+verdict, a reference to that child's record by the removed entry, and only
+the rest are classified.  Every proof in an atlas thus sits on the
+boundary of the stable set, in the minimally stable records.  One function
+(_marks) then marks the records minimally-stable / maximally-unstable from
+the neighbors' tags, for the build and for verify_records alike.
 
 Persistence is line-delimited json: a header line, then one record per
 representative in key order.  The file is a build output: a build never
-reads it, and replaces it whole once every record is decided.
+reads it, and replaces it whole once every record is decided.  A file
+stores an Inherited verdict as its entry alone, and load_atlas links it to
+its child's record again.  Files of 0.6.0 and older hold a full proof on
+every stable record.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import collections
 import json
 import os
 from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,31 +35,19 @@ import numpy as np
 from . import jsonio
 from .errors import CapabilityError, ValidationError
 from .graphs import find_nested_chain
-from .numerics import _abscissae, is_hurwitz
-from .patterns import (
-    SparsityPattern,
-    _image_table,
-    _key_bits,
-    _symmetry,
-    key_to_pattern,
-    pattern_to_key,
-)
+from .patterns import SparsityPattern, _image_table, _key_bits, key_to_pattern, pattern_to_key
 from .verdict import (
-    CHAIN_FOUND,
-    ORACLE_FOUND,
+    INHERITED,
     PROVED_STABLE,
     PROVED_UNSTABLE,
     UNKNOWN,
     EngineConfig,
-    OracleResult,
     StabilityVerdict,
-    _transport,
     classify,
     verify_certificate,
 )
-from .witness import WitnessCertificate
 
-TOOL_VERSION = "0.6.0"
+TOOL_VERSION = "0.7.0"
 FULL_ENUMERATION_CAP = 4  # 2^(n^2) raw patterns; n=4 is 65536
 
 _ENCODER = json.JSONEncoder(sort_keys=True)  # writes the header and every record
@@ -89,18 +81,15 @@ def config_hash(config: EngineConfig) -> str:
 
 class _OrbitTable(NamedTuple):
     """Every orbit as (canonical key, orbit size) in key order; then, for
-    each raw key, its canonical key and the first symmetry g of
-    _orbit_keys that maps it there."""
+    each raw key, its canonical key."""
 
     reps: list[tuple[int, int]]
     canon: list[int]
-    symmetry: list[int]
 
 
 def _orbit_table(n: int) -> _OrbitTable:
     """The orbit of each of the 2^(n^2) raw keys: for every key at once,
-    the min and argmin of _orbit_keys, as a running minimum over the
-    2*n! symmetries.
+    the min of _orbit_keys, as a running minimum over the 2*n! symmetries.
 
     A symmetry maps a key bit by bit, so its images of all keys fill in
     one doubling pass: the keys with top bit b are those below 2^b with
@@ -115,20 +104,14 @@ def _orbit_table(n: int) -> _OrbitTable:
     # as in _orbit_keys
     moved = _key_bits(n)[_image_table(n)].reshape(total, -1)[::-1].astype(dtype)
     canon = np.arange(size, dtype=dtype)  # symmetry 0 is the identity
-    first = np.zeros(size, dtype=np.uint8)
     image = np.zeros_like(canon)
-    less = np.empty(size, dtype=bool)
     for g in range(1, moved.shape[1]):
         for b, high in enumerate(moved[:, g]):
             np.bitwise_or(image[: 1 << b], high, out=image[1 << b : 2 << b])
-        np.less(image, canon, out=less)
-        first[less] = g  # strictly less: the first symmetry reaching the minimum stays
         np.minimum(image, canon, out=canon)
     keys = np.flatnonzero(canon == np.arange(size))
     sizes = np.bincount(canon, minlength=size)[keys]
-    return _OrbitTable(
-        list(zip(keys.tolist(), sizes.tolist())), canon.tolist(), first.tolist()
-    )
+    return _OrbitTable(list(zip(keys.tolist(), sizes.tolist())), canon.tolist())
 
 
 def _check_size(n) -> None:
@@ -172,17 +155,39 @@ def _record_to_dict(rec: AtlasRecord) -> dict:
 
 
 def _record_from_dict(d: dict, n: int) -> AtlasRecord:
+    """The record of ``d``; its marks must fit its own verdict: a minimally
+    stable record holds a stability proof of its own, not an Inherited
+    one, and a maximally unstable one is ProvedUnstable."""
     jsonio.check(d, jsonio.RECORD, "record")
     pattern = jsonio.pattern_from_dict(d)
     if pattern.n != n:
         raise ValidationError(f"record has n={pattern.n}, not the header's n={n}")
-    verdict = jsonio._verdict(d["verdict"], pattern)
-    return AtlasRecord(pattern, d["orbit_size"], verdict, d["minimal_stable"], d["maximal_unstable"])
+    v = jsonio._verdict(d["verdict"], pattern)
+    if d["minimal_stable"] and (v.tag != PROVED_STABLE or v.reason == INHERITED):
+        raise ValidationError(f"a minimally stable record has verdict ({v.tag}, {v.reason})")
+    if d["maximal_unstable"] and v.tag != PROVED_UNSTABLE:
+        raise ValidationError(f"a maximally unstable record has tag {v.tag}")
+    return AtlasRecord(pattern, d["orbit_size"], v, d["minimal_stable"], d["maximal_unstable"])
 
 
 def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
-    """Read a persisted atlas, every verdict with its evidence."""
-    return _read_atlas(path)
+    """Read a persisted atlas, every verdict with its evidence.  Each
+    Inherited verdict is linked to the verdict of its child's orbit, read
+    in key order, so a complete atlas has every child linked first; a
+    record at a non-representative key stands for its orbit, as in
+    verify_records."""
+    header, records = _read_atlas(path)
+    n = header["n"]
+    canon = _orbit_table(n).canon
+    verdicts = {}  # by orbit
+    for i, rec in enumerate(records):
+        v = rec.verdict
+        if v.reason == INHERITED:
+            child = pattern_to_key(SparsityPattern(n, rec.pattern.free - {v.entry}))
+            v = replace(v, child=verdicts.get(canon[child]))
+            records[i] = rec = replace(rec, verdict=v)
+        verdicts[canon[rec.key]] = v
+    return header, records
 
 
 def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
@@ -260,27 +265,20 @@ def _decide(n, key, orbits: _OrbitTable, memo, config, seed):
     ``memo``, which holds every lower representative's, so that each child
     (one free entry removed) is there under its canonical key.
 
-    A child's Hurwitz matrix lies in p's matrix space, so a stable
-    child's proof proves p stable.  The first ChainFound child in bit
-    order lends its certificate: its chain is a chain of p, so classify
-    would also find one.  When every stable child is OracleFound, p gets
-    the first one's matrix unless p has a chain, which classify then
-    certifies.  Without a stable child, or when the carried proof fails
-    its float Hurwitz re-check, p is classified.
+    A child's Hurwitz matrix lies in p's matrix space, so a stable child
+    proves p stable.  The first stable child in bit order gives p an
+    Inherited verdict: the removed entry and the child's verdict.  Only a
+    p without a stable child is classified.
     """
-    canon = orbits.canon
-    children = [(b, key ^ 1 << b) for b in range(n * n) if key >> b & 1]
-    stable = [
-        (b, orbits.symmetry[raw], child)
-        for b, raw in children
-        if (child := memo[canon[raw]][1]).tag == PROVED_STABLE
-    ]
     p = key_to_pattern(n, key)
-    donor = next((d for d in stable if d[2].reason == CHAIN_FOUND), None)
-    if donor is None and stable and find_nested_chain(p) is None:
-        donor = stable[0]
-    verdict = _inherit(n, p, *donor) if donor else None
-    return p, verdict or classify(p, config, seed)
+    for b in range(n * n):
+        if key >> b & 1:
+            child = memo[orbits.canon[key ^ 1 << b]][1]
+            if child.tag == PROVED_STABLE:
+                pos = n * n - 1 - b
+                entry = (pos // n + 1, pos % n + 1)
+                return p, StabilityVerdict(PROVED_STABLE, INHERITED, entry=entry, child=child)
+    return p, classify(p, config, seed)
 
 
 def _marks(n: int, canon: list[int], tags: dict, key: int) -> tuple[bool, bool]:
@@ -295,54 +293,6 @@ def _marks(n: int, canon: list[int], tags: dict, key: int) -> tuple[bool, bool]:
         tag == PROVED_UNSTABLE
         and all(tags.get(canon[key | bit]) == PROVED_STABLE for bit in bits if not key & bit),
     )
-
-
-def _inherit(n, p, b, g, child: StabilityVerdict) -> StabilityVerdict | None:
-    """p's verdict from its stable child (p without key bit b), given the
-    verdict ``child`` of the child's representative and the symmetry g of
-    _orbit_keys that maps the child onto that representative, or None when
-    the carried proof fails its float Hurwitz re-check.
-
-    The child is the image of the representative under a symmetry, so the
-    proof moves with it: the certificate's ordering and cycles are
-    relabeled, each cycle reversed under a transpose; the witness is
-    relabeled and, with the symmetry, transposed; the stabilizer is
-    relabeled only, since D W^T = (W D)^T has the spectrum of D W.  Relabeling and transposing
-    keep principal minors and map cycles onto cycles, so only the float
-    Hurwitz claim is checked again, on the product that certificate_failures
-    forms.  An oracle matrix moves like the witness.
-    """
-    image, transposed = _symmetry(n, g)
-    pos = n * n - 1 - b
-    note = (f"inherited from the child without entry ({pos // n + 1}, {pos % n + 1})",)
-    if child.certificate is None:
-        matrix = _transport(child.oracle.matrix, image, transposed)
-        abscissa = _abscissae(matrix[None])[0]
-        if not is_hurwitz(abscissa):
-            return None
-        oracle = OracleResult(matrix=matrix, restarts_used=0, best_abscissa=abscissa)
-        return StabilityVerdict(PROVED_STABLE, ORACLE_FOUND, oracle=oracle, diagnostics=note)
-    cert = child.certificate
-    label = [0] * n  # label[v]: the vertex of p (1-based) at the representative's vertex v
-    for a, v in enumerate(image):
-        label[v] = a + 1
-    witness = _transport(cert.witness, image, transposed)
-    stabilizer = cert.stabilizer.take(image)
-    product = stabilizer[:, None] * witness
-    if not np.isfinite(product).all() or not is_hurwitz(_abscissae(product[None])[0]):
-        return None
-    step = -1 if transposed else 1
-    cert = WitnessCertificate(
-        pattern=p,
-        ordering=tuple(label[v - 1] for v in cert.ordering),
-        prefix_cycles=tuple(
-            tuple(tuple(label[v - 1] for v in cycle[::step]) for cycle in cycles)
-            for cycles in cert.prefix_cycles
-        ),
-        witness=witness,
-        stabilizer=stabilizer,
-    )
-    return StabilityVerdict(PROVED_STABLE, CHAIN_FOUND, certificate=cert, diagnostics=note)
 
 
 @dataclass(frozen=True)

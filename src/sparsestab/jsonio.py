@@ -4,11 +4,14 @@ Each persisted format is one table of field -> kind below; ``check`` walks
 a decoded value against it and raises ValidationError with the bad field's
 path, e.g. ``verdict.certificate.prefix_cycles[2][0][1]``, or
 ``verdict.oracle.matrix`` for a ragged matrix.  The decoders then only
-build objects.  Keys a table does not list are ignored.  Matrices serialize
-as nested float lists and patterns as {"n": ..., "free": [[i, j], ...]},
-which patterns.decode_json_pattern alone checks; a certificate inside an
-atlas record leaves its pattern to the record.  Only evidence is stored:
-a verifier recomputes minors and spectra from the matrices.
+build objects, once they have checked that a verdict names an ``entry``
+exactly when it is Inherited.  Keys a table does not list are ignored.
+Matrices serialize as nested float lists and patterns as {"n": ...,
+"free": [[i, j], ...]}, which patterns.decode_json_pattern alone checks; a
+certificate inside an atlas record leaves its pattern to the record.  Only
+evidence is stored: a verifier recomputes minors and spectra from the
+matrices.  An Inherited verdict stores only its entry; its child verdict
+is the child record's, which atlas.load_atlas links back in.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import PatternFormatError, ValidationError
 from .patterns import SparsityPattern, decode_json_pattern
-from .verdict import REASONS, OracleResult, StabilityVerdict
+from .verdict import INHERITED, REASONS, OracleResult, StabilityVerdict
 from .witness import WitnessCertificate
 
 # Kinds: int, bool and str match exactly that type (json's true is not an
@@ -31,6 +34,7 @@ COUNT = "an int >= 0"
 NUMBER = "a finite number"  # an int within float range, or a finite float
 PATTERN = "a json pattern field"  # checked by patterns.decode_json_pattern alone
 REASON = "a reason of the verdict's tag"  # one of REASONS[tag]; the tag is checked first
+ENTRY = "an [i, j] pair of ints"
 MATRIX = [[NUMBER]]  # known by identity: its rows must also be of equal length
 
 
@@ -52,7 +56,7 @@ VERDICT = {
     "tag": frozenset(REASONS), "reason": REASON, "k": optional(int), "violating": optional([int]),
     "certificate": optional(CERTIFICATE),
     "oracle": optional(ORACLE, needs="oracle_stats"), "oracle_stats": optional(ORACLE_STATS),
-    "diagnostics": optional([str]),
+    "diagnostics": optional([str]), "entry": optional(ENTRY),
 }
 HEADER = {"n": int, "tool_version": str, "seed": int, "config_hash": str}
 RECORD = {
@@ -130,6 +134,8 @@ def _is_leaf(value, kind) -> bool:
             return False
     if kind is COUNT:
         return type(value) is int and value >= 0
+    if kind is ENTRY:
+        return type(value) is list and len(value) == 2 and all(type(x) is int for x in value)
     if type(kind) is frozenset:
         return type(value) is str and value in kind
     return type(value) is kind
@@ -211,6 +217,8 @@ def verdict_to_dict(v: StabilityVerdict, pattern: SparsityPattern | None = None)
         }
     if v.diagnostics:
         out["diagnostics"] = list(v.diagnostics)
+    if v.entry is not None:
+        out["entry"] = list(v.entry)
     return out
 
 
@@ -223,6 +231,8 @@ def verdict_from_dict(d: dict, pattern: SparsityPattern | None = None) -> Stabil
 
 def _verdict(d: dict, pattern: SparsityPattern | None) -> StabilityVerdict:
     """verdict_from_dict of a ``d`` that passed check."""
+    if ("entry" in d) != (d["reason"] == INHERITED):
+        raise ValidationError("verdict must name an entry exactly when its reason is Inherited")
     stats = d.get("oracle_stats")
     oracle = d.get("oracle")
     return StabilityVerdict(
@@ -237,4 +247,5 @@ def _verdict(d: dict, pattern: SparsityPattern | None) -> StabilityVerdict:
             best_abscissa=float(stats["best_abscissa"]),
         ),
         diagnostics=tuple(d.get("diagnostics", ())),
+        entry=tuple(d["entry"]) if "entry" in d else None,
     )

@@ -25,10 +25,7 @@ relies on one guarantee:
 - the synthesis check (synthesize_stable_witness) multiplies that
   stabilizer into the witness, the same product reordered;
 - the verifier (verdict.certificate_failures) checks both decoded arrays
-  and then their product;
-- the atlas's inherited proofs (atlas._inherit) move a decided child's
-  oracle matrix, whose entries they keep, or check the product of its
-  moved stabilizer and witness.
+  and then their product.
 """
 
 from __future__ import annotations

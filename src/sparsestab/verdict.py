@@ -52,11 +52,12 @@ SCC_WITHOUT_SINK = "SccWithoutSink"
 NO_HAMILTONIAN_K = "NoHamiltonianK"
 CHAIN_FOUND = "ChainFound"
 ORACLE_FOUND = "OracleFound"
+INHERITED = "Inherited"
 EXHAUSTED = "Exhausted"
 
 # the reasons each tag may give
 REASONS = {
-    PROVED_STABLE: frozenset({CHAIN_FOUND, ORACLE_FOUND}),
+    PROVED_STABLE: frozenset({CHAIN_FOUND, ORACLE_FOUND, INHERITED}),
     PROVED_UNSTABLE: frozenset({NO_SINK, SCC_WITHOUT_SINK, NO_HAMILTONIAN_K}),
     UNKNOWN: frozenset({EXHAUSTED}),
 }
@@ -104,8 +105,11 @@ class StabilityVerdict:
     the failing size k).  ProvedStable carries either a full witness
     certificate or, for OracleFound, the oracle's result with the found
     matrix mapped onto the input's support and its spectrum re-checked
-    there.  Unknown means every check was inconclusive; its oracle field
-    holds the miss.
+    there.  Inherited, the atlas's, carries no evidence of its own: the
+    1-based free ``entry`` whose removal leaves a stable pattern, and
+    ``child``, the verdict of that pattern's representative, which is
+    never serialized.  Unknown means every check was inconclusive; its
+    oracle field holds the miss.
     """
 
     tag: str
@@ -115,6 +119,8 @@ class StabilityVerdict:
     certificate: WitnessCertificate | None = None
     oracle: OracleResult | None = None
     diagnostics: tuple[str, ...] = field(default=())
+    entry: tuple[int, int] | None = None
+    child: StabilityVerdict | None = field(default=None, repr=False)
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -353,18 +359,32 @@ def verify_certificate(obj, p: SparsityPattern | None = None) -> bool:
     argument is required for verdicts that do not embed a certificate, and
     a certificate built on another pattern fails).  Each verdict must name
     its evidence.  ChainFound needs a certificate and OracleFound a found
-    oracle matrix.  An instability verdict needs its exact evidence: the
-    violating vertices of the sink check, or a size k such that some
-    strongly connected block B has |B| >= k and no Hamiltonian k-subgraph.
+    oracle matrix.  Inherited needs a free entry and a stable child verdict
+    that verifies on the canonical form of p without that entry: an exact
+    lattice step, with no float test of its own.  The child has one free
+    entry fewer, so the references end.  An instability verdict needs its
+    exact evidence: the violating vertices of the sink check, or a size k
+    such that some strongly connected block B has |B| >= k and no
+    Hamiltonian k-subgraph.
     An Unknown must say Exhausted, pass both checks and have a block
     without a nested chain.  Raises ValidationError on evidence that
-    cannot be checked, such as non-finite entries or a missing pattern.
+    cannot be checked, such as non-finite entries, a missing pattern or an
+    Inherited verdict without its child.
     """
     if isinstance(obj, WitnessCertificate):
         return not certificate_failures(obj)
     if isinstance(obj, StabilityVerdict):
         v = obj
         if v.tag == PROVED_STABLE:
+            if v.reason == INHERITED:
+                if p is None:
+                    raise ValidationError("verifying an Inherited verdict needs the pattern")
+                if v.entry not in p.free:
+                    return False
+                if v.child is None:
+                    raise ValidationError("an Inherited verdict carries no child verdict")
+                child = canonical_form(SparsityPattern(p.n, p.free - {v.entry})).canonical
+                return v.child.tag == PROVED_STABLE and verify_certificate(v.child, child)
             if v.certificate is not None:
                 if v.reason != CHAIN_FOUND or p is not None and v.certificate.pattern != p:
                     return False

@@ -5,7 +5,6 @@ import itertools
 import json
 import random
 
-import numpy as np
 import pytest
 
 from sparsestab import (
@@ -22,15 +21,18 @@ from sparsestab import (
     verify_certificate,
 )
 import sparsestab.atlas as atlas_module
+import sparsestab.verdict as verdict_module
 from sparsestab.atlas import config_hash
-from sparsestab.jsonio import verdict_to_dict
+from sparsestab.jsonio import verdict_from_dict, verdict_to_dict
 from sparsestab.patterns import _orbit_keys, key_orbit, key_to_pattern, pattern_to_key
 from sparsestab.verdict import (
     CHAIN_FOUND,
+    INHERITED,
     ORACLE_FOUND,
     PROVED_STABLE,
     PROVED_UNSTABLE,
     EngineConfig,
+    StabilityVerdict,
 )
 
 
@@ -73,10 +75,10 @@ class TestEnumerate:
 class TestOrbitTable:
     @pytest.mark.parametrize("n, stride", [(1, 1), (2, 1), (3, 1), (4, 97)])
     def test_min_and_argmin_of_orbit_keys(self, n, stride):
+        # the table keeps the minimum only; no build reads the argmin
         table = atlas_module._orbit_table(n)
         for raw in range(0, 1 << (n * n), stride):
-            keys = _orbit_keys(n, raw)
-            assert (table.canon[raw], table.symmetry[raw]) == (keys.min(), keys.argmin()), raw
+            assert table.canon[raw] == _orbit_keys(n, raw).min(), raw
 
     @pytest.mark.parametrize("n, count", [(1, 2), (2, 9), (3, 74), (4, 1740)])
     def test_representatives_cover_every_key(self, n, count):
@@ -173,28 +175,34 @@ class TestClassifyAtlas:
                 assert classify(key_to_pattern(3, raw), cfg).tag == rec.verdict.tag
 
     def test_records_match_fresh_classification(self, atlas2, atlas3):
-        # an inherited proof keeps the (tag, reason) that classify gives
+        # a reference keeps the tag that classify gives, and every other
+        # record its (tag, reason)
         for records in (classify_atlas(1), atlas2, atlas3):
             for rec in records:
                 v = classify(rec.pattern)
-                assert (v.tag, v.reason) == (rec.verdict.tag, rec.verdict.reason), rec.key
+                assert v.tag == rec.verdict.tag, rec.key
+                if not is_inherited(rec):
+                    assert (v.tag, v.reason) == (rec.verdict.tag, rec.verdict.reason), rec.key
 
     def test_n4_records_verify(self, atlas4_timed):
         records = atlas4_timed[0]
         assert all(verify_certificate(rec.verdict, rec.pattern) for rec in records)
-        # the split a fresh classify of every representative gives
+        # the stable records with a stable child are references; the
+        # minimally stable ones hold the 36 proofs
         reasons = collections.Counter((rec.verdict.tag, rec.verdict.reason) for rec in records)
         assert reasons == {
-            (PROVED_STABLE, CHAIN_FOUND): 827,
-            (PROVED_STABLE, ORACLE_FOUND): 56,
+            (PROVED_STABLE, INHERITED): 847,
+            (PROVED_STABLE, CHAIN_FOUND): 20,
+            (PROVED_STABLE, ORACLE_FOUND): 16,
             (PROVED_UNSTABLE, "NoHamiltonianK"): 56,
             (PROVED_UNSTABLE, "NoSink"): 144,
             (PROVED_UNSTABLE, "SccWithoutSink"): 655,
             ("Unknown", "Exhausted"): 2,
         }
-        inherited = [rec.verdict for rec in records if is_inherited(rec)]
-        assert collections.Counter(v.reason for v in inherited) == {CHAIN_FOUND: 804, ORACLE_FOUND: 40}
-        assert all(v.oracle.restarts_used == 0 for v in inherited if v.oracle is not None)
+        by_key = {rec.key: rec for rec in records}
+        for rec in filter(is_inherited, records):
+            child = canonical_form(SparsityPattern(4, rec.pattern.free - {rec.verdict.entry}))
+            assert rec.verdict.child is by_key[pattern_to_key(child.canonical)].verdict
         # an Unknown is recorded at the budget its header states, the caller's
         unknown = [rec for rec in records if rec.verdict.tag == "Unknown"]
         assert [verdict_to_dict(rec.verdict) for rec in unknown] == [
@@ -203,55 +211,64 @@ class TestClassifyAtlas:
 
 
 def is_inherited(rec) -> bool:
-    return any(d.startswith("inherited from the child") for d in rec.verdict.diagnostics)
+    return rec.verdict.reason == INHERITED
+
+
+def reference(entry, child) -> StabilityVerdict:
+    return StabilityVerdict(PROVED_STABLE, INHERITED, entry=entry, child=child)
 
 
 # GAP3 has no nested chain, and the oracle proves it stable.  At n = 3 every
-# pattern with one more entry has a chain, so only n = 4 atlases inherit
-# oracle matrices, and the tests below move GAP3's by hand.
+# pattern with one more entry has a chain, so only n = 4 atlases refer to
+# OracleFound records, and the tests below refer to GAP3's by hand.
 GAP3 = SparsityPattern.from_pairs(3, [(1, 3), (2, 1), (2, 2), (3, 1), (3, 2)])
 
 
 class TestInheritance:
     """A stable representative with a stable child (one entry removed)
-    carries that child's proof over instead of being classified."""
+    refers to that child's verdict instead of being classified."""
 
     def test_inherited_records_name_the_removed_entry(self, atlas3):
+        by_key = {rec.key: rec for rec in atlas3}
         inherited = [rec for rec in atlas3 if is_inherited(rec)]
         assert len(inherited) == 25
         for rec in inherited:
-            assert rec.verdict.reason == CHAIN_FOUND and not rec.minimal_stable
-            (note,) = rec.verdict.diagnostics
-            i, j = map(int, note[note.index("(") + 1 : -1].split(", "))
-            child = SparsityPattern(3, rec.pattern.free - {(i, j)})
-            assert verify_certificate(rec.verdict.certificate, child)
-            assert rec.verdict.certificate.pattern == rec.pattern
+            v = rec.verdict
+            assert not rec.minimal_stable and v.entry in rec.pattern.free
+            assert v.certificate is None and v.oracle is None and v.diagnostics == ()
+            child = canonical_form(SparsityPattern(3, rec.pattern.free - {v.entry})).canonical
+            assert v.child is by_key[pattern_to_key(child)].verdict
+            assert verify_certificate(v, rec.pattern)
 
-    def test_both_transport_branches_run(self, monkeypatch):
-        symmetries = []
+    def test_both_transport_branches_run(self, atlas3, atlas4_timed):
+        # references whose child is a transposed image of its
+        # representative, and ones whose child is relabeled, both verify
+        transposed, relabeled = set(), set()
+        for records, n in ((atlas3, 3), (atlas4_timed[0], 4)):
+            for rec in filter(is_inherited, records):
+                info = canonical_form(SparsityPattern(n, rec.pattern.free - {rec.verdict.entry}))
+                assert verify_certificate(rec.verdict, rec.pattern), rec.key
+                if info.transposed:
+                    transposed.add((n, rec.key))
+                if list(info.relabeling.mapping) != sorted(info.relabeling.mapping):
+                    relabeled.add((n, rec.key))
+        assert transposed and relabeled
 
-        def spy(n, g):
-            symmetries.append(atlas_symmetry(n, g))
-            return symmetries[-1]
-
-        atlas_symmetry = atlas_module._symmetry
-        monkeypatch.setattr(atlas_module, "_symmetry", spy)
-        records = classify_atlas(3)
-        assert len(symmetries) == sum(map(is_inherited, records))
-        assert any(transposed for _, transposed in symmetries)
-        assert any(image != sorted(image) for image, _ in symmetries)
-
-    def test_failed_recheck_falls_back_to_classify(self, monkeypatch):
-        monkeypatch.setattr(atlas_module, "is_hurwitz", lambda abscissa: False)
-        for rec in classify_atlas(3):
-            assert verdict_to_dict(rec.verdict) == verdict_to_dict(classify(rec.pattern, EngineConfig()))
+    def test_failed_recheck_falls_back_to_classify(self, atlas3, monkeypatch):
+        # a reference is checked down to the float Hurwitz test of the
+        # proof it reaches, so that test failing fails every reference
+        monkeypatch.setattr(verdict_module, "is_hurwitz", lambda abscissa: False)
+        inherited = [rec for rec in atlas3 if is_inherited(rec)]
+        assert len(inherited) == 25
+        for rec in inherited:
+            assert not verify_certificate(rec.verdict, rec.pattern), rec.key
 
     def test_oracle_matrix_moves_to_the_parent(self):
         # every image of GAP3 under relabeling and transpose, as a child of
-        # each pattern with one more entry: GAP3's own matrix moves through
-        # the symmetry that maps the image back onto GAP3
+        # each pattern with one more entry: a reference to GAP3's own
+        # verdict verifies on each parent
         n = 3
-        symmetry = atlas_module._orbit_table(n).symmetry
+        assert canonical_form(GAP3).canonical == GAP3
         child = classify(GAP3)
         assert child.reason == ORACLE_FOUND
         images = set()
@@ -268,24 +285,40 @@ class TestInheritance:
                 images.add(raw)
                 for entry in sorted(set(SparsityPattern.full(n).free) - raw_child.free):
                     parent = SparsityPattern(n, raw_child.free | {entry})
-                    b = n * n - 1 - ((entry[0] - 1) * n + entry[1] - 1)
-                    v = atlas_module._inherit(n, parent, b, symmetry[raw], child)
-                    assert (v.tag, v.reason, v.oracle.restarts_used) == (
-                        PROVED_STABLE,
-                        ORACLE_FOUND,
-                        0,
-                    )
-                    assert v.diagnostics == (f"inherited from the child without entry {entry}",)
-                    assert verify_certificate(v, parent), (perm, transposed, entry)
-                    if raw == pattern_to_key(GAP3):
-                        assert np.array_equal(v.oracle.matrix, child.oracle.matrix)
+                    assert verify_certificate(reference(entry, child), parent), (perm, transposed, entry)
         assert len(images) == 6
 
     def test_oracle_recheck_failure_returns_none(self, monkeypatch):
-        monkeypatch.setattr(atlas_module, "is_hurwitz", lambda abscissa: False)
+        # the reference verifies until the oracle matrix's Hurwitz test fails
         parent = SparsityPattern(3, GAP3.free | {(1, 1)})
-        g = atlas_module._orbit_table(3).symmetry[pattern_to_key(GAP3)]
-        assert atlas_module._inherit(3, parent, 8, g, classify(GAP3)) is None
+        v = reference((1, 1), classify(GAP3))
+        assert verify_certificate(v, parent)
+        monkeypatch.setattr(verdict_module, "is_hurwitz", lambda abscissa: False)
+        assert not verify_certificate(v, parent)
+
+    def test_proofs_sit_on_the_boundary(self, atlas2, atlas3, atlas4_timed):
+        # a stable record refers to a child exactly when it is not minimally
+        # stable, and every minimally stable one holds its own proof
+        for records in (atlas2, atlas3, atlas4_timed[0]):
+            stable = [rec for rec in records if rec.verdict.tag == PROVED_STABLE]
+            assert any(map(is_inherited, stable))
+            for rec in stable:
+                assert is_inherited(rec) == (not rec.minimal_stable), rec.key
+                if rec.minimal_stable:
+                    assert rec.verdict.reason in (CHAIN_FOUND, ORACLE_FOUND), rec.key
+
+    def test_unlinked_reference_cannot_be_verified(self, atlas3_path):
+        # query_atlas and verdict_from_dict decode a reference without its
+        # child, so it names no evidence to check
+        records = query_atlas(atlas3_path, {"verdict": "stable", "minimal_stable": False})
+        assert len(records) == 25 and all(rec.verdict.child is None for rec in records)
+        for rec in records:
+            with pytest.raises(ValidationError, match="no child"):
+                verify_certificate(rec.verdict, rec.pattern)
+            decoded = verdict_from_dict(verdict_to_dict(rec.verdict))
+            assert decoded == rec.verdict
+            with pytest.raises(ValidationError, match="no child"):
+                verify_certificate(decoded, rec.pattern)
 
     def test_builds_leave_no_reference_cycles(self):
         # a cycle keeps a build's memo, or a chain search's 2^|B| table,
@@ -330,13 +363,13 @@ class TestPersistence:
         "n, size, digest",
         [
             pytest.param(
-                2, 2501, "f361765c2b532beae8f85930a0d0d23e3a7d624cbaef4ef3ee6160d4cc891a6d", id="2"
+                2, 2044, "fa740c27f174a453b3f5c9ec2a3e51c50d747a8cb9f04ad1dc418c8fe0e33651", id="2"
             ),
             pytest.param(
-                3, 24170, "d24d4c31c9c4cec2286b6c416cb99df10c48c524f8a82148da391b1ce5934f40", id="3"
+                3, 16608, "4aedd9e74733415c1549718e7bc50416261ef798d0e1f483550b56586e94d704", id="3"
             ),
             pytest.param(
-                4, 739160, "5b49249e42e1acfc593e829cda5e5827dbae6de1e0e65173201c7e1bb697a318", id="4"
+                4, 416838, "f5dca0fac950e03b2ad3ba4c375301d30be65616247682c9190d5c5358afb818", id="4"
             ),
         ],
     )
@@ -393,8 +426,8 @@ class TestPersistence:
         assert config_hash(EngineConfig()) != config_hash(EngineConfig(oracle_restarts=2))
 
     def test_one_classification_per_representative(self, monkeypatch):
-        # once for each representative that inherits no proof, never for
-        # one that does
+        # once for each representative without a stable child, never for
+        # one that refers to its child
         calls = []
 
         def counting(p, config, seed):
@@ -407,7 +440,7 @@ class TestPersistence:
         assert len(calls) == 49
         assert {restarts for _, restarts in calls} == {EngineConfig().oracle_restarts}
 
-    @pytest.mark.parametrize("n, count", [(3, 49), (4, 896)])
+    @pytest.mark.parametrize("n, count", [(3, 49), (4, 893)])
     def test_classifications_run_in_key_order(self, monkeypatch, n, count):
         calls = []
 

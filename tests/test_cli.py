@@ -18,6 +18,7 @@ from sparsestab.jsonio import (
     verdict_to_dict,
 )
 from sparsestab.patterns import key_orbit, key_to_pattern, pattern_to_key
+from sparsestab.patterns import SparsityPattern
 from sparsestab.verdict import EngineConfig, classify
 
 from conftest import FIG2_LEFT, FIG2_RIGHT, failed_geev
@@ -32,6 +33,26 @@ def run(argv):
 def key_of(rec):
     """The canonical key of an atlas record dict, derived from its pattern."""
     return pattern_to_key(pattern_from_dict(rec))
+
+
+def reaching(records, key):
+    """The keys of the atlas record dicts, in key order, whose references
+    reach the record at ``key``, itself included."""
+    reached = []
+    for rec in sorted(records, key=key_of):
+        verdict = rec["verdict"]
+        if key_of(rec) == key:
+            reached.append(key)
+        elif verdict["reason"] == "Inherited":
+            p = pattern_from_dict(rec)
+            child = pattern_to_key(SparsityPattern(p.n, p.free - {tuple(verdict["entry"])}))
+            if min(key_orbit(p.n, child)) in reached:
+                reached.append(key_of(rec))
+    return reached
+
+
+def write_atlas(path, header, records):
+    path.write_text("\n".join([header] + [json.dumps(r) for r in records]) + "\n")
 
 
 @pytest.fixture
@@ -175,7 +196,8 @@ class TestAtlasCommands:
         path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in records]) + "\n")
         code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
         assert code == 1 and "FAIL" not in text
-        assert f"failing keys: [{key_of(rec)}]" in text
+        # the forged proof fails its record and the references that reach it
+        assert f"failing keys: {reaching(records, key_of(rec))}" in text
 
     def test_validate_ignores_a_stored_spectrum(self, atlas2_lines, tmp_path):
         # a non-Hurwitz witness fails however its record claims a spectrum
@@ -187,7 +209,7 @@ class TestAtlasCommands:
         path = tmp_path / "n2.jsonl"
         path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in records]) + "\n")
         code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
-        assert code == 1 and f"failing keys: [{key_of(rec)}]" in text
+        assert code == 1 and f"failing keys: {reaching(records, key_of(rec))}" in text
 
     def test_validate_fails_a_certificate_beyond_float_range(self, atlas2_lines, tmp_path):
         # witness and stabilizer are finite, diag(stabilizer) @ witness is not
@@ -199,7 +221,7 @@ class TestAtlasCommands:
         path = tmp_path / "n2.jsonl"
         path.write_text("\n".join([atlas2_lines[0]] + [json.dumps(r) for r in records]) + "\n")
         code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(path)])
-        assert code == 1 and f"failing keys: [{key_of(rec)}]" in text
+        assert code == 1 and f"failing keys: {reaching(records, key_of(rec))}" in text
 
     def test_validate_checks_orbit_sizes(self, atlas2_lines, tmp_path):
         # move one pattern of coverage from one record to another, so the
@@ -244,7 +266,8 @@ class TestAtlasCommands:
     @pytest.mark.parametrize("forge", ["every_stable_maximal", "one_minimal_flipped"])
     def test_validate_rederives_the_marks(self, atlas3_lines, tmp_path, forge):
         # the marks are checked against the file's own tags, so a forged
-        # mark fails its record and no other
+        # mark fails its record and no other; a mark that its record's own
+        # verdict contradicts already fails to load (exit 12)
         records = [json.loads(line) for line in atlas3_lines[1:]]
         if forge == "every_stable_maximal":
             changed = [r for r in records if r["verdict"]["tag"] == "ProvedStable"]
@@ -257,20 +280,87 @@ class TestAtlasCommands:
         path = tmp_path / "n3.jsonl"
         path.write_text("\n".join([atlas3_lines[0]] + [json.dumps(r) for r in records]) + "\n")
         code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
-        assert code == 1 and f"failing keys: {[key_of(r) for r in changed]}" in text
+        if forge == "every_stable_maximal":
+            assert (code, text) == (12, "")
+        else:
+            assert code == 1 and f"failing keys: {[key_of(r) for r in changed]}" in text
+
+    @pytest.mark.parametrize(
+        "flags, mark", [(["--maximal-unstable", "--verdict", "stable"], "maximal_unstable"),
+                        (["--minimal-stable"], "minimal_stable")]
+    )
+    def test_query_rejects_a_mark_its_verdict_contradicts(self, atlas3_lines, tmp_path, flags, mark):
+        # every stable record claims to be maximally unstable, or every
+        # reference minimally stable: neither needs a neighbor to refute
+        records = [json.loads(line) for line in atlas3_lines[1:]]
+        changed = [
+            r for r in records
+            if r["verdict"]["tag"] == "ProvedStable"
+            and (mark == "maximal_unstable" or r["verdict"]["reason"] == "Inherited")
+        ]
+        for r in changed:
+            r[mark] = True
+        assert len(changed) == (31 if mark == "maximal_unstable" else 25)
+        path = tmp_path / "n3.jsonl"
+        write_atlas(path, atlas3_lines[0], records)
+        assert run(["atlas", "query", "--atlas", str(path), *flags]) == (12, "")
+        assert run(["atlas", "validate", "-n", "3", "--atlas", str(path)])[0] != 0
 
     def test_stable_record_off_its_orbit_minimum_fails_only_itself(self, atlas3_lines, tmp_path):
-        # minimally stable key 85 moved to its orbit's largest key: the
-        # marks read each record's tag by orbit, so its neighbors still pass
+        # stable key 95, which no reference reaches, moved to its orbit's
+        # largest key: the marks read each record's tag by orbit, so its
+        # neighbors still pass, maximally unstable child 79 among them
         records = [json.loads(line) for line in atlas3_lines[1:]]
-        rec = next(r for r in records if key_of(r) == 85)
-        moved = max(key_orbit(3, 85))
+        assert reaching(records, 95) == [95]
+        assert next(r for r in records if key_of(r) == 79)["maximal_unstable"]
+        rec = next(r for r in records if key_of(r) == 95)
+        moved = max(key_orbit(3, 95))
         rec["free"] = jsonio.pattern_to_dict(key_to_pattern(3, moved))["free"]
         records.sort(key=key_of)
         path = tmp_path / "n3.jsonl"
         path.write_text("\n".join([atlas3_lines[0]] + [json.dumps(r) for r in records]) + "\n")
         code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
         assert code == 1 and "FAIL" not in text and f"failing keys: [{moved}]" in text
+
+    def test_forged_leaf_proof_fails_every_reference_reaching_it(self, atlas3_lines, tmp_path):
+        records = [json.loads(line) for line in atlas3_lines[1:]]
+        rec = next(r for r in records if key_of(r) == 85)
+        assert rec["minimal_stable"] and rec["verdict"]["reason"] == "ChainFound"
+        rec["verdict"]["certificate"]["stabilizer"][0] *= -1
+        reached = reaching(records, 85)
+        assert len(reached) > 2  # references to references too
+        path = tmp_path / "n3.jsonl"
+        write_atlas(path, atlas3_lines[0], records)
+        code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
+        assert code == 1 and "FAIL" not in text and f"failing keys: {reached}" in text
+
+    @pytest.mark.parametrize("forge", ["entry_not_free", "unstable_child"])
+    def test_validate_fails_a_bad_reference(self, atlas3_lines, tmp_path, forge):
+        # an Inherited record that names an entry it does not have, or one
+        # whose removal leaves an unstable pattern, fails with the
+        # references that reach it
+        records = [json.loads(line) for line in atlas3_lines[1:]]
+        tags = {key_of(r): r["verdict"]["tag"] for r in records}
+        for rec in records:
+            if rec["verdict"]["reason"] != "Inherited":
+                continue
+            p = pattern_from_dict(rec)
+            if forge == "entry_not_free":
+                cells = sorted(SparsityPattern.full(3).free - p.free)
+            else:
+                cells = [
+                    cell for cell in sorted(p.free)
+                    if tags[min(key_orbit(3, pattern_to_key(SparsityPattern(3, p.free - {cell}))))]
+                    == "ProvedUnstable"
+                ]
+            if cells:
+                rec["verdict"]["entry"] = list(cells[0])
+                break
+        path = tmp_path / "n3.jsonl"
+        write_atlas(path, atlas3_lines[0], records)
+        code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
+        assert code == 1 and "FAIL" not in text
+        assert f"failing keys: {reaching(records, key_of(rec))}" in text
 
     def test_resume_fills_a_hole(self, atlas3_lines, tmp_path):
         # the sixth line deleted: classify writes a fresh build's bytes
@@ -370,6 +460,33 @@ class TestVersion040Files:
         assert path.read_text() == "\n".join(atlas2_lines) + "\n"
 
 
+class TestVersion060Files:
+    """Files written by 0.6.0 give each stable record with a stable child
+    that child's proof, moved through the symmetry; 0.7.0 writes a
+    reference to the child's record instead."""
+
+    PATH = DATA / "atlas_n2_0.6.0.jsonl"
+
+    def test_atlas_validates(self):
+        assert '"Inherited"' not in self.PATH.read_text()
+        code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(self.PATH)])
+        assert code == 0 and "FAIL" not in text and "re-verified 9 of 9 records" in text
+        _, records = load_atlas(self.PATH)
+        moved = [r for r in records if r.verdict.diagnostics]
+        assert [r.verdict.reason for r in moved] == ["ChainFound", "ChainFound"]
+        assert all(verify_certificate(r.verdict, r.pattern) for r in moved)
+
+    def test_atlas_queries(self):
+        code, text = run(["atlas", "query", "--atlas", str(self.PATH), "--verdict", "stable"])
+        assert code == 0 and text.startswith("4 matching records")
+
+    def test_classify_does_not_resume(self, tmp_path, atlas2_lines):
+        path = tmp_path / "n2.jsonl"
+        shutil.copy(self.PATH, path)
+        assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0
+        assert path.read_text() == "\n".join(atlas2_lines) + "\n"
+
+
 class TestVersion050Files:
     """Files written by 0.5.0 store each certificate's copy of its record's
     pattern; 0.6.0 checks that it is the record's own."""
@@ -392,10 +509,12 @@ class TestVersion050Files:
         assert path.read_text() == "\n".join(atlas2_lines) + "\n"
 
     def test_records_are_the_new_ones_with_the_certificate_pattern(self, atlas2_lines):
+        # the records 0.6.0 wrote, with the certificate's pattern
         old = [json.loads(line) for line in self.PATH.read_text().splitlines()[1:]]
         for rec in old:
             rec["verdict"].get("certificate", {}).pop("pattern", None)
-        assert old == [json.loads(line) for line in atlas2_lines[1:]]
+        newer = (DATA / "atlas_n2_0.6.0.jsonl").read_text().splitlines()[1:]
+        assert old == [json.loads(line) for line in newer]
 
     @pytest.mark.parametrize("command", ["query", "validate"])
     def test_certificate_pattern_must_be_the_records(self, tmp_path, command):
@@ -460,6 +579,22 @@ MALFORMED_RECORDS = {
         for name, d in (("string", "inherited"), ("number", [1]))
     },
     "orbit_size_float": lambda rec: {**rec, "orbit_size": float(rec["orbit_size"])},
+    # an Inherited verdict names its entry, a pair of ints, and no other does
+    "entry_missing": lambda rec: {**rec, "verdict": {"tag": "ProvedStable", "reason": "Inherited"}},
+    **{
+        f"entry_{name}": lambda rec, entry=entry: {
+            **rec,
+            "verdict": {"tag": "ProvedStable", "reason": "Inherited", "entry": entry},
+        }
+        for name, entry in (
+            ("one_index", [1]),
+            ("three_indices", [1, 1, 1]),
+            ("float", [1.0, 1]),
+            ("bool", [True, 1]),
+            ("string", "11"),
+        )
+    },
+    "entry_on_a_proof": lambda rec: {**rec, "verdict": {**rec["verdict"], "entry": [1, 1]}},
     # a tag or reason outside the allowed (tag, reason) pairs
     "tag_not_a_string": lambda rec: {**rec, "verdict": {**rec["verdict"], "tag": 1}},
     "tag_unknown": lambda rec: {**rec, "verdict": {**rec["verdict"], "tag": "Bogus"}},
