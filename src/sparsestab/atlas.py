@@ -1,6 +1,6 @@
 """Exhaustive classification of small patterns up to symmetry.
 
-Patterns are enumerated as row-major bit keys.  One table per call gives
+Patterns are enumerated as row-major bit keys.  One table per n gives
 every key's orbit minimum, its canonical key; the keys that are their own
 minimum are the representatives, already canonical and sorted.  Deciding
 them in key order puts every child (one free entry removed) first, since a
@@ -11,23 +11,25 @@ verdict, a reference to that child's record by the removed entry, and only
 the rest are classified.  Every proof in an atlas thus sits on the
 boundary of the stable set, in the minimally stable records.  One function
 (_marks) then marks the records minimally-stable / maximally-unstable from
-the neighbors' tags, for the build and for verify_records alike.
+the neighbors' tags, for the build and for verify_records, which verifies
+each record once.
 
 Persistence is line-delimited json: a header line, then one record per
 representative in key order.  The file is a build output: a build never
 reads it, and replaces it whole once every record is decided.  A file
 stores an Inherited verdict as its entry alone, and load_atlas links it to
-its child's record again.  Files of 0.6.0 and older hold a full proof on
-every stable record.
+its child's record as it decodes it.  Files of 0.6.0 and older hold a full
+proof on every stable record.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import json
 import os
 from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +45,8 @@ from .verdict import (
     UNKNOWN,
     EngineConfig,
     StabilityVerdict,
+    _verify,
     classify,
-    verify_certificate,
 )
 
 TOOL_VERSION = "0.7.0"
@@ -80,13 +82,15 @@ def config_hash(config: EngineConfig) -> str:
 
 
 class _OrbitTable(NamedTuple):
-    """Every orbit as (canonical key, orbit size) in key order; then, for
-    each raw key, its canonical key."""
+    """Every orbit as (canonical key, orbit size) in key order; for each
+    raw key, its canonical key; and the mask of each key bit."""
 
-    reps: list[tuple[int, int]]
-    canon: list[int]
+    reps: tuple[tuple[int, int], ...]
+    canon: tuple[int, ...]
+    bits: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=FULL_ENUMERATION_CAP)
 def _orbit_table(n: int) -> _OrbitTable:
     """The orbit of each of the 2^(n^2) raw keys: for every key at once,
     the min of _orbit_keys, as a running minimum over the 2*n! symmetries.
@@ -94,7 +98,10 @@ def _orbit_table(n: int) -> _OrbitTable:
     A symmetry maps a key bit by bit, so its images of all keys fill in
     one doubling pass: the keys with top bit b are those below 2^b with
     b's image added.  One image array lives at a time, never a
-    [2^(n^2), 2*n!] matrix.
+    [2^(n^2), 2*n!] matrix.  Memoised per n in tuples, which no caller can
+    change; every caller passes _check_size first, so n <= 4 (65536 keys).
+    The n=5 table peaks at ~0.7 GB: lifting FULL_ENUMERATION_CAP needs
+    another look at this memo.
     """
     total = n * n
     size = 1 << total
@@ -111,7 +118,8 @@ def _orbit_table(n: int) -> _OrbitTable:
         np.minimum(image, canon, out=canon)
     keys = np.flatnonzero(canon == np.arange(size))
     sizes = np.bincount(canon, minlength=size)[keys]
-    return _OrbitTable(list(zip(keys.tolist(), sizes.tolist())), canon.tolist())
+    reps = tuple(zip(keys.tolist(), sizes.tolist()))
+    return _OrbitTable(reps, tuple(canon.tolist()), tuple(1 << b for b in range(total)))
 
 
 def _check_size(n) -> None:
@@ -154,48 +162,42 @@ def _record_to_dict(rec: AtlasRecord) -> dict:
     }
 
 
-def _record_from_dict(d: dict, n: int) -> AtlasRecord:
+def _record_from_dict(d: dict, n: int, verdicts: dict | None = None) -> AtlasRecord:
     """The record of ``d``; its marks must fit its own verdict: a minimally
-    stable record holds a stability proof of its own, not an Inherited
-    one, and a maximally unstable one is ProvedUnstable."""
+    stable record holds a stability proof of its own, not an Inherited one,
+    and a maximally unstable one is ProvedUnstable.  With ``verdicts``,
+    those of the records before it by orbit, a reference gets its pattern
+    less its entry's, and the record's own is added."""
     jsonio.check(d, jsonio.RECORD, "record")
     pattern = jsonio.pattern_from_dict(d)
     if pattern.n != n:
         raise ValidationError(f"record has n={pattern.n}, not the header's n={n}")
-    v = jsonio._verdict(d["verdict"], pattern)
+    child = None
+    if verdicts is not None and "entry" in d["verdict"]:
+        below = SparsityPattern(n, pattern.free - {tuple(d["verdict"]["entry"])})
+        child = verdicts.get(_orbit_table(n).canon[pattern_to_key(below)])
+    v = jsonio._verdict(d["verdict"], pattern, child)
     if d["minimal_stable"] and (v.tag != PROVED_STABLE or v.reason == INHERITED):
         raise ValidationError(f"a minimally stable record has verdict ({v.tag}, {v.reason})")
     if d["maximal_unstable"] and v.tag != PROVED_UNSTABLE:
         raise ValidationError(f"a maximally unstable record has tag {v.tag}")
+    if verdicts is not None:
+        verdicts[_orbit_table(n).canon[pattern_to_key(pattern)]] = v
     return AtlasRecord(pattern, d["orbit_size"], v, d["minimal_stable"], d["maximal_unstable"])
 
 
 def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
-    """Read a persisted atlas, every verdict with its evidence.  Each
-    Inherited verdict is linked to the verdict of its child's orbit, read
-    in key order, so a complete atlas has every child linked first; a
-    record at a non-representative key stands for its orbit, as in
-    verify_records."""
-    header, records = _read_atlas(path)
-    n = header["n"]
-    canon = _orbit_table(n).canon
-    verdicts = {}  # by orbit
-    for i, rec in enumerate(records):
-        v = rec.verdict
-        if v.reason == INHERITED:
-            child = pattern_to_key(SparsityPattern(n, rec.pattern.free - {v.entry}))
-            v = replace(v, child=verdicts.get(canon[child]))
-            records[i] = rec = replace(rec, verdict=v)
-        verdicts[canon[rec.key]] = v
-    return header, records
+    """Read a persisted atlas, every verdict with its evidence, and each
+    reference linked as it is decoded (see _record_from_dict)."""
+    return _read_atlas(path)
 
 
 def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
-    """The header of a persisted atlas and its records, decoded in full;
-    with ``keep``, only the records whose parsed line it accepts are
-    decoded.  Every line is parsed; any decode failure, a header n outside
-    1..FULL_ENUMERATION_CAP or a decoded record of another n raises
-    ValidationError."""
+    """The header of a persisted atlas and its records, each reference
+    linked; with ``keep``, only the records whose parsed line it accepts,
+    each reference without its child.  Every line is parsed; any decode
+    failure, a header n outside 1..FULL_ENUMERATION_CAP or a decoded record
+    of another n raises ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line for line in fh.read().splitlines() if line.strip()]
@@ -205,8 +207,9 @@ def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
         jsonio.check(header, jsonio.HEADER, "header")
         if not 1 <= header["n"] <= FULL_ENUMERATION_CAP:
             raise ValidationError(f"header n={header['n']} is outside 1..{FULL_ENUMERATION_CAP}")
+        verdicts = {} if keep is None else None  # by orbit
         records = [
-            _record_from_dict(d, header["n"])
+            _record_from_dict(d, header["n"], verdicts)
             for d in map(json.loads, lines[1:])
             if keep is None or keep(d)
         ]
@@ -241,7 +244,7 @@ def classify_atlas(
         memo[key] = _decide(n, key, orbits, memo, config, seed)
     tags = {key: v.tag for key, (_, v) in memo.items()}
     records = [
-        AtlasRecord(p, orbit_size, v, *_marks(n, orbits.canon, tags, key))
+        AtlasRecord(p, orbit_size, v, *_marks(orbits, tags, key))
         for (key, orbit_size), (p, v) in zip(orbits.reps, memo.values())
     ]
     if path is not None:
@@ -281,12 +284,12 @@ def _decide(n, key, orbits: _OrbitTable, memo, config, seed):
     return p, classify(p, config, seed)
 
 
-def _marks(n: int, canon: list[int], tags: dict, key: int) -> tuple[bool, bool]:
+def _marks(orbits: _OrbitTable, tags: dict, key: int) -> tuple[bool, bool]:
     """(minimal_stable, maximal_unstable) of raw ``key``, given ``tags``,
     the verdict tag of each canonical key: stable with no stable child, or
     unstable with every parent (one entry added) stable."""
+    canon, bits = orbits.canon, orbits.bits
     tag = tags.get(canon[key])
-    bits = [1 << b for b in range(n * n)]
     return (
         tag == PROVED_STABLE
         and all(tags.get(canon[key ^ bit]) != PROVED_STABLE for bit in bits if key & bit),
@@ -434,19 +437,20 @@ def verify_records(records: list[AtlasRecord], n: int) -> list[int]:
     """The keys of the records whose verdict fails verify_certificate, whose
     order is not n, whose key and orbit size are not a representative's,
     or whose marks differ from those _marks gives from the records' tags.
-    As for classify_atlas, n is checked by _check_size."""
+    Each is verified once.  As for classify_atlas, n is checked by _check_size."""
     _check_size(n)
     orbits = _orbit_table(n)
     sizes = dict(orbits.reps)
     # by orbit, so a record at a non-representative key fails only itself
     tags = {orbits.canon[r.key]: r.verdict.tag for r in records if r.pattern.n == n}
+    memo = {}  # see verdict._verify; the records keep every verdict alive
     return [
         r.key
         for r in records
-        if not verify_certificate(r.verdict, r.pattern)
+        if not _verify(r.verdict, r.pattern, memo)
         or r.pattern.n != n
         or sizes.get(r.key) != r.orbit_size
-        or _marks(n, orbits.canon, tags, r.key) != (r.minimal_stable, r.maximal_unstable)
+        or _marks(orbits, tags, r.key) != (r.minimal_stable, r.maximal_unstable)
     ]
 
 

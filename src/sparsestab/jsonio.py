@@ -11,7 +11,7 @@ Matrices serialize as nested float lists and patterns as {"n": ...,
 certificate inside an atlas record leaves its pattern to the record.  Only
 evidence is stored: a verifier recomputes minors and spectra from the
 matrices.  An Inherited verdict stores only its entry; its child verdict
-is the child record's, which atlas.load_atlas links back in.
+is the child record's, which atlas.load_atlas links in as it decodes.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ def verdict_from_dict(d: dict, pattern: SparsityPattern | None = None) -> Stabil
     return _verdict(d, pattern)
 
 
-def _verdict(d: dict, pattern: SparsityPattern | None) -> StabilityVerdict:
-    """verdict_from_dict of a ``d`` that passed check."""
+def _verdict(d: dict, pattern: SparsityPattern | None, child=None) -> StabilityVerdict:
+    """verdict_from_dict of a ``d`` that passed check, with the given ``child``."""
     if ("entry" in d) != (d["reason"] == INHERITED):
         raise ValidationError("verdict must name an entry exactly when its reason is Inherited")
     stats = d.get("oracle_stats")
@@ -248,4 +248,5 @@ def _verdict(d: dict, pattern: SparsityPattern | None) -> StabilityVerdict:
         ),
         diagnostics=tuple(d.get("diagnostics", ())),
         entry=tuple(d["entry"]) if "entry" in d else None,
+        child=child,
     )

@@ -371,6 +371,21 @@ def verify_certificate(obj, p: SparsityPattern | None = None) -> bool:
     cannot be checked, such as non-finite entries, a missing pattern or an
     Inherited verdict without its child.
     """
+    return _holds(obj, p, None)
+
+
+def _verify(obj, p: SparsityPattern | None, memo: dict | None) -> bool:
+    """verify_certificate, once per (id(obj), p) in ``memo``; obj must outlive memo."""
+    if memo is None:
+        return _holds(obj, p, None)
+    key = (id(obj), p)
+    if key not in memo:
+        memo[key] = _holds(obj, p, memo)
+    return memo[key]
+
+
+def _holds(obj, p: SparsityPattern | None, memo: dict | None) -> bool:
+    """The claims of verify_certificate, a reference's child through _verify."""
     if isinstance(obj, WitnessCertificate):
         return not certificate_failures(obj)
     if isinstance(obj, StabilityVerdict):
@@ -384,7 +399,7 @@ def verify_certificate(obj, p: SparsityPattern | None = None) -> bool:
                 if v.child is None:
                     raise ValidationError("an Inherited verdict carries no child verdict")
                 child = canonical_form(SparsityPattern(p.n, p.free - {v.entry})).canonical
-                return v.child.tag == PROVED_STABLE and verify_certificate(v.child, child)
+                return v.child.tag == PROVED_STABLE and _verify(v.child, child, memo)
             if v.certificate is not None:
                 if v.reason != CHAIN_FOUND or p is not None and v.certificate.pattern != p:
                     return False

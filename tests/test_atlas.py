@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -103,6 +104,16 @@ class TestOrbitTable:
         free = SparsityPattern.full(n).free - SparsityPattern.diagonal(n).free
         key = pattern_to_key(SparsityPattern(n, free))
         assert key_orbit(n, key) == {key}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_table_per_size(self, n):
+        # memoised, so every caller shares one table, which none can change
+        table = atlas_module._orbit_table(n)
+        assert atlas_module._orbit_table(n) is table
+        assert all(type(column) is tuple for column in table)
+        assert atlas_module._orbit_table.cache_info().maxsize == atlas_module.FULL_ENUMERATION_CAP
+        atlas_module._orbit_table.cache_clear()
+        assert atlas_module._orbit_table(n) == table
 
     def test_n3_build_decodes_each_representative_once(self, monkeypatch):
         calls = collections.Counter()
@@ -218,6 +229,24 @@ def reference(entry, child) -> StabilityVerdict:
     return StabilityVerdict(PROVED_STABLE, INHERITED, entry=entry, child=child)
 
 
+def leaf(verdict) -> StabilityVerdict:
+    """The proof a chain of references reaches."""
+    while verdict.reason == INHERITED:
+        verdict = verdict.child
+    return verdict
+
+
+def write_records(path, n, request, fixture):
+    """The records of a shared atlas fixture, written as classify_atlas
+    writes them."""
+    records = request.getfixturevalue(fixture)
+    records = records[0] if fixture == "atlas4_timed" else records
+    lines = [atlas_module._header(n, 0, EngineConfig())]
+    lines += [atlas_module._record_to_dict(rec) for rec in records]
+    path.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in lines))
+    return path
+
+
 # GAP3 has no nested chain, and the oracle proves it stable.  At n = 3 every
 # pattern with one more entry has a chain, so only n = 4 atlases refer to
 # OracleFound records, and the tests below refer to GAP3's by hand.
@@ -240,7 +269,7 @@ class TestInheritance:
             assert v.child is by_key[pattern_to_key(child)].verdict
             assert verify_certificate(v, rec.pattern)
 
-    def test_both_transport_branches_run(self, atlas3, atlas4_timed):
+    def test_references_to_transposed_and_relabeled_children_verify(self, atlas3, atlas4_timed):
         # references whose child is a transposed image of its
         # representative, and ones whose child is relabeled, both verify
         transposed, relabeled = set(), set()
@@ -254,7 +283,7 @@ class TestInheritance:
                     relabeled.add((n, rec.key))
         assert transposed and relabeled
 
-    def test_failed_recheck_falls_back_to_classify(self, atlas3, monkeypatch):
+    def test_failed_leaf_hurwitz_test_fails_every_reference(self, atlas3, monkeypatch):
         # a reference is checked down to the float Hurwitz test of the
         # proof it reaches, so that test failing fails every reference
         monkeypatch.setattr(verdict_module, "is_hurwitz", lambda abscissa: False)
@@ -288,7 +317,7 @@ class TestInheritance:
                     assert verify_certificate(reference(entry, child), parent), (perm, transposed, entry)
         assert len(images) == 6
 
-    def test_oracle_recheck_failure_returns_none(self, monkeypatch):
+    def test_failed_oracle_hurwitz_test_fails_the_reference(self, monkeypatch):
         # the reference verifies until the oracle matrix's Hurwitz test fails
         parent = SparsityPattern(3, GAP3.free | {(1, 1)})
         v = reference((1, 1), classify(GAP3))
@@ -319,6 +348,69 @@ class TestInheritance:
             assert decoded == rec.verdict
             with pytest.raises(ValidationError, match="no child"):
                 verify_certificate(decoded, rec.pattern)
+
+    @pytest.mark.parametrize("fixture, n", [("atlas2", 2), ("atlas3", 3), ("atlas4_timed", 4)])
+    def test_load_links_each_reference_to_its_child_record(self, tmp_path, request, fixture, n):
+        _, loaded = load_atlas(write_records(tmp_path / "atlas.jsonl", n, request, fixture))
+        by_key = {rec.key: rec for rec in loaded}
+        references = [rec for rec in loaded if is_inherited(rec)]
+        assert references
+        for rec in references:
+            child = canonical_form(SparsityPattern(n, rec.pattern.free - {rec.verdict.entry}))
+            assert rec.verdict.child is by_key[pattern_to_key(child.canonical)].verdict, rec.key
+
+    def test_verify_records_verifies_each_proof_once(self, tmp_path, request, monkeypatch):
+        # the 847 references reach the 20 chain proofs through chains of
+        # references; each (verdict, pattern) pair is verified once
+        _, loaded = load_atlas(write_records(tmp_path / "n4.jsonl", 4, request, "atlas4_timed"))
+        calls = collections.Counter()
+
+        def counting(name):
+            fn = getattr(verdict_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(verdict_module, name, wrapper)
+
+        counting("certificate_failures")
+        counting("canonical_form")
+        assert atlas_module.verify_records(loaded, 4) == []
+        assert calls == {"certificate_failures": 20, "canonical_form": 847}
+        # a lone verify_certificate still verifies a reference to a
+        # reference down to its proof
+        calls.clear()
+        rec = next(
+            rec for rec in loaded
+            if is_inherited(rec)
+            and rec.verdict.child.reason == INHERITED
+            and leaf(rec.verdict).certificate is not None
+        )
+        assert verify_certificate(rec.verdict, rec.pattern)
+        assert calls["certificate_failures"] == 1 and calls["canonical_form"] >= 2
+
+    def test_verify_records_fails_every_record_a_failed_proof_reaches(self, atlas3, monkeypatch):
+        # read from the memo, a failed proof still fails every reference
+        monkeypatch.setattr(verdict_module, "is_hurwitz", lambda abscissa: False)
+        failing = atlas_module.verify_records(atlas3, 3)
+        assert failing == [rec.key for rec in atlas3 if rec.verdict.tag == PROVED_STABLE]
+
+    def test_verify_records_reads_a_result_on_its_own_pattern(self, atlas3):
+        # a reference moved to a key of its orbit where its entry is not
+        # free fails there, yet the references reaching it verify it on its
+        # canonical pattern, so they pass
+        referred = {id(rec.verdict.child) for rec in atlas3 if is_inherited(rec)}
+        rec = next(r for r in atlas3 if is_inherited(r) and id(r.verdict) in referred)
+        moved = next(
+            key for key in sorted(key_orbit(3, rec.key))
+            if rec.verdict.entry not in key_to_pattern(3, key).free
+        )
+        records = [
+            dataclasses.replace(r, pattern=key_to_pattern(3, moved)) if r is rec else r
+            for r in atlas3
+        ]
+        assert atlas_module.verify_records(records, 3) == [moved]
 
     def test_builds_leave_no_reference_cycles(self):
         # a cycle keeps a build's memo, or a chain search's 2^|B| table,

@@ -334,11 +334,11 @@ class TestAtlasCommands:
         code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
         assert code == 1 and "FAIL" not in text and f"failing keys: {reached}" in text
 
-    @pytest.mark.parametrize("forge", ["entry_not_free", "unstable_child"])
+    @pytest.mark.parametrize("forge", ["entry_not_free", "entry_out_of_range", "unstable_child"])
     def test_validate_fails_a_bad_reference(self, atlas3_lines, tmp_path, forge):
-        # an Inherited record that names an entry it does not have, or one
-        # whose removal leaves an unstable pattern, fails with the
-        # references that reach it
+        # an Inherited record that names an entry it does not have (one off
+        # the grid too), or one whose removal leaves an unstable pattern,
+        # fails with the references that reach it
         records = [json.loads(line) for line in atlas3_lines[1:]]
         tags = {key_of(r): r["verdict"]["tag"] for r in records}
         for rec in records:
@@ -347,6 +347,8 @@ class TestAtlasCommands:
             p = pattern_from_dict(rec)
             if forge == "entry_not_free":
                 cells = sorted(SparsityPattern.full(3).free - p.free)
+            elif forge == "entry_out_of_range":
+                cells = [(4, 1)]
             else:
                 cells = [
                     cell for cell in sorted(p.free)
@@ -361,6 +363,10 @@ class TestAtlasCommands:
         code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
         assert code == 1 and "FAIL" not in text
         assert f"failing keys: {reaching(records, key_of(rec))}" in text
+        if forge == "entry_out_of_range":
+            # the child is found from the pattern less the entry, never by
+            # shifting a key bit by the entry's position
+            assert "failing keys: [87]" in text
 
     def test_resume_fills_a_hole(self, atlas3_lines, tmp_path):
         # the sixth line deleted: classify writes a fresh build's bytes
