@@ -63,7 +63,7 @@ class AtlasRecord:
     minimal_stable: bool
     maximal_unstable: bool
 
-    @property
+    @functools.cached_property  # in the instance's __dict__, which frozen=True leaves writable
     def key(self) -> int:
         return pattern_to_key(self.pattern)
 
@@ -181,9 +181,10 @@ def _record_from_dict(d: dict, n: int, verdicts: dict | None = None) -> AtlasRec
         raise ValidationError(f"a minimally stable record has verdict ({v.tag}, {v.reason})")
     if d["maximal_unstable"] and v.tag != PROVED_UNSTABLE:
         raise ValidationError(f"a maximally unstable record has tag {v.tag}")
+    rec = AtlasRecord(pattern, d["orbit_size"], v, d["minimal_stable"], d["maximal_unstable"])
     if verdicts is not None:
-        verdicts[_orbit_table(n).canon[pattern_to_key(pattern)]] = v
-    return AtlasRecord(pattern, d["orbit_size"], v, d["minimal_stable"], d["maximal_unstable"])
+        verdicts[_orbit_table(n).canon[rec.key]] = v
+    return rec
 
 
 def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:

@@ -20,6 +20,13 @@ to the subset.  Testing it is therefore a maximum-matching call rather than
 an explicit cycle search.  Cycles never leave a block, so the last two
 checks run once per block, on the block's own row bitmasks.
 
+One bitmask pass per pattern serves all three: the row masks, the
+components as vertex masks and the mask of the self-loops.  The sink check
+ORs together the components that miss the loop mask, the blocks and the
+chain's prefix covers read the same rows, and SccReport is built from it
+only on request.  The last pattern's pass is kept, so classifying a
+pattern and verifying its verdict run it once.
+
 The chain search works top down on bitmasks: rows are int bitmasks of
 their free columns, a set T - v starts from T's perfect matching with row
 v and column v removed and needs at most one augmenting path, and the
@@ -66,34 +73,33 @@ class ChainCertificate:
 
 
 @lru_cache(maxsize=1)
-def strongly_connected_components(p: SparsityPattern) -> SccReport:
-    """Components from the reflexive transitive closure of the pattern.
+def _scc(p: SparsityPattern) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """p's row bitmasks, its components as bitmasks in smallest-vertex
+    order, and the bitmask of its self-loops, over 0-based vertices.
 
     Warshall's closure runs on the row bitmasks.  u and v share a component
     exactly when they reach the same vertices (each then reaches the
     other), so the components are the classes of equal reach masks, met in
-    increasing vertex order: sorted by smallest vertex.  The last report is
-    kept, so the sink check, the cover check and the chain search of one
-    pattern share one pass.
+    increasing vertex order.  The last pass is kept, and holds only ints
+    and tuples, so the sink check, the cover check, the chain search and
+    the verification of one pattern share it.
     """
-    n = p.n
     rows = _row_masks(p)
     reach = [row | 1 << v for v, row in enumerate(rows)]
-    for k in range(n):
-        for v in range(n):
-            if reach[v] >> k & 1:
-                reach[v] |= reach[k]
-    classes: dict[int, list[int]] = {}
+    for k in range(p.n):  # whoever reaches k reaches what k reaches
+        bit, rk = 1 << k, reach[k]
+        reach = [r | rk if r & bit else r for r in reach]
+    classes: dict[int, int] = {}
     for v, mask in enumerate(reach):
-        classes.setdefault(mask, []).append(v)
-    components = []
-    violating = set()
-    for comp in classes.values():
-        members = frozenset(u + 1 for u in comp)
-        components.append(members)
-        if not any(rows[u] >> u & 1 for u in comp):
-            violating |= members
-    return SccReport(components=tuple(components), violating_vertices=frozenset(violating))
+        classes[mask] = classes.get(mask, 0) | 1 << v
+    return tuple(rows), tuple(classes.values()), sum(row & 1 << v for v, row in enumerate(rows))
+
+
+def strongly_connected_components(p: SparsityPattern) -> SccReport:
+    """The components of p, sorted by smallest vertex, and the vertices of
+    those without a self-loop."""
+    comps = tuple(frozenset(v + 1 for v in range(p.n) if comp >> v & 1) for comp in _scc(p)[1])
+    return SccReport(components=comps, violating_vertices=check_scc_sink(p))
 
 
 def check_scc_sink(p: SparsityPattern) -> frozenset[int]:
@@ -102,7 +108,9 @@ def check_scc_sink(p: SparsityPattern) -> frozenset[int]:
     Empty result means the check passes; a nonempty result proves the
     pattern unstable.
     """
-    return strongly_connected_components(p).violating_vertices
+    _, components, loops = _scc(p)
+    mask = sum(comp for comp in components if not comp & loops)  # the components are disjoint
+    return frozenset(v + 1 for v in range(p.n) if mask >> v & 1) if mask else frozenset()
 
 
 def _row_masks(p: SparsityPattern) -> list[int]:
@@ -120,13 +128,12 @@ def _blocks(p: SparsityPattern) -> tuple[tuple[tuple[int, ...], tuple[int, ...]]
     vertices (0-based, increasing) and its row bitmasks over its own
     positions: bit b of row a is set when (vertices[a], vertices[b]) is
     free.  A one-block pattern is p's own rows."""
-    rows = _row_masks(p)
-    components = strongly_connected_components(p).components
+    rows, components, _ = _scc(p)
     if len(components) == 1:
-        return ((tuple(range(p.n)), tuple(rows)),)
+        return ((tuple(range(p.n)), rows),)
     blocks = []
     for comp in components:
-        verts = tuple(sorted(v - 1 for v in comp))
+        verts = tuple(v for v in range(p.n) if comp >> v & 1)
         local = tuple(
             sum(1 << b for b, w in enumerate(verts) if rows[v] >> w & 1) for v in verts
         )
@@ -374,7 +381,7 @@ def find_nested_chain(p: SparsityPattern) -> ChainCertificate | None:
         if not orders[b]:
             del orders[b]
     ordering = tuple(reversed(peeled))
-    rows = _row_masks(p)
+    rows = _scc(p)[0]
     prefix_cycles = []
     cols = 0
     for v in ordering:

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import CapabilityError, StabilizationError, SynthesisError, ValidationError
 from .graphs import (
     ChainCertificate,
+    _scc,
     block_without_cover,
     check_necessary,
     check_scc_sink,
@@ -238,7 +239,6 @@ def classify(
     failures degrade to the next stage and surface in the diagnostics; no
     instability conclusion is ever drawn from oracle failure.
     """
-    config = config or EngineConfig()
     violating = check_scc_sink(p)
     if violating:
         return StabilityVerdict(tag=PROVED_UNSTABLE, reason=_sink_reason(p), violating=violating)
@@ -289,9 +289,8 @@ def classify(
 
 def _sink_reason(p: SparsityPattern) -> str:
     """The reason a failed sink check names: NoSink when no diagonal entry
-    is free."""
-    has_any_sink = any((i, i) in p.free for i in range(1, p.n + 1))
-    return SCC_WITHOUT_SINK if has_any_sink else NO_SINK
+    is free, read from the sink check's loop mask."""
+    return SCC_WITHOUT_SINK if _scc(p)[2] else NO_SINK
 
 
 def _matrix_supported(matrix: np.ndarray, p: SparsityPattern) -> bool:

@@ -130,6 +130,24 @@ class TestOrbitTable:
         classify_atlas(3)
         assert calls == {"key_to_pattern": 74, "_orbit_table": 1}
 
+    def test_n3_load_and_validate_compute_each_key_once(self, tmp_path, monkeypatch):
+        # one key per record, one per reference's child and the
+        # zero-diagonal pattern's: a record keeps its key once computed
+        path = tmp_path / "n3.jsonl"
+        classify_atlas(3, path=path)
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return pattern_to_key(p)
+
+        monkeypatch.setattr(atlas_module, "pattern_to_key", counting)
+        _, records = load_atlas(path)
+        validate_structure_theorem(records, 3)
+        references = sum(is_inherited(r) for r in records)
+        assert (len(records), references) == (74, 25)
+        assert len(calls) == len(records) + references + 1
+
 
 class TestClassifyAtlas:
     def test_n2_stable_set(self, atlas2):
@@ -486,7 +504,7 @@ class TestPersistence:
         classify_atlas(2, path=b, seed=3)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_resume_after_truncation(self, tmp_path):
+    def test_truncated_file_replaced_by_fresh_build(self, tmp_path):
         full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
         classify_atlas(2, path=full)
         lines = full.read_text().splitlines(keepends=True)
@@ -494,7 +512,7 @@ class TestPersistence:
         classify_atlas(2, path=part)
         assert part.read_bytes() == full.read_bytes()
 
-    def test_resume_after_torn_line(self, tmp_path):
+    def test_file_with_torn_line_replaced_by_fresh_build(self, tmp_path):
         full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
         classify_atlas(2, path=full)
         lines = full.read_bytes().splitlines(keepends=True)
@@ -562,7 +580,7 @@ class TestPersistence:
         assert len(calls) == 49
         assert part.read_bytes() == full.read_bytes()
 
-    def test_resume_from_every_truncation_point(self, tmp_path):
+    def test_file_cut_at_every_line_replaced_by_fresh_build(self, tmp_path):
         # classify never reads the file, so whatever prefix of a full build
         # the path holds, it is replaced with the full build's bytes
         full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"

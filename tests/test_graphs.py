@@ -14,6 +14,7 @@ from sparsestab import (
     block_without_cover,
     check_necessary,
     check_scc_sink,
+    enumerate_patterns,
     extract_cycle_decomposition,
     find_nested_chain,
     hamiltonian_k_exists,
@@ -186,6 +187,10 @@ class TestSccMatchesReference:
     def test_every_small_pattern(self, n):
         for key in range(1 << (n * n)):
             p = key_to_pattern(n, key)
+            assert strongly_connected_components(p) == reference_scc(p)
+
+    def test_every_n4_representative(self):
+        for p, _ in enumerate_patterns(4):
             assert strongly_connected_components(p) == reference_scc(p)
 
     def test_seeded_random_patterns(self):

@@ -25,6 +25,7 @@ from sparsestab import (
     transpose_pattern,
     verify_certificate,
 )
+import sparsestab.graphs as graphs
 import sparsestab.numerics as numerics
 import sparsestab.verdict as verdict_module
 from sparsestab.errors import NumericalError, ValidationError
@@ -109,6 +110,26 @@ class TestClassify:
         p = SparsityPattern.from_pairs(2, [(1, 2), (2, 1)])
         v = classify(p, SMALL)
         assert (v.tag, v.reason) == ("ProvedUnstable", "NoSink")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sink_reason_is_no_sink_exactly_without_a_free_diagonal_entry(self, n):
+        for key in range(1 << (n * n)):
+            p = key_to_pattern(n, key)
+            no_loop = all((i, i) not in p.free for i in range(1, n + 1))
+            assert (verdict_module._sink_reason(p) == "NoSink") == no_loop, key
+
+    @pytest.mark.parametrize(
+        "p, reason", [(FIG3, "SccWithoutSink"), (FIG2_RIGHT, "ChainFound")]
+    )
+    def test_classify_and_verify_share_one_graph_pass(self, p, reason):
+        # the sink check, the chain search and verification read one memo
+        graphs._scc.cache_clear()
+        v = classify(p, SMALL)
+        assert v.reason == reason
+        assert verify_certificate(v, p)
+        info = graphs._scc.cache_info()
+        assert (info.misses, info.maxsize) == (1, 1)
+        assert info.hits > 0
 
     def test_gap_pattern_resolved_by_oracle(self):
         v = classify(GAP3, SMALL)
