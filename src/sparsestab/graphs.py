@@ -22,17 +22,19 @@ checks run once per block, on the block's own row bitmasks.
 
 One bitmask pass per pattern serves all three: the row masks, the
 components as vertex masks and the mask of the self-loops.  The sink check
-ORs together the components that miss the loop mask, the blocks and the
-chain's prefix covers read the same rows, and SccReport is built from it
-only on request.  The last pattern's pass is kept, so classifying a
-pattern and verifying its verdict run it once.
+ORs together the components that miss the loop mask, the blocks read the
+same rows, and SccReport is built from it only on request.  The last
+pattern's pass is kept, so classifying a pattern and verifying its verdict
+run it once.
 
 The chain search works top down on bitmasks: rows are int bitmasks of
 their free columns, a set T - v starts from T's perfect matching with row
 v and column v removed and needs at most one augmenting path, and the
 search stops at the first complete chain instead of deciding all 2^|B|
-subsets of a block.  The blocks' chains merge into the chain a search over
-the whole pattern would find.
+subsets of a block.  The blocks' chains merge into the ordering a search
+over the whole pattern would find.  Each prefix's cycle cover comes from
+the matchings the search holds on its path, so no prefix is matched again;
+verify_chain re-checks the covers on p's own row bitmasks.
 """
 
 from __future__ import annotations
@@ -175,25 +177,20 @@ def _perfect_matching(rows, cols: int) -> list[int] | None:
     return row_of
 
 
-def _mapping(row_of: list[int]) -> dict[int, int]:
-    """1-based row -> col map of a column -> row matching."""
-    return {row + 1: col + 1 for col, row in enumerate(row_of) if row >= 0}
-
-
-def _max_matching(p: SparsityPattern, subset) -> dict[int, int] | None:
+def _max_matching(p: SparsityPattern, subset) -> list[int] | None:
     """Perfect matching rows(subset) -> cols(subset) on free entries.
 
     Augmenting-path search with rows and columns visited in increasing
-    order, so the result is deterministic.  Returns the row -> col map, or
-    None when no perfect matching exists.
+    order, so the result is deterministic.  Returns the column -> row
+    matching over 0-based positions, or None when no perfect matching
+    exists.
     """
     cols = 0
     for v in subset:
         if not 1 <= v <= p.n:
             return None  # a vertex outside the pattern has no free entries
         cols |= 1 << (v - 1)
-    row_of = _perfect_matching(_row_masks(p), cols)
-    return None if row_of is None else _mapping(row_of)
+    return _perfect_matching(_row_masks(p), cols)
 
 
 def has_principal_matching(p: SparsityPattern, subset) -> bool:
@@ -210,20 +207,23 @@ def has_principal_matching(p: SparsityPattern, subset) -> bool:
     return _max_matching(p, subset) is not None
 
 
-def _cycles_of_mapping(mapping: dict[int, int]) -> tuple[tuple[int, ...], ...]:
-    """Disjoint cycles of a vertex -> vertex bijection, smallest-led."""
-    seen = set()
+def _cycles_of_matching(verts, row_of: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Disjoint cycles, smallest-led and in order of their first vertex, of
+    the row -> column bijection whose column -> row matching is ``row_of``,
+    over positions that stand for the increasing 0-based vertices
+    ``verts``; the cycles hold 1-based vertices."""
+    col_of = [-1] * len(row_of)
+    for col, row in enumerate(row_of):
+        if row >= 0:
+            col_of[row] = col
     cycles = []
-    for start in sorted(mapping):
-        if start in seen:
+    for start, col in enumerate(col_of):  # a walked position reads -1
+        if col < 0:
             continue
-        cyc = [start]
-        seen.add(start)
-        v = mapping[start]
-        while v != start:
-            cyc.append(v)
-            seen.add(v)
-            v = mapping[v]
+        cyc = [verts[start] + 1]
+        while col != start:
+            cyc.append(verts[col] + 1)
+            col_of[col], col = -1, col_of[col]
         cycles.append(tuple(cyc))
     return tuple(cycles)
 
@@ -234,10 +234,10 @@ def extract_cycle_decomposition(p: SparsityPattern, subset) -> tuple[tuple[int, 
     Requires has_principal_matching(p, subset); presented as disjoint
     cycles covering the subset.
     """
-    mapping = _max_matching(p, frozenset(subset))
-    if mapping is None:
+    row_of = _max_matching(p, frozenset(subset))
+    if row_of is None:
         raise ValueError(f"subset {sorted(subset)} has no Hamiltonian decomposition")
-    return _cycles_of_mapping(mapping)
+    return _cycles_of_matching(range(p.n), row_of)
 
 
 def _first_cover(rows, k: int):
@@ -265,7 +265,7 @@ def hamiltonian_k_exists(p: SparsityPattern, k: int):
     if found is None:
         return None
     subset, row_of = found
-    return tuple(v + 1 for v in subset), _mapping(row_of)
+    return tuple(v + 1 for v in subset), {r + 1: c + 1 for c, r in enumerate(row_of) if r >= 0}
 
 
 def block_without_cover(p: SparsityPattern, k: int) -> bool:
@@ -301,9 +301,11 @@ def _drop_vertex(rows, sub, row_of, v) -> list[int] | None:
     return row_of if _augment(rows, sub, row_of, r, [0]) else None
 
 
-def _chain_order(rows) -> list[int] | None:
+def _chain_order(rows) -> list[tuple[int, list[int]]] | None:
     """Top-down chain search on one block's rows: a 0-based ordering whose
-    every prefix has a cycle cover, first vertex first, or None.
+    every prefix has a cycle cover, first vertex first, or None.  Each
+    vertex comes with the column -> row perfect matching of the prefix it
+    completes.
 
     A nonempty vertex set T is reachable when it has a cycle cover and
     either is a single vertex or some T - v is reachable.  The search runs
@@ -317,20 +319,21 @@ def _chain_order(rows) -> list[int] | None:
     row_of = _perfect_matching(rows, full)
     if row_of is None:
         return None
-    ordering = []
-    found = _reach(rows, bytearray(1 << len(rows)), ordering, full, row_of)
-    return ordering if found else None
+    path = []
+    found = _reach(rows, bytearray(1 << len(rows)), path, full, row_of)
+    return path if found else None
 
 
-def _reach(rows, failed, ordering, mask, row_of) -> bool:
+def _reach(rows, failed, path, mask, row_of) -> bool:
     """Is ``mask``, with the perfect matching row_of, reachable?  On
-    success ``ordering`` holds a chain of mask, first vertex first; each set
-    found unreachable is marked in ``failed``.  A module function, not a
+    success ``path`` holds a chain of mask, first vertex first, as
+    (vertex, matching of the prefix it completes) pairs; each set found
+    unreachable is marked in ``failed``.  A module function, not a
     closure over the search's state: a closure that calls itself is a
     reference cycle, which would keep ``failed`` alive until the cyclic
     garbage collector runs."""
     if mask & (mask - 1) == 0:
-        ordering.append(mask.bit_length() - 1)
+        path.append((mask.bit_length() - 1, row_of))
         return True
     m = mask
     while m:
@@ -341,8 +344,8 @@ def _reach(rows, failed, ordering, mask, row_of) -> bool:
             continue
         v = bit.bit_length() - 1
         rest = _drop_vertex(rows, sub, row_of, v)
-        if rest is not None and _reach(rows, failed, ordering, sub, rest):
-            ordering.append(v)
+        if rest is not None and _reach(rows, failed, path, sub, rest):
+            path.append((v, row_of))
             return True
         failed[sub] = 1
     return False
@@ -357,9 +360,11 @@ def find_nested_chain(p: SparsityPattern) -> ChainCertificate | None:
     top-down search over the whole pattern would peel its vertices; that
     search always peels the smallest removable vertex, so repeatedly taking
     the block whose next peel vertex is smallest and reversing the merged
-    sequence gives the whole-pattern ordering: certificates are
-    deterministic and independent of the block split.  Success proves the
-    pattern stable.
+    sequence gives the whole-pattern ordering: the ordering is
+    deterministic and independent of the block split.  A prefix's cycles
+    are those of the union of each block's matching on its part of the
+    prefix, the matchings the search found.  Success proves the pattern
+    stable.
     """
     blocks = _blocks(p)
     largest = max(len(verts) for verts, _ in blocks)
@@ -368,49 +373,57 @@ def find_nested_chain(p: SparsityPattern) -> ChainCertificate | None:
             f"nested-chain search allocates 2^|B| entries per strongly connected block B; "
             f"a block of {largest} vertices exceeds cap {CHAIN_N_CAP}"
         )
-    orders = []
-    for verts, rows in blocks:
-        order = _chain_order(rows)
-        if order is None:
+    paths = []
+    for b, (verts, rows) in enumerate(blocks):
+        path = _chain_order(rows)
+        if path is None:
             return None
-        orders.append([verts[a] + 1 for a in order])
-    peeled = []  # each order's last vertex is its block's next peel vertex
-    while orders:
-        b = min(range(len(orders)), key=lambda b: orders[b][-1])
-        peeled.append(orders[b].pop())
-        if not orders[b]:
-            del orders[b]
-    ordering = tuple(reversed(peeled))
-    rows = _scc(p)[0]
-    prefix_cycles = []
-    cols = 0
-    for v in ordering:
-        cols |= 1 << (v - 1)
-        prefix_cycles.append(_cycles_of_mapping(_mapping(_perfect_matching(rows, cols))))
-    return ChainCertificate(ordering=ordering, prefix_cycles=tuple(prefix_cycles))
+        paths.append([(verts[a] + 1, b, _cycles_of_matching(verts, row_of)) for a, row_of in path])
+    peeled = []  # each path's last vertex is its block's next peel vertex
+    while paths:
+        i = min(range(len(paths)), key=lambda i: paths[i][-1][0])
+        peeled.append(paths[i].pop())
+        if not paths[i]:
+            del paths[i]
+    covers = [()] * len(blocks)  # block b's cycles on its part of the prefix
+    ordering, prefix_cycles = [], []  # tuple() of a generator resizes and fills the free lists
+    for v, b, cycles in reversed(peeled):
+        ordering.append(v)
+        covers[b] = cycles
+        prefix_cycles.append(tuple(sorted(cyc for block in covers for cyc in block)))  # by first vertex
+    return ChainCertificate(ordering=tuple(ordering), prefix_cycles=tuple(prefix_cycles))
 
 
 def verify_chain(p: SparsityPattern, chain: ChainCertificate) -> bool:
-    """Re-check a chain certificate from scratch.
+    """Re-check a chain certificate from scratch, on p's row bitmasks.
 
-    Every prefix decomposition must be a bijection of the prefix whose
-    edges are all free entries; the first vertex must carry a self-loop.
+    Every vertex must be an int in 1..n, and the ordering must add a new
+    vertex at each step.  The cycles of the prefix of size k must be
+    nonempty and have exactly k edges, all free entries, whose tails (the
+    same vertices as their heads) are the prefix: a bijection of the
+    prefix, so disjoint cycles that cover it.  The first vertex therefore
+    carries a self-loop.
     """
     n = p.n
-    if sorted(chain.ordering) != list(range(1, n + 1)):
+    if len(chain.ordering) != n or len(chain.prefix_cycles) != n:
         return False
-    if len(chain.prefix_cycles) != n:
-        return False
-    if (chain.ordering[0], chain.ordering[0]) not in p.free:
-        return False
-    for k in range(1, n + 1):
-        prefix = set(chain.ordering[:k])
-        mapping = {}
-        for cyc in chain.prefix_cycles[k - 1]:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                mapping[a] = b
-        if set(mapping) != prefix or set(mapping.values()) != prefix:
+    rows = _row_masks(p)
+    prefix = 0  # bit v for vertex v, as are the tails
+    for k, (v, cycles) in enumerate(zip(chain.ordering, chain.prefix_cycles), 1):
+        if type(v) is not int or not 0 < v <= n or prefix >> v & 1:
             return False
-        if any((a, b) not in p.free for a, b in mapping.items()):
+        prefix |= 1 << v
+        tails = edges = 0
+        for cyc in cycles:
+            a = cyc[-1] if cyc else 0  # the edge into cyc[0] first
+            if type(a) is not int or not 0 < a <= n:
+                return False
+            edges += len(cyc)
+            for b in cyc:
+                if type(b) is not int or not 0 < b <= n or not rows[a - 1] >> (b - 1) & 1:
+                    return False
+                tails |= 1 << b
+                a = b
+        if edges != k or tails != prefix:
             return False
     return True

@@ -71,8 +71,9 @@ def exact_rows(array) -> list[list[int | Fraction]]:
         raise ValueError("matrix entries must be finite") from None
 
 
-def _check_exact(rows) -> None:
-    """Raises TypeError unless every entry is an int or a Fraction of ints.
+def _check_exact(rows) -> bool:
+    """Raises TypeError unless every entry is an int or a Fraction of ints;
+    returns whether every entry is exactly an int.
 
     The entry check of every exact routine: a numpy integer, alone or as a
     Fraction's numerator, would wrap in the arithmetic, and a float is not
@@ -92,15 +93,16 @@ def _check_exact(rows) -> None:
             f"exact routines take int entries or Fractions of ints, not {names}; "
             "convert a float matrix with exact_rows"
         )
+    return kinds <= {int}
 
 
 def _integer_rows(rows) -> tuple[int, list[list[int]]]:
-    """(L, rows of L*A as ints), L the lcm of the denominators of A's int or
-    Fraction entries (1 if empty); raises TypeError on any other entry."""
-    _check_exact(rows)
+    """(L, fresh rows of L*A as ints), L the lcm of the denominators of A's
+    int or Fraction entries (1 if empty); raises TypeError on any other
+    entry."""
+    if _check_exact(rows):
+        return 1, [list(row) for row in rows]
     L = math.lcm(*(x.denominator for row in rows for x in row))
-    if L == 1:
-        return 1, [[x.numerator for x in row] for row in rows]
     return L, [[x.numerator * (L // x.denominator) for x in row] for row in rows]
 
 

@@ -297,11 +297,10 @@ def _matrix_supported(matrix: np.ndarray, p: SparsityPattern) -> bool:
     n = p.n
     if matrix.shape != (n, n):
         return False
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if (i, j) not in p.free and matrix[i - 1, j - 1] != 0.0:
-                return False
-    return True
+    outside = np.ones((n, n), dtype=bool)
+    for i, j in p.free:
+        outside[i - 1, j - 1] = False
+    return not (matrix[outside] != 0.0).any()
 
 
 def certificate_failures(cert: WitnessCertificate) -> list[str]:

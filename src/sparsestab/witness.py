@@ -140,7 +140,7 @@ def _stabilize_ordered(M: np.ndarray, ordering, minors) -> np.ndarray:
     entry k put back at vertex ordering[k]."""
     idx = [v - 1 for v in ordering]
     d = np.empty(len(idx))
-    d[idx] = _stabilize(M[np.ix_(idx, idx)], minors)
+    d[idx] = _stabilize(M.take(idx, axis=0).take(idx, axis=1), minors)
     return d
 
 

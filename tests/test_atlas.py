@@ -522,7 +522,7 @@ class TestPersistence:
         classify_atlas(2, path=part)
         assert part.read_bytes() == full.read_bytes()
 
-    def test_mismatched_parameters_rejected(self, tmp_path):
+    def test_file_of_other_parameters_replaced_by_fresh_build(self, tmp_path):
         # a file built with other parameters is not reused: the re-run
         # replaces it with a fresh build's bytes
         path, fresh = tmp_path / "n2.jsonl", tmp_path / "fresh.jsonl"
@@ -563,7 +563,7 @@ class TestPersistence:
         assert len(calls) == count
         assert calls == sorted(calls)
 
-    def test_resume_classifies_only_missing_keys(self, tmp_path, monkeypatch):
+    def test_partial_file_classified_as_a_fresh_build(self, tmp_path, monkeypatch):
         full, part = tmp_path / "full.jsonl", tmp_path / "part.jsonl"
         records = classify_atlas(3, path=full)
         part.write_text("".join(full.read_text().splitlines(keepends=True)[:21]))

@@ -334,6 +334,24 @@ class TestAtlasCommands:
         code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
         assert code == 1 and "FAIL" not in text and f"failing keys: {reached}" in text
 
+    def test_prefix_cover_reusing_a_vertex_fails_validate(self, atlas3_lines, tmp_path):
+        # a leaf proof whose second prefix (a, b) is covered by the cycles
+        # (a,) and (a, b): vertex a in two cycles, the edges all free
+        records = [json.loads(line) for line in atlas3_lines[1:]]
+        rec = next(
+            r for r in records
+            if r["verdict"]["reason"] == "ChainFound" and len(r["verdict"]["certificate"]["prefix_cycles"][1]) == 1
+        )
+        cert = rec["verdict"]["certificate"]
+        a, b = cert["ordering"][:2]
+        assert cert["prefix_cycles"][1] == [[a, b]] and [a, a] in rec["free"]
+        cert["prefix_cycles"][1] = [[a], [a, b]]
+        path = tmp_path / "n3.jsonl"
+        write_atlas(path, atlas3_lines[0], records)
+        code, text = run(["atlas", "validate", "-n", "3", "--atlas", str(path)])
+        assert code == 1 and "FAIL" not in text
+        assert f"failing keys: {reaching(records, key_of(rec))}" in text
+
     @pytest.mark.parametrize("forge", ["entry_not_free", "entry_out_of_range", "unstable_child"])
     def test_validate_fails_a_bad_reference(self, atlas3_lines, tmp_path, forge):
         # an Inherited record that names an entry it does not have (one off
@@ -368,7 +386,7 @@ class TestAtlasCommands:
             # shifting a key bit by the entry's position
             assert "failing keys: [87]" in text
 
-    def test_resume_fills_a_hole(self, atlas3_lines, tmp_path):
+    def test_file_with_a_hole_replaced_by_fresh_build(self, atlas3_lines, tmp_path):
         # the sixth line deleted: classify writes a fresh build's bytes
         path = tmp_path / "n3.jsonl"
         path.write_text("\n".join(atlas3_lines[:5] + atlas3_lines[6:]) + "\n")

@@ -23,6 +23,7 @@ from sparsestab import (
     transpose_pattern,
     verify_chain,
 )
+import sparsestab.graphs as graphs
 from sparsestab.patterns import key_to_pattern
 
 from conftest import FIG2_LEFT, FIG2_RIGHT, FIG3, FIG4, SCC_EXAMPLE, SIGMA_ALPHA, SIGMA_BETA
@@ -40,10 +41,10 @@ def random_pattern(n, rng, density=0.4):
     )
 
 
-def reference_chain(p):
+def reference_ordering(p):
     """The bottom-up subset rule: a set is reachable when it has a cycle
     cover and a reachable child; the chain peels the smallest removable
-    vertex from the full set."""
+    vertex from the full set.  Its ordering, or None."""
     n = p.n
     reachable = {0}
     for mask in range(1, 1 << n):
@@ -58,10 +59,22 @@ def reference_chain(p):
         v = next(v for v in range(1, n + 1) if mask >> (v - 1) & 1 and mask ^ 1 << (v - 1) in reachable)
         ordering.insert(0, v)
         mask ^= 1 << (v - 1)
-    return ChainCertificate(
-        ordering=tuple(ordering),
-        prefix_cycles=tuple(extract_cycle_decomposition(p, ordering[:k]) for k in range(1, n + 1)),
-    )
+    return tuple(ordering)
+
+
+def assert_matches_reference(p, chain):
+    """chain has the reference ordering, and the cycles of each prefix are
+    disjoint, cover exactly the prefix and use only free entries; checked
+    here without verify_chain."""
+    ordering = reference_ordering(p)
+    if ordering is None:
+        assert chain is None
+        return
+    assert chain.ordering == ordering
+    assert len(chain.prefix_cycles) == p.n
+    for k, cycles in enumerate(chain.prefix_cycles, 1):
+        assert sorted(v for cyc in cycles for v in cyc) == sorted(ordering[:k])
+        assert all((a, b) in p.free for cyc in cycles for a, b in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 def reference_scc(p):
@@ -366,6 +379,30 @@ class TestNestedChain:
         assert chain.ordering == tuple(range(14, 27)) + tuple(range(1, 14))
         assert verify_chain(p, chain)
 
+    def test_one_matching_per_block(self, monkeypatch):
+        # the prefix covers come from the search's own matchings: one
+        # perfect matching per block, none per prefix
+        calls = []
+        original = graphs._perfect_matching
+
+        def counting(rows, cols):
+            calls.append(cols)
+            return original(rows, cols)
+
+        monkeypatch.setattr(graphs, "_perfect_matching", counting)
+        two = SparsityPattern(26, frozenset(path_block(1, 13) | path_block(14, 26) | {(13, 14)}))
+        assert find_nested_chain(two) is not None and len(calls) == 2
+        rng = random.Random(71)
+        merged = 0
+        for _ in range(100):
+            p = block_pattern(rng, rng.randint(4, 9), extra=1.5)
+            blocks = len(strongly_connected_components(p).components)
+            calls.clear()
+            chain = find_nested_chain(p)
+            assert len(calls) == blocks if chain is not None else len(calls) <= blocks
+            merged += chain is not None and blocks > 1
+        assert merged >= 20
+
     def test_no_chain_beside_a_full_18_block(self):
         gap = key_to_pattern(4, 4780)
         block = {(i, j) for i in range(5, 23) for j in range(5, 23)}
@@ -380,7 +417,7 @@ class TestChainSearchMatchesReference:
         cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         for key in range(1 << len(cells)):
             p = SparsityPattern(n, frozenset(c for b, c in enumerate(cells) if key >> b & 1))
-            assert find_nested_chain(p) == reference_chain(p)
+            assert_matches_reference(p, find_nested_chain(p))
 
     def test_seeded_random_patterns(self):
         rng = random.Random(47)
@@ -388,7 +425,7 @@ class TestChainSearchMatchesReference:
         for _ in range(300):
             p = random_pattern(rng.randint(4, 8), rng, density=rng.uniform(0.2, 0.6))
             chain = find_nested_chain(p)
-            assert chain == reference_chain(p)
+            assert_matches_reference(p, chain)
             without += chain is None
         assert 100 <= without <= 200
 
@@ -400,7 +437,7 @@ class TestChainSearchMatchesReference:
         for _ in range(200):
             p = block_pattern(rng, rng.randint(4, 9), extra=1.5)
             chain = find_nested_chain(p)
-            assert chain == reference_chain(p)
+            assert_matches_reference(p, chain)
             merged += chain is not None and len(strongly_connected_components(p).components) > 1
         assert merged >= 60
 
@@ -411,6 +448,47 @@ class TestChainSearchMatchesReference:
         block = {(i, j) for i in range(5, 17) for j in range(5, 17)}
         assert find_nested_chain(gap) is None
         assert find_nested_chain(SparsityPattern(16, gap.free | block)) is None
+
+
+LOOP_AND_TWO_CYCLE = SparsityPattern(2, frozenset({(1, 1), (1, 2), (2, 1)}))
+
+
+class TestVerifyChain:
+    def test_search_result_verifies(self):
+        chain = find_nested_chain(LOOP_AND_TWO_CYCLE)
+        assert chain == ChainCertificate((1, 2), (((1,),), ((1, 2),)))
+        assert verify_chain(LOOP_AND_TWO_CYCLE, chain)
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            ((1,), (1, 2)),  # vertex 1 in two cycles
+            ((1, 2), (1, 2)),  # a cycle listed twice
+            ((1, 2, 1, 2),),  # a cycle through its vertices twice
+            ((1,),),  # vertex 2 uncovered
+            ((2, 1), ()),  # an empty cycle
+        ],
+    )
+    def test_cover_must_be_disjoint_cycles_of_the_prefix(self, second):
+        # the first two passed a check that read the cycles into a dict
+        assert not verify_chain(LOOP_AND_TWO_CYCLE, ChainCertificate((1, 2), (((1,),), second)))
+
+    @pytest.mark.parametrize(
+        "ordering, cycles",
+        [
+            ((1, 1), (((1,),), ((1, 2),))),  # a vertex added twice
+            ((2, 1), (((2,),), ((1, 2),))),  # (2, 2) is not free
+            ((1, 3), (((1,),), ((1, 2),))),  # off the grid
+            ((0, 2), (((1,),), ((1, 2),))),
+            ((1.0, 2), (((1,),), ((1, 2),))),  # not an int
+            ((1, 2), (((1,),), ((1, 2.0),))),
+            ((1, 2), (((True,),), ((1, 2),))),
+            ((1, 2), (((1,),), ((1, 3),))),
+            ((1,), (((1,),),)),  # too short
+        ],
+    )
+    def test_bad_ordering_or_vertex_fails(self, ordering, cycles):
+        assert not verify_chain(LOOP_AND_TWO_CYCLE, ChainCertificate(ordering, cycles))
 
 
 class TestCycleExtraction:

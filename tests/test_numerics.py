@@ -540,6 +540,17 @@ class TestExactnessContract:
         values = list(_scalars(EXACT_ROUTINES[name](EXACT_INPUTS[entries])))
         assert values and all(type(v) in (int, Fraction) for v in values), values
 
+    @pytest.mark.parametrize("entries", sorted(EXACT_INPUTS))
+    @pytest.mark.parametrize("name", ["determinant", "leading_principal_minors", "p_sigma"])
+    def test_input_rows_unmodified(self, name, entries):
+        # Bareiss eliminates in place, on int rows as they come too; the
+        # second input's first pivot is zero, which restarts the elimination
+        for rows in (EXACT_INPUTS[entries], [[0, *row[1:]] for row in EXACT_INPUTS[entries]]):
+            rows = [list(row) for row in rows]
+            before = [list(row) for row in rows]
+            EXACT_ROUTINES[name](rows)
+            assert rows == before
+
     @pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2, 3], [4, 5, 6], [7, 8]]])
     @pytest.mark.parametrize("name", sorted(EXACT_ROUTINES))
     def test_non_square_rejected(self, name, rows):

@@ -344,6 +344,57 @@ class TestOracle:
                 oracle_search(FIG2_RIGHT, SMALL)
 
 
+def reference_supported(matrix, p):
+    """No nonzero (NaN included) outside p's free entries, by a scalar loop."""
+    n = p.n
+    if matrix.shape != (n, n):
+        return False
+    return all(
+        (i, j) in p.free or not matrix[i - 1, j - 1] != 0.0
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+
+
+class TestMatrixSupported:
+    @pytest.mark.parametrize("p", [FIG2_RIGHT, SparsityPattern.empty(3), SparsityPattern.full(3)])
+    def test_edge_cases_match_the_scalar_loop(self, p):
+        n = p.n
+        outside = [(i - 1, j - 1) for i in range(1, n + 1) for j in range(1, n + 1) if (i, j) not in p.free]
+        cases = [np.zeros((n, n)), np.zeros((n + 1, n + 1)), np.zeros((n, n + 1)), np.zeros(n), np.zeros(())]
+        for value in (-0.0, float("nan"), 1e-300, float("inf")):
+            for at in outside[:1] + outside[-1:]:
+                m = np.zeros((n, n))
+                m[at] = value
+                cases.append(m)
+        m = np.zeros((n, n))
+        for i, j in p.free:
+            m[i - 1, j - 1] = float("nan")
+        cases.append(m)
+        expected = []
+        for m in cases:
+            assert verdict_module._matrix_supported(m, p) == reference_supported(m, p)
+            expected.append(reference_supported(m, p))
+        assert expected[:5] == [True, False, False, False, False]
+        assert expected[-1]  # NaN on the free entries is the Hurwitz test's business
+        if outside:
+            assert expected[5:9] == [True, True, False, False]  # -0.0 twice, then NaN
+
+    def test_random_matrices_match_the_scalar_loop(self):
+        rng = random.Random(83)
+        values = [0.0, -0.0, 1.0, -2.5, float("nan"), float("inf")]
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            p = SparsityPattern(
+                n, frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < 0.5)
+            )
+            m = np.array([[rng.choice(values) if rng.random() < 0.2 else 0.0 for _ in range(n)] for _ in range(n)])
+            outcomes.add(verdict_module._matrix_supported(m, p))
+            assert verdict_module._matrix_supported(m, p) == reference_supported(m, p)
+        assert outcomes == {True, False}
+
+
 class TestVerifyCertificate:
     def test_round_trip(self):
         cert = synthesize_stable_witness(FIG2_RIGHT, seed=1)
@@ -431,6 +482,17 @@ class TestVerifyCertificate:
             bad = replace(cert, prefix_cycles=cycles)
         with pytest.raises(ValidationError):
             certificate_failures(bad)
+
+    @pytest.mark.parametrize("second", [((1,), (1, 2)), ((1, 2), (1, 2))], ids=["vertex_twice", "cycle_twice"])
+    def test_cover_reusing_a_vertex_detected(self, second):
+        # the pattern's chain (1, 2) with a second cover whose cycles read
+        # into a dict would give the bijection 1 -> 2 -> 1
+        p = SparsityPattern(2, frozenset({(1, 1), (1, 2), (2, 1)}))
+        cert = synthesize_stable_witness(p, seed=4)
+        assert cert.ordering == (1, 2) and certificate_failures(cert) == []
+        bad = replace(cert, prefix_cycles=(((1,),), second))
+        assert certificate_failures(bad) == ["prefix cycle decompositions do not verify against the pattern"]
+        assert not verify_certificate(bad)
 
     def test_zero_stabilizer_entry_detected(self):
         cert = synthesize_stable_witness(FIG2_RIGHT, seed=4)
