@@ -4,9 +4,10 @@ A sparsity pattern -- a set of free entries of an n-by-n matrix, equally a
 digraph -- is *stable* when the matrix space it carves out contains a
 Hurwitz matrix.  This package decides the graph-side necessary and
 sufficient conditions, synthesizes explicit Hurwitz witnesses with
-machine-checkable certificates, runs exact-arithmetic identity suites on
-the minor-product machinery behind the proofs, and exhaustively classifies
-all small patterns up to symmetry.
+machine-checkable certificates, and exhaustively classifies all small
+patterns up to symmetry.  What only reproduces the paper (the minor
+products p_sigma and their identities, among others) lives in
+sparsestab.paper, which no engine module imports; it is re-exported here.
 """
 
 from .atlas import (
@@ -43,18 +44,17 @@ from .graphs import (
     strongly_connected_components,
     verify_chain,
 )
-from .identities import run_identity_suites
-from .numerics import (
-    VarietySample,
-    char_poly,
+from .numerics import char_poly, determinant, leading_principal_minors, spectral_abscissa
+from .paper import (
     char_poly_via_minors,
-    determinant,
+    corollary_stabilize,
+    diagonal_stabilize,
     inverse,
     jacobi_residual,
-    leading_principal_minors,
+    nonsingular_assignment,
     p_sigma,
-    spectral_abscissa,
-    variety_membership_sample,
+    run_identity_suites,
+    variety_escape,
 )
 from .patterns import (
     PatternOrbitInfo,
@@ -76,13 +76,6 @@ from .verdict import (
     oracle_search,
     verify_certificate,
 )
-from .witness import (
-    WitnessCertificate,
-    chain_generic_matrix,
-    corollary_stabilize,
-    diagonal_stabilize,
-    nonsingular_assignment,
-    synthesize_stable_witness,
-)
+from .witness import WitnessCertificate, chain_generic_matrix, synthesize_stable_witness
 
 __version__ = TOOL_VERSION

@@ -41,8 +41,8 @@ from .errors import (
     ValidationError,
 )
 from .graphs import find_nested_chain
-from .identities import run_identity_suites
 from .numerics import spectral_abscissa
+from .paper import run_identity_suites
 from .patterns import canonical_form, parse_pattern, serialize_pattern
 from .verdict import (
     PROVED_STABLE,

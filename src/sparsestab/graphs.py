@@ -48,6 +48,9 @@ from .patterns import SparsityPattern
 
 CHAIN_N_CAP = 24  # the chain search memoises 2^|B| subsets of a block B in a bytearray
 
+# the pattern object that the last chain search ran on, and the chain it returned
+_last_found: list = [None, None]
+
 
 @dataclass(frozen=True)
 class SccReport:
@@ -391,7 +394,9 @@ def find_nested_chain(p: SparsityPattern) -> ChainCertificate | None:
         ordering.append(v)
         covers[b] = cycles
         prefix_cycles.append(tuple(sorted(cyc for block in covers for cyc in block)))  # by first vertex
-    return ChainCertificate(ordering=tuple(ordering), prefix_cycles=tuple(prefix_cycles))
+    chain = ChainCertificate(ordering=tuple(ordering), prefix_cycles=tuple(prefix_cycles))
+    _last_found[:] = p, chain
+    return chain
 
 
 def verify_chain(p: SparsityPattern, chain: ChainCertificate) -> bool:

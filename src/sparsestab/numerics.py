@@ -2,12 +2,12 @@
 
 Everything algebraic runs over arbitrary-precision integers, with
 rationals (fractions.Fraction) only where an input has denominators:
-leading principal minors, characteristic polynomial coefficients, the
-per-permutation minor products, and the Jacobi residual.  An exact matrix
-is a list of square rows of int and Fraction entries, and exact_rows is
-the one conversion from floats.  Every determinant and minor comes from
-one fraction-free integer elimination on the matrix with its denominators
-cleared.
+leading principal minors, determinants and characteristic polynomial
+coefficients.  An exact matrix is a list of square rows of int and
+Fraction entries, and exact_rows is the one conversion from floats.
+Each exact routine clears the denominators and divides only at the end: the
+minors come from one fraction-free elimination and the characteristic
+polynomial from one division-free recurrence, both over the integers.
 Floating point appears in exactly one place, the kernel _abscissae behind
 the spectral abscissa (of one matrix, or of each matrix in the oracle's
 stacks), because Hurwitz verification is numeric by nature.  It calls
@@ -33,17 +33,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigvals as _geev  # np.linalg.eigvals without its wrapper
 
-from .errors import CapabilityError, NumericalError, SingularMatrixError
-from .patterns import Permutation, SparsityPattern, all_permutations
+from .errors import CapabilityError, NumericalError
+from .patterns import SparsityPattern
 
 CHARPOLY_N_CAP = 64
-VARIETY_N_CAP = 8  # the membership scan walks all n! permutations
 
 HURWITZ_TOLERANCE = 1e-9  # guard band of the float Hurwitz test against rounding
 SAMPLE_BOUND = 1000  # random integer entries drawn from {-B..B} minus {0}
@@ -142,30 +141,6 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def inverse(A) -> list[list[Fraction]]:
-    """Exact inverse via Gauss-Jordan over the rationals; raises on
-    singular input."""
-    n = _square(A)
-    _check_exact(A)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for k in range(n):
-        pivot = None
-        for r in range(k, n):
-            if m[r][k] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        m[k], m[pivot] = m[pivot], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for r in range(n):
-            if r != k and m[r][k] != 0:
-                f = m[r][k]
-                m[r] = [a - f * b for a, b in zip(m[r], m[k])]
-    return [row[n:] for row in m]
-
-
 def _leading_minors(rows):
     """Yield det of the top-left k-by-k block for k = 1..n, exactly.
 
@@ -216,61 +191,30 @@ def ordering_conjugation(rows, ordering) -> list[list]:
     return [[rows[a][b] for b in idx] for a in idx]
 
 
-def p_sigma(A, sigma: Permutation) -> Fraction:
-    """Product of leading principal minors 1..n-1 of P A P^{-1}, P the
-    permutation matrix of sigma: entry (a, b) of A lands at
-    (sigma(a), sigma(b)).
-
-    The product deliberately stops at n-1; the full determinant is a
-    separate quantity (see leading_principal_minors).  Short-circuits to 0
-    on the first vanishing factor.
-    """
-    n = _square(A)
-    if sigma.n != n:
-        raise ValueError("size mismatch")
-    out = Fraction(1)
-    minors = _leading_minors(ordering_conjugation(A, sigma.inverse().mapping))
-    for d in itertools.islice(minors, max(n - 1, 0)):
-        if d == 0:
-            return Fraction(0)
-        out *= d
-    return out
-
-
 def char_poly(A) -> tuple[Fraction, ...]:
     """Coefficients (p_1..p_n) of det(sI - A) = s^n + p_1 s^{n-1} + ... + p_n,
-    via the trace recurrence.
+    by Berkowitz's division-free recurrence (Berkowitz 1984).
 
-    Faddeev-LeVerrier: M_1 = A, c_k = -tr(M_k)/k, M_{k+1} = A (M_k + c_k I);
-    divisions by k are exact over the rationals.
+    It runs over the integers on M = L*A, L the common denominator, whose
+    coefficient k is L^k p_k.  With M_r the leading r-block and the next
+    block split as [[M_r, S], [R, a]], the coefficient vector of the next
+    block (highest degree first) is the lower triangular Toeplitz matrix
+    with first column 1, -a, -R S, -R M_r S, ..., -R M_r^{r-1} S times
+    that of M_r.
     """
     n = _square(A)
     if n > CHARPOLY_N_CAP:
         raise CapabilityError(f"char_poly capped at n={CHARPOLY_N_CAP}")
-    _check_exact(A)
-    coeffs = []
-    M = A
-    for k in range(1, n + 1):
-        c = -Fraction(sum(M[i][i] for i in range(n))) / k
-        coeffs.append(c)
-        if k < n:
-            shifted = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M)]
-            cols = list(zip(*shifted))
-            M = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
-    return tuple(coeffs)
-
-
-def char_poly_via_minors(A) -> tuple[Fraction, ...]:
-    """Independent coefficient formula: p_k = (-1)^k sum of k-by-k principal
-    minors.  Exponential in n; kept as the cross-check oracle."""
-    n = _square(A)
-    coeffs = []
-    for k in range(1, n + 1):
-        total = Fraction(0)
-        for idx in itertools.combinations(range(1, n + 1), k):
-            total += determinant(ordering_conjugation(A, idx))
-        coeffs.append((-1) ** k * total)
-    return tuple(coeffs)
+    L, m = _integer_rows(A)
+    coeffs = [1]  # of det(sI - M_r), highest degree first
+    for r in range(n):
+        col = [m[i][r] for i in range(r)]  # S; zip cuts each row to M_r's r columns
+        t = [1, -m[r][r]]  # the Toeplitz matrix's first column
+        for _ in range(r):
+            t.append(-sum(map(mul, m[r], col)))
+            col = [sum(map(mul, m[i], col)) for i in range(r)]
+        coeffs = [sum(t[i - j] * coeffs[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return tuple(Fraction(c, L**k) for k, c in enumerate(coeffs[1:], 1))
 
 
 def is_hurwitz(abscissa: float) -> bool:
@@ -318,67 +262,3 @@ def random_pattern_matrix(
         v = rng.randint(1, 2 * bound)
         rows[i - 1][j - 1] = v - bound - 1 if v <= bound else v - bound
     return rows
-
-
-@dataclass(frozen=True)
-class VarietySample:
-    """Outcome of the randomized common-zero-set membership test.
-
-    generic_member means every sampled matrix annihilated every minor
-    product (probabilistic evidence of membership); otherwise the witness
-    permutation and matrix re-verify p_sigma != 0 exactly.
-    """
-
-    generic_member: bool
-    trials: int
-    witness_sigma: Permutation | None = None
-    witness_matrix: list[list[int]] | None = None
-    witness_value: Fraction | None = None
-
-
-def variety_membership_sample(
-    p: SparsityPattern, trials: int, seed: int, bound: int = SAMPLE_BOUND
-) -> VarietySample:
-    """Sample matrices on the pattern and scan permutations for a nonzero
-    minor product.
-
-    A nonzero hit proves the matrix space is not contained in the common
-    zero set of the minor products; paired with a nonsingular sample
-    (the product stops at n-1, so the determinant is a separate check) it
-    exhibits a diagonally stabilizable member.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if p.n > VARIETY_N_CAP:
-        raise CapabilityError(f"permutation scan capped at n={VARIETY_N_CAP}")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        A = random_pattern_matrix(p, rng, bound)
-        for sigma in all_permutations(p.n):
-            val = p_sigma(A, sigma)
-            if val != 0:
-                return VarietySample(
-                    generic_member=False,
-                    trials=trials,
-                    witness_sigma=sigma,
-                    witness_matrix=A,
-                    witness_value=val,
-                )
-    return VarietySample(generic_member=True, trials=trials)
-
-
-def jacobi_residual(B, index_set) -> Fraction:
-    """det((B^{-1})_I) - det(B_{I^c}) / det(B), exactly.
-
-    Zero for every invertible B and index subset I; it exists to be
-    property-tested.
-    """
-    n = _square(B)
-    idx = sorted(frozenset(index_set))
-    det_B = determinant(B)
-    if det_B == 0:
-        raise SingularMatrixError("matrix is singular")
-    comp = [i for i in range(1, n + 1) if i not in idx]
-    lhs = determinant(ordering_conjugation(inverse(B), idx)) if idx else Fraction(1)
-    rhs = determinant(ordering_conjugation(B, comp)) / det_B
-    return lhs - rhs

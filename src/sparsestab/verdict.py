@@ -245,10 +245,11 @@ def classify(
     try:
         chain = find_nested_chain(p)
     except CapabilityError:  # a block too large to search; the cover check may still decide
-        if check_necessary(p) is None:
+        if (k := check_necessary(p)) is None:
             raise
-        chain = None
-    if chain is None and (k := check_necessary(p)) is not None:
+    else:
+        k = None if chain is not None else check_necessary(p)
+    if k is not None:
         return StabilityVerdict(tag=PROVED_UNSTABLE, reason=NO_HAMILTONIAN_K, k=k)
 
     diagnostics = []

@@ -34,7 +34,7 @@ from sparsestab import (
     validate_structure_theorem,
     verify_certificate,
 )
-from sparsestab.identities import composition_suite, scaling_suite, transpose_suite
+from sparsestab.paper import composition_suite, scaling_suite, transpose_suite
 from sparsestab.numerics import (
     HURWITZ_TOLERANCE,
     exact_rows,

@@ -236,7 +236,7 @@ class TestAtlasCommands:
         assert code == 1 and "FAIL" not in text and "re-verified 7 of 9 records" in text
         assert f"failing keys: {sorted([key_of(small), key_of(large)])}" in text
 
-    def test_repeated_key_rejected_by_validate_and_resume(self, atlas3_lines, tmp_path):
+    def test_repeated_key_rejected_by_validate_and_replaced_by_classify(self, atlas3_lines, tmp_path):
         # {(3,3)} (key 1) in place of {(2,3),(3,2)} (key 10): both orbits
         # have size 3, so the sizes still cover all 512 patterns
         records = [json.loads(line) for line in atlas3_lines[1:]]
@@ -249,7 +249,7 @@ class TestAtlasCommands:
         assert run(["atlas", "classify", "-n", "3", "--atlas", str(path)])[0] == 0
         assert path.read_text() == "\n".join(atlas3_lines) + "\n"
 
-    def test_non_representative_key_rejected_by_validate_and_resume(self, atlas3_lines, tmp_path):
+    def test_non_representative_key_fails_validate_and_replaced_by_classify(self, atlas3_lines, tmp_path):
         # key 10's record moved to key 160, {(1,2),(2,1)}: the same orbit,
         # but not its minimum
         records = [json.loads(line) for line in atlas3_lines[1:]]

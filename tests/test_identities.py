@@ -1,6 +1,11 @@
+import ast
+import pathlib
+import pkgutil
+
 import pytest
 
-from sparsestab.identities import (
+import sparsestab
+from sparsestab.paper import (
     composition_suite,
     jacobi_suite,
     run_identity_suites,
@@ -43,3 +48,33 @@ def test_runner_covers_all_four_suites():
         "jacobi",
     ]
     assert all(r.ok for r in results)
+
+
+# every module but the two front ends and the paper layer itself
+ENGINE = sorted(info.name for info in pkgutil.iter_modules(sparsestab.__path__) if info.name not in ("cli", "paper"))
+PAPER = {"sparsestab.paper", ".paper"}
+
+
+def imported_names(module):
+    """Every module, and every name taken from one, that a sparsestab
+    module's source imports, relative imports spelled with their dots."""
+    path = pathlib.Path(sparsestab.__file__).parent / f"{module}.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            names.update(f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ENGINE)
+def test_engine_module_does_not_import_the_paper_layer(module):
+    assert not PAPER & imported_names(module)
+
+
+@pytest.mark.parametrize("module", ["cli", "__init__"])
+def test_front_ends_import_the_paper_layer(module):
+    assert PAPER & imported_names(module)

@@ -22,9 +22,10 @@ from sparsestab import (
     nonsingular_assignment,
     p_sigma,
     spectral_abscissa,
-    variety_membership_sample,
+    variety_escape,
 )
 import sparsestab.numerics as numerics
+from sparsestab.graphs import CHAIN_N_CAP
 from sparsestab.numerics import (
     _abscissae,
     exact_rows,
@@ -32,6 +33,7 @@ from sparsestab.numerics import (
     ordering_conjugation,
     random_pattern_matrix,
 )
+from sparsestab.patterns import key_to_pattern
 
 from conftest import FIG2_LEFT, FIG2_RIGHT, failed_geev
 
@@ -343,6 +345,13 @@ class TestCharPoly:
             A = random_exact(n, rng, bound=20)
             assert char_poly(A) == char_poly_via_minors(A)
 
+    def test_fraction_rows_match_principal_minor_sums(self):
+        rng = random.Random(31)
+        for trial in range(60):
+            n = trial % 6 + 1
+            A = [[Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 7))) for _ in range(n)] for _ in range(n)]
+            assert char_poly(A) == char_poly_via_minors(A)
+
     def test_capability_cap(self):
         with pytest.raises(CapabilityError):
             char_poly(identity(65))
@@ -431,28 +440,64 @@ class TestAbscissaKernel:
                 assert np.array(got).tobytes() == want.tobytes()
 
 
+def sampled_member(p, trials=3, seed=0):
+    """The sampled membership test the exact check replaced: does every
+    sampled matrix on p annihilate every minor product p_sigma?"""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        A = random_pattern_matrix(p, rng)
+        if any(p_sigma(A, sigma) != 0 for sigma in all_permutations(p.n)):
+            return False
+    return True
+
+
+def random_pattern(n, rng, density):
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return SparsityPattern(n, frozenset(c for c in cells if rng.random() < density))
+
+
 class TestVarietySampling:
+    """variety_escape decides exactly whether the pattern space lies in the
+    common zero set of the minor products p_sigma."""
+
     def test_full_two_by_two_escapes(self):
-        out = variety_membership_sample(SparsityPattern.full(2), 1, seed=4)
-        assert not out.generic_member
-        # the witness must re-verify
-        assert p_sigma(out.witness_matrix, out.witness_sigma) == out.witness_value != 0
+        sigma = variety_escape(SparsityPattern.full(2))
+        assert sigma is not None
+        # the returned sigma's product is nonzero on a pattern matrix
+        A = random_pattern_matrix(SparsityPattern.full(2), random.Random(4))
+        assert p_sigma(A, sigma) != 0
 
     def test_unstable_pattern_stays_inside(self):
-        out = variety_membership_sample(FIG2_LEFT, 50, seed=0)
-        assert out.generic_member
+        assert variety_escape(FIG2_LEFT) is None
 
     def test_zero_pattern_trivially_inside(self):
-        out = variety_membership_sample(SparsityPattern.empty(3), 3, seed=0)
-        assert out.generic_member
-
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError):
-            variety_membership_sample(SparsityPattern.full(2), 0, seed=0)
+        assert variety_escape(SparsityPattern.empty(3)) is None
 
     def test_capability_cap(self):
+        # each vertex's removal leaves one block over the chain search's cap
         with pytest.raises(CapabilityError):
-            variety_membership_sample(SparsityPattern.full(9), 1, seed=0)
+            variety_escape(SparsityPattern.full(CHAIN_N_CAP + 2))
+
+    def test_one_vertex_is_the_empty_product(self):
+        for p in (SparsityPattern.empty(1), SparsityPattern.full(1)):
+            assert variety_escape(p) == Permutation((1,))
+            assert p_sigma(random_pattern_matrix(p, random.Random(0)), Permutation((1,))) == 1
+
+    def test_matches_the_sampled_test(self):
+        # every pattern at n <= 3, then seeded patterns at n = 4, 5
+        rng = random.Random(29)
+        small = [key_to_pattern(n, key) for n in (1, 2, 3) for key in range(1 << (n * n))]
+        seeded = [random_pattern(n, rng, rng.uniform(0.15, 0.6)) for n in (4, 5) for _ in range(40)]
+        members = []
+        for seed, p in enumerate(small + seeded):
+            sigma = variety_escape(p)
+            assert (sigma is None) == sampled_member(p, seed=seed), p
+            if sigma is not None:
+                A = random_pattern_matrix(p, random.Random(seed))
+                assert p_sigma(A, sigma) != 0, p
+            members.append(sigma is None)
+        assert sum(members[: len(small)]) == 176
+        assert 0 < sum(members[len(small) :]) < len(seeded)
 
 
 class TestJacobi:
@@ -589,12 +634,9 @@ class TestExactnessContract:
 
     def test_pattern_routines_return_int_rows(self):
         full = SparsityPattern.full(3)
-        sample = variety_membership_sample(full, 1, seed=0)
         for rows in (
             random_pattern_matrix(full, random.Random(0)),
             chain_generic_matrix(FIG2_RIGHT, find_nested_chain(FIG2_RIGHT), seed=0),
             nonsingular_assignment(full, Permutation.identity(3)),
-            sample.witness_matrix,
         ):
             assert len(rows) == 3 and all(type(x) is int for row in rows for x in row)
-        assert type(sample.witness_value) in (int, Fraction)

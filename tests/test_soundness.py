@@ -16,7 +16,8 @@ from sparsestab import (
     oracle_search,
     verify_certificate,
 )
-from sparsestab.numerics import determinant, p_sigma, random_pattern_matrix
+from sparsestab.numerics import determinant, random_pattern_matrix
+from sparsestab.paper import p_sigma
 from sparsestab.patterns import key_to_pattern, all_permutations
 from sparsestab.verdict import PROVED_STABLE, PROVED_UNSTABLE, EngineConfig
 

@@ -18,6 +18,7 @@ from sparsestab import (
     Permutation,
     SparsityPattern,
     apply_permutation,
+    chain_generic_matrix,
     classify,
     leading_principal_minors,
     oracle_search,
@@ -28,6 +29,7 @@ from sparsestab import (
 import sparsestab.graphs as graphs
 import sparsestab.numerics as numerics
 import sparsestab.verdict as verdict_module
+import sparsestab.witness as witness_module
 from sparsestab.errors import NumericalError, ValidationError
 from sparsestab.atlas import config_hash, enumerate_patterns
 from sparsestab.graphs import CHAIN_N_CAP, check_necessary, check_scc_sink, find_nested_chain
@@ -232,6 +234,55 @@ class TestStageOrder:
     def test_block_beyond_the_chain_cap_passing_the_cover_check_raises(self):
         with pytest.raises(CapabilityError):
             classify(SparsityPattern.full(CHAIN_N_CAP + 1), SMALL)
+
+    def test_cover_check_runs_once_beyond_the_chain_cap(self, monkeypatch):
+        # a 25-cycle with one self-loop: one block over the cap, no 2-vertex cover
+        calls = []
+        monkeypatch.setattr(
+            verdict_module, "check_necessary", lambda p: calls.append(p) or check_necessary(p)
+        )
+        p = SparsityPattern(25, frozenset({(1, 1)} | {(i, i % 25 + 1) for i in range(1, 26)}))
+        v = classify(p, SMALL)
+        assert (v.tag, v.reason, v.k) == (PROVED_UNSTABLE, NO_HAMILTONIAN_K, 2)
+        assert calls == [p]
+
+
+class TestChainCheckedOnce:
+    """A chain is checked against its pattern where an outside caller hands
+    one in, not where classify hands synthesis the search's own chain."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+
+        def counting(p, chain):
+            calls.append(chain)
+            return graphs.verify_chain(p, chain)
+
+        for module in (witness_module, verdict_module):
+            monkeypatch.setattr(module, "verify_chain", counting)
+        return calls
+
+    def test_classify_and_verify_check_the_chain_once(self, checks):
+        v = classify(SIGMA_ALPHA, SMALL)
+        assert v.reason == "ChainFound" and verify_certificate(v, SIGMA_ALPHA)
+        assert len(checks) == 1
+
+    def test_a_handed_in_chain_is_checked(self, checks):
+        chain = find_nested_chain(FIG2_RIGHT)
+        copy = replace(chain)  # equal, but not the object the search returned
+        cert = synthesize_stable_witness(FIG2_RIGHT, seed=1, chain=copy)
+        assert checks == [copy] and verify_certificate(cert)
+        synthesize_stable_witness(FIG2_RIGHT, seed=1, chain=chain)
+        assert checks == [copy, copy]  # the search's own chain, on the pattern it searched
+
+    def test_a_chain_of_another_pattern_is_rejected(self, checks):
+        chain = find_nested_chain(SIGMA_ALPHA)
+        with pytest.raises(ValueError, match="does not verify"):
+            synthesize_stable_witness(SparsityPattern.diagonal(5), seed=1, chain=chain)
+        with pytest.raises(ValueError, match="does not verify"):
+            chain_generic_matrix(SparsityPattern.diagonal(5), chain, seed=1)
+        assert checks == [chain, chain]
 
 
 class TestHashesWithoutOpenSSL:
