@@ -16,10 +16,12 @@ each record once.
 
 Persistence is line-delimited json: a header line, then one record per
 representative in key order.  The file is a build output: a build never
-reads it, and replaces it whole once every record is decided.  A file
-stores an Inherited verdict as its entry alone, and load_atlas links it to
-its child's record as it decodes it.  Files of 0.6.0 and older hold a full
-proof on every stable record.
+reads it, and replaces it whole once every record is decided, each line
+written by one shared encoder.  A file stores an Inherited verdict as its
+entry alone, and load_atlas links it to its child's record as it decodes
+it: each line is parsed once, each record's key found in the pass that
+checks its pattern, and the child found by that key less the entry's bit.
+Files of 0.6.0 and older hold a full proof on every stable record.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ import numpy as np
 from . import jsonio
 from .errors import CapabilityError, ValidationError
 from .graphs import find_nested_chain
-from .patterns import SparsityPattern, _image_table, _key_bits, key_to_pattern, pattern_to_key
+from .patterns import (
+    SparsityPattern,
+    _image_table,
+    _key_bit,
+    _key_bits,
+    key_to_pattern,
+    pattern_to_key,
+)
 from .verdict import (
     INHERITED,
     PROVED_STABLE,
@@ -52,7 +61,24 @@ from .verdict import (
 TOOL_VERSION = "0.7.0"
 FULL_ENUMERATION_CAP = 4  # 2^(n^2) raw patterns; n=4 is 65536
 
-_ENCODER = json.JSONEncoder(sort_keys=True)  # writes the header and every record
+_ENCODER = json.JSONEncoder(sort_keys=True)  # the format of the header and every record
+if json.encoder.c_make_encoder is None:  # no C speedups
+    _encode = _ENCODER.encode
+else:
+    # JSONEncoder.encode makes a new C encoder per call; this one writes
+    # every line, with _ENCODER's settings, and without cycle markers, as
+    # the dicts it writes hold no cycle
+    _c_encoder = json.encoder.c_make_encoder(
+        None, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
+        _ENCODER.key_separator, _ENCODER.item_separator,
+        _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+    )
+
+    def _encode(value) -> str:
+        return "".join(_c_encoder(value, 0))
+
+# the scanner of json.loads, called without its per-call wrapper
+_scan = json.JSONDecoder().scan_once
 
 
 @dataclass(frozen=True)
@@ -66,6 +92,14 @@ class AtlasRecord:
     @functools.cached_property  # in the instance's __dict__, which frozen=True leaves writable
     def key(self) -> int:
         return pattern_to_key(self.pattern)
+
+    @classmethod
+    def _keyed(cls, key: int, *fields) -> "AtlasRecord":
+        """The record of ``fields``, holding ``key``, its pattern's key,
+        which the builder and the reader already have."""
+        rec = cls(*fields)
+        rec.__dict__["key"] = key  # where the cached_property keeps it
+        return rec
 
     @property
     def dimension(self) -> int:
@@ -166,25 +200,28 @@ def _record_from_dict(d: dict, n: int, verdicts: dict | None = None) -> AtlasRec
     """The record of ``d``; its marks must fit its own verdict: a minimally
     stable record holds a stability proof of its own, not an Inherited one,
     and a maximally unstable one is ProvedUnstable.  With ``verdicts``,
-    those of the records before it by orbit, a reference gets its pattern
-    less its entry's, and the record's own is added."""
+    those of the records before it by orbit, a reference gets the one of
+    its key less its entry's bit, and the record's own is added; an entry
+    that is not free links no child."""
     jsonio.check(d, jsonio.RECORD, "record")
-    pattern = jsonio.pattern_from_dict(d)
+    pattern, key = jsonio._keyed_pattern(d)
     if pattern.n != n:
         raise ValidationError(f"record has n={pattern.n}, not the header's n={n}")
     child = None
     if verdicts is not None and "entry" in d["verdict"]:
-        below = SparsityPattern(n, pattern.free - {tuple(d["verdict"]["entry"])})
-        child = verdicts.get(_orbit_table(n).canon[pattern_to_key(below)])
+        entry = tuple(d["verdict"]["entry"])
+        if entry in pattern.free:
+            child = verdicts.get(_orbit_table(n).canon[key ^ _key_bit(n, *entry)])
     v = jsonio._verdict(d["verdict"], pattern, child)
     if d["minimal_stable"] and (v.tag != PROVED_STABLE or v.reason == INHERITED):
         raise ValidationError(f"a minimally stable record has verdict ({v.tag}, {v.reason})")
     if d["maximal_unstable"] and v.tag != PROVED_UNSTABLE:
         raise ValidationError(f"a maximally unstable record has tag {v.tag}")
-    rec = AtlasRecord(pattern, d["orbit_size"], v, d["minimal_stable"], d["maximal_unstable"])
     if verdicts is not None:
-        verdicts[_orbit_table(n).canon[rec.key]] = v
-    return rec
+        verdicts[_orbit_table(n).canon[key]] = v
+    return AtlasRecord._keyed(
+        key, pattern, d["orbit_size"], v, d["minimal_stable"], d["maximal_unstable"]
+    )
 
 
 def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
@@ -196,22 +233,27 @@ def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
 def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
     """The header of a persisted atlas and its records, each reference
     linked; with ``keep``, only the records whose parsed line it accepts,
-    each reference without its child.  Every line is parsed; any decode
-    failure, a header n outside 1..FULL_ENUMERATION_CAP or a decoded record
-    of another n raises ValidationError."""
+    each reference without its child.
+
+    As in JSON Lines, only "\n" ends a line: U+2028, U+2029 and U+0085
+    may stand raw inside a json string.  Blank lines are skipped, and each
+    other line is parsed once (see _parse_line) and must hold exactly one
+    json value.  Any decode failure, a header n outside
+    1..FULL_ENUMERATION_CAP or a decoded record of another n raises
+    ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
+            lines = [line for line in fh.read().split("\n") if line.strip()]
         if not lines:
             raise ValidationError("no header line")
-        header = json.loads(lines[0])
+        header = _parse_line(lines[0])
         jsonio.check(header, jsonio.HEADER, "header")
         if not 1 <= header["n"] <= FULL_ENUMERATION_CAP:
             raise ValidationError(f"header n={header['n']} is outside 1..{FULL_ENUMERATION_CAP}")
         verdicts = {} if keep is None else None  # by orbit
         records = [
             _record_from_dict(d, header["n"], verdicts)
-            for d in map(json.loads, lines[1:])
+            for d in map(_parse_line, lines[1:])
             if keep is None or keep(d)
         ]
     except (ValueError, ValidationError) as exc:
@@ -219,6 +261,20 @@ def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
         # ValueErrors
         raise ValidationError(f"malformed atlas file {path}: {exc}")
     return header, records
+
+
+def _parse_line(line: str):
+    """The json value of ``line``, as json.loads gives it, from one scan.
+    A line that the scan does not take whole, up to json whitespace,
+    goes to json.loads: one with leading whitespace is read there, and
+    any other fails there with json.loads's own error."""
+    try:
+        value, end = _scan(line, 0)
+    except (StopIteration, ValueError):  # no value at 0, or a malformed one
+        return json.loads(line)
+    if end != len(line) and line[end:].strip(" \t\n\r"):
+        return json.loads(line)  # raises "Extra data"
+    return value
 
 
 def classify_atlas(
@@ -245,7 +301,7 @@ def classify_atlas(
         memo[key] = _decide(n, key, orbits, memo, config, seed)
     tags = {key: v.tag for key, (_, v) in memo.items()}
     records = [
-        AtlasRecord(p, orbit_size, v, *_marks(orbits, tags, key))
+        AtlasRecord._keyed(key, p, orbit_size, v, *_marks(orbits, tags, key))
         for (key, orbit_size), (p, v) in zip(orbits.reps, memo.values())
     ]
     if path is not None:
@@ -255,8 +311,8 @@ def classify_atlas(
         fh = open(tmp, "x", encoding="utf-8")  # "x": a name no other writer holds
         try:
             with fh:
-                fh.write(_ENCODER.encode(_header(n, seed, config)) + "\n")
-                fh.writelines(_ENCODER.encode(_record_to_dict(rec)) + "\n" for rec in records)
+                fh.write(_encode(_header(n, seed, config)) + "\n")
+                fh.writelines(_encode(_record_to_dict(rec)) + "\n" for rec in records)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

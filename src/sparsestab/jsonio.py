@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PatternFormatError, ValidationError
-from .patterns import SparsityPattern, decode_json_pattern
+from .patterns import SparsityPattern, _decode_json_pattern
 from .verdict import INHERITED, REASONS, OracleResult, StabilityVerdict
 from .witness import WitnessCertificate
 
@@ -146,8 +146,13 @@ def pattern_to_dict(p: SparsityPattern) -> dict:
 
 
 def pattern_from_dict(d: dict) -> SparsityPattern:
+    return _keyed_pattern(d)[0]
+
+
+def _keyed_pattern(d: dict) -> tuple[SparsityPattern, int]:
+    """pattern_from_dict's pattern and its key, found in the same pass."""
     try:
-        return decode_json_pattern(d)
+        return _decode_json_pattern(d)
     except PatternFormatError as exc:
         raise ValidationError(str(exc)) from exc
 

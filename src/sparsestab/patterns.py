@@ -130,6 +130,16 @@ class SparsityPattern:
                 raise ValueError(f"entry out of range: ({i}, {j}) for n={self.n}")
 
     @classmethod
+    def _from_checked_pairs(cls, n: int, free: frozenset) -> "SparsityPattern":
+        """The pattern of pairs that its caller has already checked as
+        __post_init__ does, without a second walk over them; n is checked."""
+        if type(n) is not int or n < 1:
+            return cls(n, free)  # which raises __post_init__'s error
+        p = object.__new__(cls)
+        p.__dict__.update(n=n, free=free)  # what the frozen __init__ sets
+        return p
+
+    @classmethod
     def from_pairs(cls, n: int, pairs) -> "SparsityPattern":
         """The pattern of (i, j) pairs of integer indices (numpy ints too)."""
         return cls(_index(n), frozenset((_index(i), _index(j)) for i, j in pairs))
@@ -179,6 +189,11 @@ def pattern_to_key(p: SparsityPattern) -> int:
     return key
 
 
+def _key_bit(n: int, i: int, j: int) -> int:
+    """The key bit of entry (i, j) in 1..n: bit n^2 - 1 - ((i - 1) n + j - 1)."""
+    return 1 << n * (n + 1) - i * n - j
+
+
 def key_to_pattern(n: int, key: int) -> SparsityPattern:
     """The pattern of a row-major bit key; the pairs it decodes are ints
     in range by construction, so they skip from_pairs's conversion.  Only
@@ -189,7 +204,7 @@ def key_to_pattern(n: int, key: int) -> SparsityPattern:
         low = key & -key
         free.append(cells[low.bit_length() - 1])
         key ^= low
-    return SparsityPattern(n, frozenset(free))
+    return SparsityPattern._from_checked_pairs(n, frozenset(free))
 
 
 @lru_cache(maxsize=None)
@@ -319,16 +334,46 @@ def decode_json_pattern(data) -> SparsityPattern:
     list of distinct integer pairs in 1..n.  Other keys are ignored, so an
     atlas record decodes through here too.
     """
+    return _decode_json_pattern(data)[0]
+
+
+def _decode_json_pattern(data) -> tuple[SparsityPattern, int]:
+    """decode_json_pattern's pattern and its key, from one pass over the
+    free list that checks each pair, sets its key bit and finds a repeat
+    by that bit.  A list this pass does not accept, and so every bad one,
+    goes through _decode_free, which raises its error."""
     if not isinstance(data, dict) or "n" not in data or "free" not in data:
         raise PatternFormatError('json pattern needs keys "n" and "free"')
     n = data["n"]
     # type(x) is int: json's true and false decode to bools, which are ints
     if type(n) is not int or n < 1:
         raise PatternFormatError(f'"n" must be a positive integer, got {n!r}')
-    if not isinstance(data["free"], list):
-        raise PatternFormatError(f'"free" must be a list of pairs, got {data["free"]!r}')
+    free = data["free"]
+    if not isinstance(free, list):
+        raise PatternFormatError(f'"free" must be a list of pairs, got {free!r}')
+    top = n * (n + 1)  # _key_bit, inlined: (i, j) is key bit top - i n - j
+    key = 0
     pairs = []
-    for entry in data["free"]:
+    for entry in free:
+        if type(entry) is list and len(entry) == 2:
+            i, j = entry
+            if type(i) is int and type(j) is int and 0 < i <= n and 0 < j <= n:
+                bit = 1 << top - i * n - j
+                if not key & bit:
+                    key |= bit
+                    pairs.append((i, j))
+                    continue
+        p = _decode_free(n, free)
+        return p, pattern_to_key(p)
+    return SparsityPattern._from_checked_pairs(n, frozenset(pairs)), key
+
+
+def _decode_free(n: int, free: list) -> SparsityPattern:
+    """The pattern of a free list, checked pair shapes first, then index
+    types and ranges in the constructor, then repeats: the order that
+    picks which error a bad list raises."""
+    pairs = []
+    for entry in free:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise PatternFormatError(f"free entry must be a pair, got {entry!r}")
         pairs.append(tuple(entry))

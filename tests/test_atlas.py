@@ -2,9 +2,11 @@ import collections
 import dataclasses
 import gc
 import hashlib
+import io
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +24,11 @@ from sparsestab import (
     verify_certificate,
 )
 import sparsestab.atlas as atlas_module
+import sparsestab.jsonio as jsonio_module
+import sparsestab.patterns as patterns_module
 import sparsestab.verdict as verdict_module
 from sparsestab.atlas import config_hash
+from sparsestab.cli import dispatch
 from sparsestab.jsonio import verdict_from_dict, verdict_to_dict
 from sparsestab.patterns import _orbit_keys, key_orbit, key_to_pattern, pattern_to_key
 from sparsestab.verdict import (
@@ -131,22 +136,30 @@ class TestOrbitTable:
         assert calls == {"key_to_pattern": 74, "_orbit_table": 1}
 
     def test_n3_load_and_validate_compute_each_key_once(self, tmp_path, monkeypatch):
-        # one key per record, one per reference's child and the
-        # zero-diagonal pattern's: a record keeps its key once computed
+        # one key per record, found as its pattern is decoded, and the
+        # zero-diagonal pattern's: a record keeps its key, and a
+        # reference's child is found from it
         path = tmp_path / "n3.jsonl"
         classify_atlas(3, path=path)
         calls = []
+        decoded = []
 
         def counting(p):
             calls.append(p)
             return pattern_to_key(p)
 
+        def decoding(d):
+            decoded.append(d)
+            return decode(d)
+
+        decode = jsonio_module._decode_json_pattern
         monkeypatch.setattr(atlas_module, "pattern_to_key", counting)
+        monkeypatch.setattr(jsonio_module, "_decode_json_pattern", decoding)
         _, records = load_atlas(path)
         validate_structure_theorem(records, 3)
         references = sum(is_inherited(r) for r in records)
         assert (len(records), references) == (74, 25)
-        assert len(calls) == len(records) + references + 1
+        assert (len(decoded), len(calls)) == (len(records), 1)
 
 
 class TestClassifyAtlas:
@@ -310,7 +323,7 @@ class TestInheritance:
         for rec in inherited:
             assert not verify_certificate(rec.verdict, rec.pattern), rec.key
 
-    def test_oracle_matrix_moves_to_the_parent(self):
+    def test_reference_to_each_image_of_an_oracle_proof_verifies(self):
         # every image of GAP3 under relabeling and transpose, as a child of
         # each pattern with one more entry: a reference to GAP3's own
         # verdict verifies on each parent
@@ -681,6 +694,230 @@ class TestPersistence:
             list(enumerate_patterns(n))
         with pytest.raises(ValueError, match="must be an int"):
             enumerate_patterns(n)
+
+
+def read_with(reader, path):
+    """What ``reader`` makes of the atlas file at ``path``: the keys of the
+    records that load_atlas or an empty query_atlas returns, or the exit
+    code and output of ``atlas validate -n 2``."""
+    if reader == "load":
+        return [rec.key for rec in load_atlas(path)[1]]
+    if reader == "query":
+        return [rec.key for rec in query_atlas(path, {})]
+    out = io.StringIO()
+    return dispatch(["atlas", "validate", "-n", "2", "--atlas", str(path)], out=out), out.getvalue()
+
+
+READERS = ["load", "query", "validate"]
+
+
+class TestLines:
+    """Which lines an atlas file may hold, for load_atlas, query_atlas and
+    atlas validate alike: one json value per line, json whitespace around
+    it, and blank lines anywhere."""
+
+    @pytest.fixture(scope="class")
+    def n2(self, tmp_path_factory):
+        """The n=2 file's lines, and what each reader makes of the file."""
+        path = tmp_path_factory.mktemp("atlas") / "n2.jsonl"
+        classify_atlas(2, path=path)
+        return path.read_text().split("\n")[:-1], {r: read_with(r, path) for r in READERS}
+
+    def assert_rejected(self, reader, path):
+        if reader == "validate":
+            assert read_with(reader, path) == (12, "")
+        else:
+            with pytest.raises(ValidationError, match="malformed atlas file"):
+                read_with(reader, path)
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("at", [0, 3])
+    @pytest.mark.parametrize("glue", ["", " ", "\t"])
+    def test_two_values_on_one_line_rejected(self, tmp_path, n2, reader, at, glue):
+        lines, _ = n2
+        lines = list(lines)
+        lines[at : at + 2] = [lines[at] + glue + lines[at + 1]]
+        path = tmp_path / "two.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        self.assert_rejected(reader, path)
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_value_split_across_two_lines_rejected(self, tmp_path, n2, reader, at):
+        lines, _ = n2
+        lines = list(lines)
+        lines[at] = lines[at].replace(", ", ",\n", 1)
+        path = tmp_path / "split.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        self.assert_rejected(reader, path)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_blank_lines_skipped(self, tmp_path, n2, reader):
+        lines, expected = n2
+        blank = ["", " ", "\t \t", "\f", "\u2028"]  # str.strip() leaves nothing of each
+        spaced = [x for i, line in enumerate(lines) for x in (blank[i % len(blank)], line)]
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n".join(spaced + blank) + "\n")
+        assert read_with(reader, path) == expected[reader]
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_crlf_and_trailing_spaces_accepted(self, tmp_path, n2, reader):
+        lines, expected = n2
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes("".join(f"{line}  \t\r\n" for line in lines).encode())
+        assert read_with(reader, path) == expected[reader]
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_raw_line_separators_inside_a_string_read(self, tmp_path, n2, reader):
+        # json lets U+2028, U+2029 and U+0085 stand raw in a string, and
+        # json.dumps writes them so with ensure_ascii=False; only "\n" ends
+        # a line
+        lines, expected = n2
+        note = "a\u2028b\u2029c\x85d"
+        rec = json.loads(lines[1])
+        rec["verdict"]["diagnostics"] = [note]
+        path = tmp_path / "raw.jsonl"
+        text = "\n".join([lines[0], json.dumps(rec, ensure_ascii=False)] + lines[2:]) + "\n"
+        path.write_text(text, encoding="utf-8")
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        assert read_with(reader, path) == expected[reader]
+        if reader == "load":
+            assert load_atlas(path)[1][0].verdict.diagnostics == (note,)
+        if reader == "query":
+            assert query_atlas(path, {"verdict": "unstable"})[0].verdict.diagnostics == (note,)
+
+
+    def test_one_scan_per_line_matches_json_loads(self, n2):
+        # the value json.loads gives, or its error, on lines cut, joined and
+        # padded at random
+        lines, _ = n2
+        rng = random.Random(31)
+        pads = [" ", "\t", "\r", "\n", "\f", "\u2028", "\ufeff", "x", ",", "1", "[]", '"', "NaN"]
+        outcomes = collections.Counter()
+        for _ in range(2000):
+            line = rng.choice(lines)
+            if rng.random() < 0.3:
+                line = line[: rng.randint(0, len(line))]
+            if rng.random() < 0.3:
+                line += rng.choice(["", " "]) + rng.choice(lines)
+            line = "".join(rng.choices(pads, k=rng.choice([0, 0, 1, 2]))) + line
+            line += "".join(rng.choices(pads, k=rng.choice([0, 0, 1, 2])))
+            try:
+                expected = json.dumps(json.loads(line))
+            except ValueError as exc:
+                expected = repr(exc)
+            try:
+                got = json.dumps(atlas_module._parse_line(line))
+            except ValueError as exc:
+                got = repr(exc)
+            assert got == expected, line
+            outcomes[got.startswith("JSONDecodeError")] += 1
+        assert min(outcomes.values()) > 200
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def assert_keys_and_links(records, n):
+    """Each record's key is its pattern's, and each reference links the
+    verdict of the record at the canonical key of its pattern less its
+    entry, as found from patterns alone."""
+    by_key = {pattern_to_key(rec.pattern): rec for rec in records}
+    for rec in records:
+        assert rec.key == pattern_to_key(rec.pattern)
+        if is_inherited(rec):
+            below = SparsityPattern(n, rec.pattern.free - {rec.verdict.entry})
+            child = by_key[pattern_to_key(canonical_form(below).canonical)]
+            assert rec.verdict.child is child.verdict, rec.key
+
+
+class TestKeysAndLinks:
+    """A record's key is found with its pattern, and a reference's child by
+    key; both agree with what the patterns give."""
+
+    @pytest.mark.parametrize("fixture, n", [("atlas2", 2), ("atlas3", 3), ("atlas4_timed", 4)])
+    def test_builds_and_their_files(self, tmp_path, request, fixture, n):
+        built = request.getfixturevalue(fixture)
+        built = built[0] if fixture == "atlas4_timed" else built
+        _, loaded = load_atlas(write_records(tmp_path / "atlas.jsonl", n, request, fixture))
+        assert sum(map(is_inherited, loaded)) > 0
+        for records in (built, loaded):
+            assert_keys_and_links(records, n)
+        assert [rec.key for rec in loaded] == [rec.key for rec in built]
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in DATA.glob("*.jsonl")))
+    def test_committed_files(self, name):
+        # files of 0.6.0 and older hold no reference; their keys still count
+        header, records = load_atlas(DATA / name)
+        assert records
+        assert_keys_and_links(records, header["n"])
+
+    @pytest.mark.parametrize("entry", [None, [0, 1], [3, 4], [5, 5], [-1, 2]])
+    def test_entry_that_is_not_free_links_no_child(self, tmp_path, atlas3_path, entry):
+        # the first reference, its entry moved off its pattern: a free
+        # entry's bit is cleared from the key, and these have no bit there
+        lines = atlas3_path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if '"Inherited"' in line)
+        d = json.loads(lines[at])
+        p = jsonio_module.pattern_from_dict(d)
+        if entry is None:  # the last entry the pattern lacks
+            entry = list(max(set(SparsityPattern.full(3).free) - p.free))
+        d["verdict"]["entry"] = entry
+        lines[at] = json.dumps(d, sort_keys=True)
+        path = tmp_path / "moved.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        _, loaded = load_atlas(path)
+        rec = loaded[at - 1]
+        assert rec.pattern == p and rec.verdict.entry == tuple(entry)
+        assert rec.verdict.child is None
+        assert not verify_certificate(rec.verdict, rec.pattern)
+        assert rec.key in atlas_module.verify_records(loaded, 3)
+
+    def test_one_parse_per_line_and_one_key_per_record(self, atlas3_path, monkeypatch):
+        # each line is scanned once, with no json.loads call, and each
+        # record's key is found as its pattern is decoded; no pattern is
+        # checked by the constructor, and no key derived again
+        calls = collections.Counter()
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(atlas_module, "_scan")
+        counting(json, "loads")
+        counting(jsonio_module, "_decode_json_pattern")
+        counting(atlas_module, "pattern_to_key")
+        counting(patterns_module, "pattern_to_key")
+        counting(SparsityPattern, "__post_init__")
+        lines = [line for line in atlas3_path.read_text().split("\n") if line]
+        _, records = load_atlas(atlas3_path)
+        assert calls == {"_scan": len(lines), "_decode_json_pattern": len(records)}
+        assert [rec.key for rec in records] == [pattern_to_key(rec.pattern) for rec in records]
+        # a query decodes only its matches
+        calls.clear()
+        matches = query_atlas(atlas3_path, {"verdict": "unstable", "maximal_unstable": True})
+        assert calls == {"_scan": len(lines), "_decode_json_pattern": len(matches)}
+
+    def test_one_encoder_for_every_line(self, tmp_path, monkeypatch):
+        # the build writes through jsonio.verdict_to_dict, once per record,
+        # and makes no encoder per line
+        calls = collections.Counter()
+        for module, name in ((json.encoder, "c_make_encoder"), (jsonio_module, "verdict_to_dict")):
+            fn = getattr(module, name)
+
+            def wrapper(*args, name=name, fn=fn, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        records = classify_atlas(2, path=tmp_path / "n2.jsonl")
+        # one encoder: json.dumps's in config_hash, for the header
+        assert calls == {"verdict_to_dict": len(records), "c_make_encoder": 1}
 
 
 @pytest.fixture(scope="module")

@@ -436,7 +436,7 @@ class TestVersion020Files:
         code, text = run(["atlas", "query", "--atlas", str(path)])
         assert code == 12 and text == ""
 
-    def test_classify_does_not_resume(self, tmp_path, atlas2_lines):
+    def test_classify_replaces_the_file_with_a_fresh_build(self, tmp_path, atlas2_lines):
         path = tmp_path / "n2.jsonl"
         shutil.copy(DATA / "atlas_n2_0.2.0.jsonl", path)
         assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0
@@ -455,7 +455,7 @@ class TestVersion030Files:
         code, text = run(["atlas", "validate", "-n", "2", "--atlas", str(self.PATH)])
         assert code == 0 and "FAIL" not in text and "re-verified 9 of 9 records" in text
 
-    def test_classify_does_not_resume(self, tmp_path, atlas2_lines):
+    def test_classify_replaces_the_file_with_a_fresh_build(self, tmp_path, atlas2_lines):
         path = tmp_path / "n2.jsonl"
         shutil.copy(self.PATH, path)
         assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0

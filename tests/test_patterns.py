@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ from sparsestab import (
     serialize_pattern,
     transpose_pattern,
 )
+import sparsestab.patterns as patterns_module
 from sparsestab.patterns import PatternOrbitInfo, key_orbit, key_to_pattern, pattern_to_key
 
 from conftest import EX_MA_MASK, EX_MA_PROSE, FIG2_LEFT
@@ -153,6 +155,33 @@ class TestParsing:
     def test_json_serializer_sorts_row_major(self):
         p = SparsityPattern.from_pairs(3, [(3, 1), (1, 2), (1, 1)])
         assert '"free": [[1, 1], [1, 2], [3, 1]]' in serialize_pattern(p, "json")
+
+    def test_one_pass_decode_matches_the_checked_path(self):
+        # the one-pass decoder gives the pattern and key of the checked
+        # path, or its error, on free lists of good and bad entries mixed
+        rng = random.Random(29)
+        bad = [[1.0, 1], [1, True], ["1", 1], [1, [2]], [0, 1], [1, 0], [5, 1], [1, 5], [-1, 1],
+               [1], [1, 1, 1], (1, 2), 5, None, "11", [None, None]]
+        outcomes = collections.Counter()
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            cells = [[i, j] for i in range(1, n + 1) for j in range(1, n + 1)]
+            free = rng.sample(cells, rng.randint(0, len(cells)))
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                free.insert(rng.randint(0, len(free)), rng.choice(bad + cells))
+            try:
+                p = patterns_module._decode_free(n, free)
+                expected = p, pattern_to_key(p)
+            except PatternFormatError as exc:
+                expected = str(exc)
+            try:
+                got = patterns_module._decode_json_pattern({"n": n, "free": free})
+                assert type(got[1]) is int
+            except PatternFormatError as exc:
+                got = str(exc)
+            assert got == expected, (n, free)
+            outcomes[type(got) is tuple] += 1
+        assert min(outcomes.values()) > 500
 
 
 class TestPermutation:
