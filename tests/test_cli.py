@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import sparsestab.atlas as atlas_module
 from sparsestab import jsonio, load_atlas, verify_certificate
 from sparsestab.atlas import TOOL_VERSION
 from sparsestab.cli import dispatch
+from sparsestab.errors import ValidationError
 from sparsestab.jsonio import (
     certificate_from_dict,
     certificate_to_dict,
@@ -106,6 +108,45 @@ class TestAnalyze:
         (line,) = [line for line in text.splitlines() if "abscissa" in line]
         value = line.rsplit(" ", 1)[1]
         assert line.startswith("oracle: ") and text.count(value) == 1
+
+
+    @pytest.mark.parametrize(
+        "free, argv, lines",
+        [
+            ([[1, 2], [2, 1]], [], ["ProvedUnstable (NoSink)", "violating vertices: [1, 2]"]),
+            ([[1, 1], [2, 3], [3, 2]], [], ["ProvedUnstable (SccWithoutSink)", "violating vertices: [2, 3]"]),
+            (
+                [[1, 1], [1, 2], [2, 3], [3, 1]],
+                [],
+                ["ProvedUnstable (NoHamiltonianK)", "first failing subgraph size: 2"],
+            ),
+            (
+                [[1, 1], [1, 2], [2, 1], [2, 3], [3, 1]],
+                [],
+                ["ProvedStable (ChainFound)", "chain ordering: [1, 2, 3]", "witness abscissa: -1"],
+            ),
+            (
+                [[1, 3], [2, 1], [2, 2], [3, 1], [3, 2]],
+                [],
+                ["ProvedStable (OracleFound)", "oracle: 2 restarts, best abscissa -1.02098e-05"],
+            ),
+            (
+                [[1, 3], [2, 1], [2, 2], [3, 1], [3, 2]],
+                ["--restarts", "1"],
+                ["Unknown (Exhausted)", "oracle: 1 restarts, best abscissa 0"],
+            ),
+        ],
+        ids=["NoSink", "SccWithoutSink", "NoHamiltonianK", "ChainFound", "OracleFound", "Exhausted"],
+    )
+    def test_text_output_per_reason(self, tmp_path, free, argv, lines):
+        # every line analyze prints about a verdict's evidence, one pattern per reason
+        path = tmp_path / "pattern.json"
+        n = max(max(pair) for pair in free)
+        path.write_text(json.dumps({"n": n, "free": free}))
+        _, text = run(["analyze", str(path), *argv])
+        head, verdict, *evidence = text.splitlines()
+        assert head == f"pattern: {n}x{n} pattern, {len(free)} free entries"
+        assert [verdict, *evidence] == [f"verdict: {lines[0]}", *lines[1:]]
 
 
 class TestWitness:
@@ -828,6 +869,27 @@ class TestErrorPaths:
         argv = ["atlas", command, "--atlas", str(path)] + (["-n", "2"] if command == "validate" else [])
         code, text = run(argv)
         assert code == 12 and text == ""
+
+    def test_bad_certificate_entry_names_its_record_path(self, atlas3_lines, tmp_path, capsys):
+        # the path from the record down to the entry, as the README gives it
+        lines = list(atlas3_lines)
+        at = next(
+            i
+            for i, line in enumerate(lines)
+            if '"certificate"' in line
+            and len(json.loads(line)["verdict"]["certificate"]["prefix_cycles"][2][0]) > 1
+        )
+        rec = json.loads(lines[at])
+        rec["verdict"]["certificate"]["prefix_cycles"][2][0][1] = 2.0
+        lines[at] = json.dumps(rec)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        where = r"record\.verdict\.certificate\.prefix_cycles\[2\]\[0\]\[1\] must be int, got 2\.0"
+        with pytest.raises(ValidationError, match=where):
+            load_atlas(path)
+        capsys.readouterr()
+        assert run(["atlas", "validate", "-n", "3", "--atlas", str(path)]) == (12, "")
+        assert re.search(where, capsys.readouterr().err)
 
     @pytest.mark.parametrize("ordering", [[1, 1], [0, 2], [3, 1]])
     def test_certificate_ordering_not_a_permutation(self, atlas2_lines, tmp_path, ordering):
