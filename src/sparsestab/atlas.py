@@ -53,6 +53,7 @@ from .verdict import (
     PROVED_UNSTABLE,
     UNKNOWN,
     EngineConfig,
+    Reference,
     StabilityVerdict,
     _verify,
     classify,
@@ -207,18 +208,15 @@ def _record_from_dict(d: dict, n: int, verdicts: dict | None = None) -> AtlasRec
     pattern, key = jsonio._keyed_pattern(d)
     if pattern.n != n:
         raise ValidationError(f"record has n={pattern.n}, not the header's n={n}")
-    child = None
-    if verdicts is not None and "entry" in d["verdict"]:
-        entry = tuple(d["verdict"]["entry"])
-        if entry in pattern.free:
-            child = verdicts.get(_orbit_table(n).canon[key ^ _key_bit(n, *entry)])
-    v = jsonio._verdict(d["verdict"], pattern, child)
+    canon = _orbit_table(n).canon
+    link = None if verdicts is None else lambda entry: verdicts.get(canon[key ^ _key_bit(n, *entry)])
+    v = jsonio._verdict(d["verdict"], pattern, link)
     if d["minimal_stable"] and (v.tag != PROVED_STABLE or v.reason == INHERITED):
         raise ValidationError(f"a minimally stable record has verdict ({v.tag}, {v.reason})")
     if d["maximal_unstable"] and v.tag != PROVED_UNSTABLE:
         raise ValidationError(f"a maximally unstable record has tag {v.tag}")
     if verdicts is not None:
-        verdicts[_orbit_table(n).canon[key]] = v
+        verdicts[canon[key]] = v
     return AtlasRecord._keyed(
         key, pattern, d["orbit_size"], v, d["minimal_stable"], d["maximal_unstable"]
     )
@@ -337,7 +335,7 @@ def _decide(n, key, orbits: _OrbitTable, memo, config, seed):
             if child.tag == PROVED_STABLE:
                 pos = n * n - 1 - b
                 entry = (pos // n + 1, pos % n + 1)
-                return p, StabilityVerdict(PROVED_STABLE, INHERITED, entry=entry, child=child)
+                return p, StabilityVerdict(INHERITED, Reference(entry, child))
     return p, classify(p, config, seed)
 
 
@@ -550,7 +548,7 @@ def query_atlas(path, query: dict) -> list[AtlasRecord]:
     # the raw fields the filters read, with their kinds in the record format
     read = {name: jsonio.RECORD[name] for name in flags}
     if want is not None:
-        read["verdict"] = {"tag": jsonio.VERDICT["tag"]}
+        read["verdict"] = {"tag": jsonio.VERDICT.head["tag"]}
 
     def keep(d) -> bool:
         jsonio.check(d, read, "record")

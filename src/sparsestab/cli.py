@@ -47,6 +47,7 @@ from .patterns import canonical_form, parse_pattern, serialize_pattern
 from .verdict import (
     PROVED_STABLE,
     PROVED_UNSTABLE,
+    REASONS,
     EngineConfig,
     classify,
     oracle_search,
@@ -159,19 +160,7 @@ def _cmd_analyze(args, out) -> int:
         _emit(args, json.dumps(jsonio.verdict_to_dict(verdict), sort_keys=True), out)
     else:
         lines = [f"pattern: {p.describe()}", f"verdict: {verdict.tag} ({verdict.reason})"]
-        if verdict.k is not None:
-            lines.append(f"first failing subgraph size: {verdict.k}")
-        if verdict.violating:
-            lines.append(f"violating vertices: {sorted(verdict.violating)}")
-        if verdict.certificate is not None:
-            lines.append(f"chain ordering: {list(verdict.certificate.ordering)}")
-            abscissa = spectral_abscissa(verdict.certificate.stabilized_matrix())
-            lines.append(f"witness abscissa: {abscissa:.6g}")
-        if verdict.oracle is not None:
-            lines.append(
-                f"oracle: {verdict.oracle.restarts_used} restarts, "
-                f"best abscissa {verdict.oracle.best_abscissa:.6g}"
-            )
+        lines += REASONS[verdict.reason].lines(verdict.evidence)
         _emit(args, "\n".join(lines), out)
     if verdict.tag == PROVED_STABLE:
         return EXIT_STABLE

@@ -4,8 +4,8 @@ Each persisted format is one table of field -> kind below; ``check`` walks
 a decoded value against it and raises ValidationError with the bad field's
 path, e.g. ``verdict.certificate.prefix_cycles[2][0][1]``, or
 ``verdict.oracle.matrix`` for a ragged matrix.  The decoders then only
-build objects, once they have checked that a verdict names an ``entry``
-exactly when it is Inherited.  Keys a table does not list are ignored.
+build objects.  EVIDENCE names each reason's fields: a verdict must have
+its reason's and no other reason's.  Keys no table lists are ignored.
 Matrices serialize as nested float lists and patterns as {"n": ...,
 "free": [[i, j], ...]}, which patterns.decode_json_pattern alone checks; a
 certificate inside an atlas record leaves its pattern to the record.  Only
@@ -24,26 +24,33 @@ import numpy as np
 
 from .errors import PatternFormatError, ValidationError
 from .patterns import SparsityPattern, _decode_json_pattern
-from .verdict import INHERITED, REASONS, OracleResult, StabilityVerdict
+from .verdict import REASONS, OracleResult, Reference, StabilityVerdict
 from .witness import WitnessCertificate
 
 # Kinds: int, bool and str match exactly that type (json's true is not an
-# int), a frozenset is an enum of strings, [kind] a list of that kind and a
-# dict a nested table; these are the other leaves.
+# int), a frozenset is an enum of strings, [kind] a list of that kind, a
+# dict a nested table and a union a table picked by a field; these are the
+# other leaves.
 COUNT = "an int >= 0"
 NUMBER = "a finite number"  # an int within float range, or a finite float
 PATTERN = "a json pattern field"  # checked by patterns.decode_json_pattern alone
-REASON = "a reason of the verdict's tag"  # one of REASONS[tag]; the tag is checked first
 ENTRY = "an [i, j] pair of ints"
+ABSENT = "absent (another reason's evidence)"  # no value is one: optional(ABSENT) must be left out
 MATRIX = [[NUMBER]]  # known by identity: its rows must also be of equal length
 
 
 class optional(NamedTuple):
-    """A field that may be absent; present, it is ``kind``, and the field
-    ``needs`` is present too."""
+    """A field that may be absent; present, it is ``kind``."""
 
     kind: object
-    needs: str | None = None
+
+
+class union(NamedTuple):
+    """An object of the table ``head`` and of the table its field ``by`` picks."""
+
+    head: dict
+    by: str
+    tables: dict
 
 
 CERTIFICATE = {
@@ -52,12 +59,22 @@ CERTIFICATE = {
 }
 ORACLE = {"matrix": MATRIX}
 ORACLE_STATS = {"restarts": COUNT, "best_abscissa": NUMBER}
-VERDICT = {
-    "tag": frozenset(REASONS), "reason": REASON, "k": optional(int), "violating": optional([int]),
-    "certificate": optional(CERTIFICATE),
-    "oracle": optional(ORACLE, needs="oracle_stats"), "oracle_stats": optional(ORACLE_STATS),
-    "diagnostics": optional([str]), "entry": optional(ENTRY),
+EVIDENCE = {
+    "NoSink": {"violating": [int]},
+    "SccWithoutSink": {"violating": [int]},
+    "NoHamiltonianK": {"k": int},
+    "ChainFound": {"certificate": CERTIFICATE},
+    "OracleFound": {"oracle": ORACLE, "oracle_stats": ORACLE_STATS},
+    "Inherited": {"entry": ENTRY},
+    "Exhausted": {"oracle_stats": ORACLE_STATS},
 }
+# the tag and reason, then the reason's table: its evidence, no other reason's
+_ABSENT = {name: optional(ABSENT) for fields in EVIDENCE.values() for name in fields}
+_TAGS = frozenset(row.tag for row in REASONS.values())
+VERDICT = union({"tag": _TAGS, "reason": frozenset(EVIDENCE)}, "reason", {
+    reason: {"tag": frozenset({REASONS[reason].tag}), **_ABSENT, **fields, "diagnostics": optional([str])}
+    for reason, fields in EVIDENCE.items()
+})
 HEADER = {"n": int, "tool_version": str, "seed": int, "config_hash": str}
 RECORD = {
     "n": PATTERN, "free": PATTERN, "orbit_size": int, "verdict": VERDICT,
@@ -101,14 +118,10 @@ def _walk(value, kind) -> None:
             if type(sub) is optional:
                 if name not in value:
                     continue
-                sub, needs = sub
-                if needs is not None and needs not in value:
-                    raise _Mismatch(f"has {name!r} without {needs!r}", [])
+                sub = sub.kind
             elif name not in value:
                 raise _Mismatch(f"is missing {name!r}", [])
             x = value[name]
-            if sub is REASON:
-                sub = REASONS[value["tag"]]
             if type(x) is sub or sub is PATTERN or type(sub) is frozenset and type(x) is str and x in sub:
                 continue
             try:
@@ -116,6 +129,9 @@ def _walk(value, kind) -> None:
             except _Mismatch as exc:
                 exc.args[1].append("." + name)
                 raise
+    elif type(kind) is union:
+        _walk(value, kind.head)
+        _walk(value, kind.tables[value[kind.by]])
     elif not _is_leaf(value, kind):
         if type(kind) is frozenset:
             what = f"one of {sorted(kind)}"
@@ -203,27 +219,43 @@ def _certificate(d: dict, pattern: SparsityPattern | None) -> WitnessCertificate
     )
 
 
+def _oracle_to_dict(result: OracleResult, pattern) -> dict:
+    stats = {"oracle_stats": {"restarts": result.restarts_used, "best_abscissa": result.best_abscissa}}
+    return {"oracle": {"matrix": _float_lists(result.matrix)}, **stats} if result.found else stats
+
+
+def _oracle(d: dict, pattern, link) -> OracleResult:
+    matrix = np.array(d["oracle"]["matrix"], dtype=float) if "oracle" in d else None
+    stats = d["oracle_stats"]
+    return OracleResult(matrix, stats["restarts"], float(stats["best_abscissa"]))
+
+
+def _reference(d: dict, pattern, link) -> Reference:
+    """Inherited's evidence, linked by ``link`` to a child only for a free entry."""
+    entry = tuple(d["entry"])
+    return Reference(entry, link(entry) if link is not None and entry in pattern.free else None)
+
+
+# per evidence type, its encoder, (evidence, pattern) -> its EVIDENCE
+# fields, and its decoder, (checked verdict dict, pattern, link) -> evidence
+_CODECS = {
+    frozenset: (lambda e, pattern: {"violating": sorted(e)}, lambda d, *_: frozenset(d["violating"])),
+    int: (lambda k, pattern: {"k": k}, lambda d, *_: d["k"]),
+    WitnessCertificate: (
+        lambda cert, pattern: {"certificate": certificate_to_dict(cert, pattern)},
+        lambda d, pattern, _: _certificate(d["certificate"], pattern),
+    ),
+    OracleResult: (_oracle_to_dict, _oracle),
+    Reference: (lambda reference, pattern: {"entry": list(reference.entry)}, _reference),
+}
+
+
 def verdict_to_dict(v: StabilityVerdict, pattern: SparsityPattern | None = None) -> dict:
     """The verdict with its evidence; ``pattern`` as for
     certificate_to_dict."""
-    out = {"tag": v.tag, "reason": v.reason}
-    if v.k is not None:
-        out["k"] = v.k
-    if v.violating:
-        out["violating"] = sorted(v.violating)
-    if v.certificate is not None:
-        out["certificate"] = certificate_to_dict(v.certificate, pattern)
-    if v.oracle is not None:
-        if v.oracle.found:
-            out["oracle"] = {"matrix": _float_lists(v.oracle.matrix)}
-        out["oracle_stats"] = {
-            "restarts": v.oracle.restarts_used,
-            "best_abscissa": v.oracle.best_abscissa,
-        }
+    out = {"tag": v.tag, "reason": v.reason, **_CODECS[type(v.evidence)][0](v.evidence, pattern)}
     if v.diagnostics:
         out["diagnostics"] = list(v.diagnostics)
-    if v.entry is not None:
-        out["entry"] = list(v.entry)
     return out
 
 
@@ -234,24 +266,8 @@ def verdict_from_dict(d: dict, pattern: SparsityPattern | None = None) -> Stabil
     return _verdict(d, pattern)
 
 
-def _verdict(d: dict, pattern: SparsityPattern | None, child=None) -> StabilityVerdict:
-    """verdict_from_dict of a ``d`` that passed check, with the given ``child``."""
-    if ("entry" in d) != (d["reason"] == INHERITED):
-        raise ValidationError("verdict must name an entry exactly when its reason is Inherited")
-    stats = d.get("oracle_stats")
-    oracle = d.get("oracle")
-    return StabilityVerdict(
-        tag=d["tag"],
-        reason=d["reason"],
-        k=d.get("k"),
-        violating=frozenset(d["violating"]) if "violating" in d else None,
-        certificate=_certificate(d["certificate"], pattern) if "certificate" in d else None,
-        oracle=None if stats is None else OracleResult(
-            matrix=None if oracle is None else np.array(oracle["matrix"], dtype=float),
-            restarts_used=stats["restarts"],
-            best_abscissa=float(stats["best_abscissa"]),
-        ),
-        diagnostics=tuple(d.get("diagnostics", ())),
-        entry=tuple(d["entry"]) if "entry" in d else None,
-        child=child,
-    )
+def _verdict(d: dict, pattern: SparsityPattern | None, link=None) -> StabilityVerdict:
+    """verdict_from_dict of a ``d`` that passed check; ``link`` maps an
+    Inherited entry to its child verdict."""
+    decode = _CODECS[REASONS[d["reason"]].evidence][1]
+    return StabilityVerdict(d["reason"], decode(d, pattern, link), tuple(d.get("diagnostics", ())))

@@ -11,7 +11,8 @@ conditions.  A pattern is stable iff each of its blocks is, so a block
 that fails a check proves the whole pattern unstable.  Oracle success
 still yields a stability proof -- an explicit verified Hurwitz matrix --
 but oracle failure proves nothing, so the remaining patterns come back
-Unknown.
+Unknown.  REASONS says what each reason of a verdict carries and how
+verify_certificate checks it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import random
 from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,13 +57,6 @@ CHAIN_FOUND = "ChainFound"
 ORACLE_FOUND = "OracleFound"
 INHERITED = "Inherited"
 EXHAUSTED = "Exhausted"
-
-# the reasons each tag may give
-REASONS = {
-    PROVED_STABLE: frozenset({CHAIN_FOUND, ORACLE_FOUND, INHERITED}),
-    PROVED_UNSTABLE: frozenset({NO_SINK, SCC_WITHOUT_SINK, NO_HAMILTONIAN_K}),
-    UNKNOWN: frozenset({EXHAUSTED}),
-}
 
 
 @dataclass(frozen=True)
@@ -100,27 +95,26 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Tri-state outcome with whatever evidence backs it.
+    """Tri-state outcome: a reason, the evidence that backs it, of the type
+    REASONS gives, and diagnostics.  An OracleFound matrix is mapped onto
+    the input's support and its spectrum re-checked there."""
 
-    ProvedUnstable carries the violated check (and violating vertices or
-    the failing size k).  ProvedStable carries either a full witness
-    certificate or, for OracleFound, the oracle's result with the found
-    matrix mapped onto the input's support and its spectrum re-checked
-    there.  Inherited, the atlas's, carries no evidence of its own: the
-    1-based free ``entry`` whose removal leaves a stable pattern, and
-    ``child``, the verdict of that pattern's representative, which is
-    never serialized.  Unknown means every check was inconclusive; its
-    oracle field holds the miss.
-    """
-
-    tag: str
     reason: str
-    k: int | None = None
-    violating: frozenset[int] | None = None
-    certificate: WitnessCertificate | None = None
-    oracle: OracleResult | None = None
-    diagnostics: tuple[str, ...] = field(default=())
-    entry: tuple[int, int] | None = None
+    evidence: object
+    diagnostics: tuple[str, ...] = ()
+
+    @property
+    def tag(self) -> str:
+        return REASONS[self.reason].tag
+
+
+@dataclass(frozen=True)
+class Reference:
+    """Inherited's evidence: the 1-based free ``entry`` whose removal
+    leaves a stable pattern, and ``child``, the verdict of that pattern's
+    representative, which is never serialized."""
+
+    entry: tuple[int, int]
     child: StabilityVerdict | None = field(default=None, repr=False)
 
 
@@ -241,7 +235,7 @@ def classify(
     """
     violating = check_scc_sink(p)
     if violating:
-        return StabilityVerdict(tag=PROVED_UNSTABLE, reason=_sink_reason(p), violating=violating)
+        return StabilityVerdict(_sink_reason(p), violating)
     try:
         chain = find_nested_chain(p)
     except CapabilityError:  # a block too large to search; the cover check may still decide
@@ -250,7 +244,7 @@ def classify(
     else:
         k = None if chain is not None else check_necessary(p)
     if k is not None:
-        return StabilityVerdict(tag=PROVED_UNSTABLE, reason=NO_HAMILTONIAN_K, k=k)
+        return StabilityVerdict(NO_HAMILTONIAN_K, k)
 
     diagnostics = []
     if chain is not None:
@@ -258,7 +252,7 @@ def classify(
             cert = synthesize_stable_witness(
                 p, seed=derive_seed(seed, p.n, p.bitkey(), "witness"), chain=chain
             )
-            return StabilityVerdict(tag=PROVED_STABLE, reason=CHAIN_FOUND, certificate=cert)
+            return StabilityVerdict(CHAIN_FOUND, cert)
         except (SynthesisError, StabilizationError) as exc:  # pragma: no cover
             diagnostics.append(f"witness synthesis failed: {exc}")
 
@@ -275,17 +269,10 @@ def classify(
             image = [v - 1 for v in info.relabeling.mapping]
             matrix = _transport(matrix, image, info.transposed)
         if is_hurwitz(spectral_abscissa(matrix)):
-            return StabilityVerdict(
-                tag=PROVED_STABLE,
-                reason=ORACLE_FOUND,
-                oracle=replace(result, matrix=matrix),
-                diagnostics=tuple(diagnostics),
-            )
+            return StabilityVerdict(ORACLE_FOUND, replace(result, matrix=matrix), tuple(diagnostics))
         diagnostics.append("oracle hit failed re-verification")  # pragma: no cover
         result = replace(result, matrix=None)  # pragma: no cover
-    return StabilityVerdict(
-        tag=UNKNOWN, reason=EXHAUSTED, oracle=result, diagnostics=tuple(diagnostics)
-    )
+    return StabilityVerdict(EXHAUSTED, result, tuple(diagnostics))
 
 
 def _sink_reason(p: SparsityPattern) -> str:
@@ -354,21 +341,12 @@ def certificate_failures(cert: WitnessCertificate) -> list[str]:
 def verify_certificate(obj, p: SparsityPattern | None = None) -> bool:
     """True iff every claim re-verifies from primitive operations.
 
-    Accepts a WitnessCertificate or a whole StabilityVerdict (the pattern
-    argument is required for verdicts that do not embed a certificate, and
-    a certificate built on another pattern fails).  Each verdict must name
-    its evidence.  ChainFound needs a certificate and OracleFound a found
-    oracle matrix.  Inherited needs a free entry and a stable child verdict
-    that verifies on the canonical form of p without that entry: an exact
-    lattice step, with no float test of its own.  The child has one free
-    entry fewer, so the references end.  An instability verdict needs its
-    exact evidence: the violating vertices of the sink check, or a size k
-    such that some strongly connected block B has |B| >= k and no
-    Hamiltonian k-subgraph.
-    An Unknown must say Exhausted, pass both checks and have a block
-    without a nested chain.  Raises ValidationError on evidence that
-    cannot be checked, such as non-finite entries, a missing pattern or an
-    Inherited verdict without its child.
+    Accepts a WitnessCertificate or a whole StabilityVerdict, whose reason
+    must be one of REASONS, its evidence of exactly that row's type, and
+    the row's check must hold on p (ChainFound's certificate holds its own
+    pattern, and p need not be given).  Raises ValidationError on evidence
+    that cannot be checked, such as non-finite entries, a missing pattern
+    or an Inherited verdict without its child.
     """
     return _holds(obj, p, None)
 
@@ -387,51 +365,90 @@ def _holds(obj, p: SparsityPattern | None, memo: dict | None) -> bool:
     """The claims of verify_certificate, a reference's child through _verify."""
     if isinstance(obj, WitnessCertificate):
         return not certificate_failures(obj)
-    if isinstance(obj, StabilityVerdict):
-        v = obj
-        if v.tag == PROVED_STABLE:
-            if v.reason == INHERITED:
-                if p is None:
-                    raise ValidationError("verifying an Inherited verdict needs the pattern")
-                if v.entry not in p.free:
-                    return False
-                if v.child is None:
-                    raise ValidationError("an Inherited verdict carries no child verdict")
-                child = canonical_form(SparsityPattern(p.n, p.free - {v.entry})).canonical
-                return v.child.tag == PROVED_STABLE and _verify(v.child, child, memo)
-            if v.certificate is not None:
-                if v.reason != CHAIN_FOUND or p is not None and v.certificate.pattern != p:
-                    return False
-                return not certificate_failures(v.certificate)
-            if v.oracle is None or not v.oracle.found:
-                raise ValidationError("stable verdict carries no evidence")
-            if p is None:
-                raise ValidationError("verifying an OracleFound verdict needs the pattern")
-            if v.reason != ORACLE_FOUND:
-                return False
-            matrix = np.asarray(v.oracle.matrix, dtype=float)
-            if not np.isfinite(matrix).all():
-                raise ValidationError("oracle matrix has non-finite entries")
-            if not _matrix_supported(matrix, p):
-                return False
-            return is_hurwitz(spectral_abscissa(matrix))
-        if v.tag == PROVED_UNSTABLE:
-            if p is None:
-                raise ValidationError("verifying an instability verdict needs the pattern")
-            if v.reason in (NO_SINK, SCC_WITHOUT_SINK):
-                violating = check_scc_sink(p)
-                return bool(violating) and v.violating == violating and v.reason == _sink_reason(p)
-            if v.reason == NO_HAMILTONIAN_K:
-                # type(k) is int: True is an int, and 1 would be the k it names
-                return type(v.k) is int and v.k >= 1 and block_without_cover(p, v.k)
-            return False
-        if v.tag == UNKNOWN:
-            if p is None:
-                raise ValidationError("verifying an Unknown verdict needs the pattern")
-            return (
-                v.reason == EXHAUSTED
-                and not check_scc_sink(p)
-                and check_necessary(p) is None
-                and find_nested_chain(p) is None
-            )
-    raise ValidationError(f"cannot verify object of type {type(obj).__name__}")
+    if not isinstance(obj, StabilityVerdict):
+        raise ValidationError(f"cannot verify object of type {type(obj).__name__}")
+    row = REASONS.get(obj.reason) if type(obj.reason) is str else None
+    if row is None or type(obj.evidence) is not row.evidence:
+        return False
+    if p is None and obj.reason != CHAIN_FOUND:
+        raise ValidationError(f"verifying a verdict of reason {obj.reason} needs the pattern")
+    return row.check(obj, p, memo)
+
+
+def _sink_holds(v: StabilityVerdict, p: SparsityPattern, memo) -> bool:
+    """The sink check fails on exactly these vertices, with this reason."""
+    violating = check_scc_sink(p)
+    return bool(violating) and v.evidence == violating and v.reason == _sink_reason(p)
+
+
+def _size_holds(v: StabilityVerdict, p: SparsityPattern, memo) -> bool:
+    """A strongly connected block B has |B| >= k and no Hamiltonian k-subgraph."""
+    return v.evidence >= 1 and block_without_cover(p, v.evidence)
+
+
+def _chain_holds(v: StabilityVerdict, p: SparsityPattern | None, memo) -> bool:
+    return (p is None or v.evidence.pattern == p) and not certificate_failures(v.evidence)
+
+
+def _find_holds(v: StabilityVerdict, p: SparsityPattern, memo) -> bool:
+    """The oracle found a matrix, and it lies on p's support and is Hurwitz."""
+    if not v.evidence.found:
+        return False
+    matrix = np.asarray(v.evidence.matrix, dtype=float)
+    if not np.isfinite(matrix).all():
+        raise ValidationError("oracle matrix has non-finite entries")
+    return _matrix_supported(matrix, p) and is_hurwitz(spectral_abscissa(matrix))
+
+
+def _miss_holds(v: StabilityVerdict, p: SparsityPattern, memo) -> bool:
+    """The oracle missed, and p passes both instability checks but has a
+    block without a nested chain."""
+    inconclusive = not check_scc_sink(p) and check_necessary(p) is None and find_nested_chain(p) is None
+    return not v.evidence.found and inconclusive
+
+
+def _reference_holds(v: StabilityVerdict, p: SparsityPattern, memo) -> bool:
+    """The entry is free and the child verdict stable and verified on the
+    canonical form of p without it: an exact step, with no float test.
+    The child has one free entry fewer, so the references end."""
+    entry, child = v.evidence.entry, v.evidence.child
+    if entry not in p.free:
+        return False
+    if child is None:
+        raise ValidationError("an Inherited verdict carries no child verdict")
+    below = canonical_form(SparsityPattern(p.n, p.free - {entry})).canonical
+    return child.tag == PROVED_STABLE and _verify(child, below, memo)
+
+
+def _vertex_lines(violating: frozenset) -> list[str]:
+    return [f"violating vertices: {sorted(violating)}"]
+
+
+def _chain_lines(cert: WitnessCertificate) -> list[str]:
+    abscissa = spectral_abscissa(cert.stabilized_matrix())
+    return [f"chain ordering: {list(cert.ordering)}", f"witness abscissa: {abscissa:.6g}"]
+
+
+def _oracle_lines(result: OracleResult) -> list[str]:
+    return [f"oracle: {result.restarts_used} restarts, best abscissa {result.best_abscissa:.6g}"]
+
+
+class _Row(NamedTuple):
+    tag: str
+    evidence: type
+    check: Callable  # (verdict, pattern, memo) -> bool
+    lines: Callable  # evidence -> the lines analyze prints about it
+
+
+# What each reason carries: the tag it gives, the exact type of its evidence
+# (type(k) is int: True is an int, and 1 would be the k it names), the check
+# verify_certificate makes of a verdict giving it and its analyze lines.
+REASONS = {
+    NO_SINK: _Row(PROVED_UNSTABLE, frozenset, _sink_holds, _vertex_lines),
+    SCC_WITHOUT_SINK: _Row(PROVED_UNSTABLE, frozenset, _sink_holds, _vertex_lines),
+    NO_HAMILTONIAN_K: _Row(PROVED_UNSTABLE, int, _size_holds, lambda k: [f"first failing subgraph size: {k}"]),
+    CHAIN_FOUND: _Row(PROVED_STABLE, WitnessCertificate, _chain_holds, _chain_lines),
+    ORACLE_FOUND: _Row(PROVED_STABLE, OracleResult, _find_holds, _oracle_lines),
+    INHERITED: _Row(PROVED_STABLE, Reference, _reference_holds, lambda reference: []),
+    EXHAUSTED: _Row(UNKNOWN, OracleResult, _miss_holds, _oracle_lines),
+}

@@ -90,24 +90,24 @@ def test_criterion_1_paper_examples():
         return v
 
     v = timed_classify(FIG2_LEFT)
-    assert (v.tag, v.reason, v.k) == (PROVED_UNSTABLE, "NoHamiltonianK", 2)
+    assert (v.tag, v.reason, v.evidence) == (PROVED_UNSTABLE, "NoHamiltonianK", 2)
 
     v = timed_classify(FIG2_RIGHT)
     assert (v.tag, v.reason) == (PROVED_STABLE, "ChainFound")
-    assert v.certificate.ordering == (1, 2, 3)
-    assert spectral_abscissa(v.certificate.stabilized_matrix()) < -HURWITZ_TOL
-    assert verify_certificate(v.certificate)
+    assert v.evidence.ordering == (1, 2, 3)
+    assert spectral_abscissa(v.evidence.stabilized_matrix()) < -HURWITZ_TOL
+    assert verify_certificate(v.evidence)
 
     v = timed_classify(SIGMA_ALPHA)
     assert (v.tag, v.reason) == (PROVED_STABLE, "ChainFound")
-    assert v.certificate.ordering == (1, 2, 3, 4, 5)
+    assert v.evidence.ordering == (1, 2, 3, 4, 5)
 
     v = timed_classify(SIGMA_BETA)
-    assert (v.tag, v.reason, v.k) == (PROVED_UNSTABLE, "NoHamiltonianK", 4)
+    assert (v.tag, v.reason, v.evidence) == (PROVED_UNSTABLE, "NoHamiltonianK", 4)
 
     v = timed_classify(FIG3)
     assert (v.tag, v.reason) == (PROVED_UNSTABLE, "SccWithoutSink")
-    assert v.violating == frozenset({1, 2, 3, 4})
+    assert v.evidence == frozenset({1, 2, 3, 4})
     return f"max runtime {max(timings):.3f}s"
 
 

@@ -38,8 +38,10 @@ from sparsestab.verdict import (
     PROVED_STABLE,
     PROVED_UNSTABLE,
     EngineConfig,
+    Reference,
     StabilityVerdict,
 )
+from sparsestab.witness import WitnessCertificate
 
 
 class TestEnumerate:
@@ -243,8 +245,8 @@ class TestClassifyAtlas:
         }
         by_key = {rec.key: rec for rec in records}
         for rec in filter(is_inherited, records):
-            child = canonical_form(SparsityPattern(4, rec.pattern.free - {rec.verdict.entry}))
-            assert rec.verdict.child is by_key[pattern_to_key(child.canonical)].verdict
+            child = canonical_form(SparsityPattern(4, rec.pattern.free - {rec.verdict.evidence.entry}))
+            assert rec.verdict.evidence.child is by_key[pattern_to_key(child.canonical)].verdict
         # an Unknown is recorded at the budget its header states, the caller's
         unknown = [rec for rec in records if rec.verdict.tag == "Unknown"]
         assert [verdict_to_dict(rec.verdict) for rec in unknown] == [
@@ -257,13 +259,13 @@ def is_inherited(rec) -> bool:
 
 
 def reference(entry, child) -> StabilityVerdict:
-    return StabilityVerdict(PROVED_STABLE, INHERITED, entry=entry, child=child)
+    return StabilityVerdict(INHERITED, Reference(entry, child))
 
 
 def leaf(verdict) -> StabilityVerdict:
     """The proof a chain of references reaches."""
     while verdict.reason == INHERITED:
-        verdict = verdict.child
+        verdict = verdict.evidence.child
     return verdict
 
 
@@ -294,10 +296,10 @@ class TestInheritance:
         assert len(inherited) == 25
         for rec in inherited:
             v = rec.verdict
-            assert not rec.minimal_stable and v.entry in rec.pattern.free
-            assert v.certificate is None and v.oracle is None and v.diagnostics == ()
-            child = canonical_form(SparsityPattern(3, rec.pattern.free - {v.entry})).canonical
-            assert v.child is by_key[pattern_to_key(child)].verdict
+            assert not rec.minimal_stable and v.evidence.entry in rec.pattern.free
+            assert type(v.evidence) is Reference and v.diagnostics == ()
+            child = canonical_form(SparsityPattern(3, rec.pattern.free - {v.evidence.entry})).canonical
+            assert v.evidence.child is by_key[pattern_to_key(child)].verdict
             assert verify_certificate(v, rec.pattern)
 
     def test_references_to_transposed_and_relabeled_children_verify(self, atlas3, atlas4_timed):
@@ -306,7 +308,7 @@ class TestInheritance:
         transposed, relabeled = set(), set()
         for records, n in ((atlas3, 3), (atlas4_timed[0], 4)):
             for rec in filter(is_inherited, records):
-                info = canonical_form(SparsityPattern(n, rec.pattern.free - {rec.verdict.entry}))
+                info = canonical_form(SparsityPattern(n, rec.pattern.free - {rec.verdict.evidence.entry}))
                 assert verify_certificate(rec.verdict, rec.pattern), rec.key
                 if info.transposed:
                     transposed.add((n, rec.key))
@@ -371,7 +373,7 @@ class TestInheritance:
         # query_atlas and verdict_from_dict decode a reference without its
         # child, so it names no evidence to check
         records = query_atlas(atlas3_path, {"verdict": "stable", "minimal_stable": False})
-        assert len(records) == 25 and all(rec.verdict.child is None for rec in records)
+        assert len(records) == 25 and all(rec.verdict.evidence.child is None for rec in records)
         for rec in records:
             with pytest.raises(ValidationError, match="no child"):
                 verify_certificate(rec.verdict, rec.pattern)
@@ -387,8 +389,8 @@ class TestInheritance:
         references = [rec for rec in loaded if is_inherited(rec)]
         assert references
         for rec in references:
-            child = canonical_form(SparsityPattern(n, rec.pattern.free - {rec.verdict.entry}))
-            assert rec.verdict.child is by_key[pattern_to_key(child.canonical)].verdict, rec.key
+            child = canonical_form(SparsityPattern(n, rec.pattern.free - {rec.verdict.evidence.entry}))
+            assert rec.verdict.evidence.child is by_key[pattern_to_key(child.canonical)].verdict, rec.key
 
     def test_verify_records_verifies_each_proof_once(self, tmp_path, request, monkeypatch):
         # the 847 references reach the 20 chain proofs through chains of
@@ -415,8 +417,8 @@ class TestInheritance:
         rec = next(
             rec for rec in loaded
             if is_inherited(rec)
-            and rec.verdict.child.reason == INHERITED
-            and leaf(rec.verdict).certificate is not None
+            and rec.verdict.evidence.child.reason == INHERITED
+            and type(leaf(rec.verdict).evidence) is WitnessCertificate
         )
         assert verify_certificate(rec.verdict, rec.pattern)
         assert calls["certificate_failures"] == 1 and calls["canonical_form"] >= 2
@@ -431,11 +433,11 @@ class TestInheritance:
         # a reference moved to a key of its orbit where its entry is not
         # free fails there, yet the references reaching it verify it on its
         # canonical pattern, so they pass
-        referred = {id(rec.verdict.child) for rec in atlas3 if is_inherited(rec)}
+        referred = {id(rec.verdict.evidence.child) for rec in atlas3 if is_inherited(rec)}
         rec = next(r for r in atlas3 if is_inherited(r) and id(r.verdict) in referred)
         moved = next(
             key for key in sorted(key_orbit(3, rec.key))
-            if rec.verdict.entry not in key_to_pattern(3, key).free
+            if rec.verdict.evidence.entry not in key_to_pattern(3, key).free
         )
         records = [
             dataclasses.replace(r, pattern=key_to_pattern(3, moved)) if r is rec else r
@@ -480,7 +482,7 @@ class TestPersistence:
             assert verdict_to_dict(rec.verdict, rec.pattern) == stored["verdict"]
             assert json.dumps(atlas_module._record_to_dict(rec), sort_keys=True) == line
             assert verify_certificate(rec.verdict, rec.pattern)
-        assert any(rec.verdict.certificate is not None for rec in loaded)
+        assert any(type(rec.verdict.evidence) is WitnessCertificate for rec in loaded)
 
     @pytest.mark.parametrize(
         "n, size, digest",
@@ -826,9 +828,9 @@ def assert_keys_and_links(records, n):
     for rec in records:
         assert rec.key == pattern_to_key(rec.pattern)
         if is_inherited(rec):
-            below = SparsityPattern(n, rec.pattern.free - {rec.verdict.entry})
+            below = SparsityPattern(n, rec.pattern.free - {rec.verdict.evidence.entry})
             child = by_key[pattern_to_key(canonical_form(below).canonical)]
-            assert rec.verdict.child is child.verdict, rec.key
+            assert rec.verdict.evidence.child is child.verdict, rec.key
 
 
 class TestKeysAndLinks:
@@ -868,8 +870,8 @@ class TestKeysAndLinks:
         path.write_text("\n".join(lines) + "\n")
         _, loaded = load_atlas(path)
         rec = loaded[at - 1]
-        assert rec.pattern == p and rec.verdict.entry == tuple(entry)
-        assert rec.verdict.child is None
+        assert rec.pattern == p and rec.verdict.evidence.entry == tuple(entry)
+        assert rec.verdict.evidence.child is None
         assert not verify_certificate(rec.verdict, rec.pattern)
         assert rec.key in atlas_module.verify_records(loaded, 3)
 

@@ -17,11 +17,12 @@ from sparsestab.jsonio import (
     certificate_from_dict,
     certificate_to_dict,
     pattern_from_dict,
+    verdict_from_dict,
     verdict_to_dict,
 )
 from sparsestab.patterns import key_orbit, key_to_pattern, pattern_to_key
 from sparsestab.patterns import SparsityPattern
-from sparsestab.verdict import EngineConfig, classify
+from sparsestab.verdict import REASONS, EngineConfig, classify
 
 from conftest import FIG2_LEFT, FIG2_RIGHT, failed_geev
 
@@ -518,7 +519,7 @@ class TestVersion040Files:
         code, text = run(["atlas", "query", "--atlas", str(self.PATH), "--verdict", "stable"])
         assert code == 0 and text.startswith("4 matching records")
 
-    def test_classify_does_not_resume(self, tmp_path, atlas2_lines):
+    def test_classify_replaces_the_file_with_a_fresh_build(self, tmp_path, atlas2_lines):
         path = tmp_path / "n2.jsonl"
         shutil.copy(self.PATH, path)
         assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0
@@ -545,7 +546,7 @@ class TestVersion060Files:
         code, text = run(["atlas", "query", "--atlas", str(self.PATH), "--verdict", "stable"])
         assert code == 0 and text.startswith("4 matching records")
 
-    def test_classify_does_not_resume(self, tmp_path, atlas2_lines):
+    def test_classify_replaces_the_file_with_a_fresh_build(self, tmp_path, atlas2_lines):
         path = tmp_path / "n2.jsonl"
         shutil.copy(self.PATH, path)
         assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0
@@ -567,7 +568,7 @@ class TestVersion050Files:
         code, text = run(["atlas", "query", "--atlas", str(self.PATH), "--verdict", "stable"])
         assert code == 0 and text.startswith("4 matching records")
 
-    def test_classify_does_not_resume(self, tmp_path, atlas2_lines):
+    def test_classify_replaces_the_file_with_a_fresh_build(self, tmp_path, atlas2_lines):
         path = tmp_path / "n2.jsonl"
         shutil.copy(self.PATH, path)
         assert run(["atlas", "classify", "-n", "2", "--atlas", str(path)])[0] == 0
@@ -891,6 +892,54 @@ class TestErrorPaths:
         assert run(["atlas", "validate", "-n", "3", "--atlas", str(path)]) == (12, "")
         assert re.search(where, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("reason", list(REASONS))
+    def test_validate_rejects_another_reasons_field(self, atlas3_lines, tmp_path, capsys, reason):
+        # a genuine record of each reason, with each field that only other
+        # reasons name; the n=3 file has no Exhausted record, so GAP3's
+        # record gets the oracle miss at one restart
+        records = [json.loads(line) for line in atlas3_lines[1:]]
+        values = {name: value for rec in records for name, value in rec["verdict"].items()}
+        at = next(
+            i for i, rec in enumerate(records)
+            if rec["verdict"]["reason"] == ("OracleFound" if reason == "Exhausted" else reason)
+        )
+        if reason == "Exhausted":
+            miss = classify(key_to_pattern(3, 118), EngineConfig(oracle_restarts=1))
+            records[at]["verdict"] = verdict_to_dict(miss)
+        verdict = records[at]["verdict"]
+        assert verdict["reason"] == reason
+        strays = {name for fields in jsonio.EVIDENCE.values() for name in fields} - set(verdict)
+        assert strays
+        for name in strays:
+            bad = list(records)
+            bad[at] = {**records[at], "verdict": {**verdict, name: values[name]}}
+            path = tmp_path / "bad.jsonl"
+            write_atlas(path, atlas3_lines[0], bad)
+            capsys.readouterr()
+            assert run(["atlas", "validate", "-n", "3", "--atlas", str(path)]) == (12, "")
+            assert f"record.verdict.{name} must be absent" in capsys.readouterr().err
+
+    def test_validate_rejects_a_sink_verdict_carrying_every_other_evidence(self, atlas2_lines, tmp_path):
+        # the NoSink record of {(1,2), (2,1)} with a size k, another
+        # pattern's chain certificate and an oracle find of -I, which is off
+        # the pattern's support
+        records = [json.loads(line) for line in atlas2_lines[1:]]
+        at = next(i for i, rec in enumerate(records) if rec["free"] == [[1, 2], [2, 1]])
+        certificate = next(r["verdict"]["certificate"] for r in records if "certificate" in r["verdict"])
+        stray = {
+            "k": 7,
+            "certificate": certificate,
+            "oracle": {"matrix": [[-1.0, 0.0], [0.0, -1.0]]},
+            "oracle_stats": {"restarts": 1, "best_abscissa": -1.0},
+        }
+        assert records[at]["verdict"] == {"tag": "ProvedUnstable", "reason": "NoSink", "violating": [1, 2]}
+        records[at]["verdict"].update(stray)
+        path = tmp_path / "forged.jsonl"
+        write_atlas(path, atlas2_lines[0], records)
+        assert run(["atlas", "validate", "-n", "2", "--atlas", str(path)]) == (12, "")
+        with pytest.raises(ValidationError, match="must be absent"):
+            verdict_from_dict(records[at]["verdict"], SparsityPattern.from_pairs(2, [(1, 2), (2, 1)]))
+
     @pytest.mark.parametrize("ordering", [[1, 1], [0, 2], [3, 1]])
     def test_certificate_ordering_not_a_permutation(self, atlas2_lines, tmp_path, ordering):
         lines = list(atlas2_lines)
@@ -1032,14 +1081,18 @@ RECORD_KEYS = {"n", "free", "orbit_size", "verdict", "minimal_stable", "maximal_
 
 
 def assert_declared(d, table):
-    """Every key of the encoded object ``d`` is declared in ``table`` and
-    every required field is written, in nested tables too."""
+    """Every key of the encoded object ``d`` is declared in ``table``, or in
+    a union's head and the table its field picks, every required field is
+    written and no absent one, in nested tables too."""
+    if isinstance(table, jsonio.union):
+        table = {**table.head, **table.tables[d[table.by]]}
     kinds = {name: getattr(kind, "kind", kind) for name, kind in table.items()}
     required = {name for name, kind in table.items() if not isinstance(kind, jsonio.optional)}
     assert set(d) <= set(kinds), f"undeclared keys {set(d) - set(kinds)}"
     assert required <= set(d), f"required keys not written {required - set(d)}"
     for name, value in d.items():
-        if isinstance(kinds[name], dict):
+        assert kinds[name] is not jsonio.ABSENT, f"{name} is another reason's evidence"
+        if isinstance(kinds[name], (dict, jsonio.union)):
             assert_declared(value, kinds[name])
 
 
@@ -1052,9 +1105,11 @@ class TestSchemas:
         written = [(atlas_module._header(n, 0, EngineConfig()), jsonio.HEADER) for n in (2, 3)]
         written += [(atlas_module._record_to_dict(r), jsonio.RECORD) for r in atlas2 + atlas3]
         for v in [r.verdict for r in atlas2 + atlas3] + [unknown, oracle]:
-            written.append((verdict_to_dict(v), jsonio.VERDICT))
-            if v.certificate is not None:
-                written.append((certificate_to_dict(v.certificate), jsonio.CERTIFICATE))
+            d = verdict_to_dict(v)
+            assert set(d) - {"tag", "reason", "diagnostics"} == set(jsonio.EVIDENCE[v.reason])
+            written.append((d, jsonio.VERDICT))
+            if v.reason == "ChainFound":
+                written.append((certificate_to_dict(v.evidence), jsonio.CERTIFICATE))
         for d, table in written:
             assert_declared(d, table)
             jsonio.check(json.loads(json.dumps(d)), table, "written")

@@ -27,20 +27,23 @@ from sparsestab import (
     verify_certificate,
 )
 import sparsestab.graphs as graphs
+import sparsestab.jsonio as jsonio
 import sparsestab.numerics as numerics
 import sparsestab.verdict as verdict_module
 import sparsestab.witness as witness_module
 from sparsestab.errors import NumericalError, ValidationError
-from sparsestab.atlas import config_hash, enumerate_patterns
+from sparsestab.atlas import classify_atlas, config_hash, enumerate_patterns
 from sparsestab.graphs import CHAIN_N_CAP, check_necessary, check_scc_sink, find_nested_chain
 from sparsestab.jsonio import certificate_from_dict, certificate_to_dict, verdict_from_dict, verdict_to_dict
 from sparsestab.patterns import canonical_form, key_to_pattern
 from sparsestab.numerics import HURWITZ_TOLERANCE, ordering_conjugation, spectral_abscissa
 from sparsestab.verdict import (
+    INHERITED,
     NO_HAMILTONIAN_K,
     ORACLE_FOUND,
     PROVED_STABLE,
     PROVED_UNSTABLE,
+    REASONS,
     UNKNOWN,
     EngineConfig,
     OracleResult,
@@ -89,24 +92,24 @@ TWO_LOOPED_CYCLES = SparsityPattern.from_pairs(
 class TestClassify:
     def test_fig2_left(self):
         v = classify(FIG2_LEFT, SMALL)
-        assert (v.tag, v.reason, v.k) == ("ProvedUnstable", "NoHamiltonianK", 2)
+        assert (v.tag, v.reason, v.evidence) == ("ProvedUnstable", "NoHamiltonianK", 2)
 
     def test_fig2_right(self):
         v = classify(FIG2_RIGHT, SMALL)
         assert (v.tag, v.reason) == ("ProvedStable", "ChainFound")
-        assert v.certificate.ordering == (1, 2, 3)
-        assert spectral_abscissa(v.certificate.stabilized_matrix()) < -1e-9
+        assert v.evidence.ordering == (1, 2, 3)
+        assert spectral_abscissa(v.evidence.stabilized_matrix()) < -1e-9
 
     def test_sigma_patterns(self):
         va = classify(SIGMA_ALPHA, SMALL)
-        assert va.tag == "ProvedStable" and va.certificate.ordering == (1, 2, 3, 4, 5)
+        assert va.tag == "ProvedStable" and va.evidence.ordering == (1, 2, 3, 4, 5)
         vb = classify(SIGMA_BETA, SMALL)
-        assert (vb.tag, vb.reason, vb.k) == ("ProvedUnstable", "NoHamiltonianK", 4)
+        assert (vb.tag, vb.reason, vb.evidence) == ("ProvedUnstable", "NoHamiltonianK", 4)
 
     def test_fig3_scc_reason(self):
         v = classify(FIG3, SMALL)
         assert (v.tag, v.reason) == ("ProvedUnstable", "SccWithoutSink")
-        assert v.violating == frozenset({1, 2, 3, 4})
+        assert v.evidence == frozenset({1, 2, 3, 4})
 
     def test_no_sink_reason(self):
         p = SparsityPattern.from_pairs(2, [(1, 2), (2, 1)])
@@ -136,27 +139,27 @@ class TestClassify:
     def test_gap_pattern_resolved_by_oracle(self):
         v = classify(GAP3, SMALL)
         assert (v.tag, v.reason) == ("ProvedStable", "OracleFound")
-        assert spectral_abscissa(v.oracle.matrix) < -1e-9
+        assert spectral_abscissa(v.evidence.matrix) < -1e-9
         assert verify_certificate(v, GAP3)
 
     def test_unstable_gap_pattern_stays_unknown(self):
         v = classify(GAP4_UNSTABLE, SMALL)
         assert (v.tag, v.reason) == ("Unknown", "Exhausted")
-        assert v.oracle is not None
+        assert type(v.evidence) is OracleResult
         assert verify_certificate(v, GAP4_UNSTABLE)
 
     def test_blockwise_cover_proof(self):
         start = time.perf_counter()
         v = classify(GAP8_BLOCKWISE)
         assert time.perf_counter() - start < 0.1
-        assert (v.tag, v.reason, v.k) == ("ProvedUnstable", "NoHamiltonianK", 3)
+        assert (v.tag, v.reason, v.evidence) == ("ProvedUnstable", "NoHamiltonianK", 3)
         assert verify_certificate(v, GAP8_BLOCKWISE)
 
     def test_deterministic_given_seed(self):
         a = classify(GAP3, SMALL, seed=9)
         b = classify(GAP3, SMALL, seed=9)
         assert a.tag == b.tag and a.reason == b.reason
-        assert np.array_equal(a.oracle.matrix, b.oracle.matrix)
+        assert np.array_equal(a.evidence.matrix, b.evidence.matrix)
 
     def test_verdict_tag_invariant_on_orbit(self):
         rng = random.Random(61)
@@ -217,7 +220,7 @@ class TestStageOrder:
             if check_scc_sink(p) or k is None:
                 continue  # both orders run the same stages on these
             v = classify(p, SMALL)
-            assert (v.tag, v.reason, v.k) == (PROVED_UNSTABLE, NO_HAMILTONIAN_K, k), p
+            assert (v.tag, v.reason, v.evidence) == (PROVED_UNSTABLE, NO_HAMILTONIAN_K, k), p
             checked += 1
         assert checked > 0
 
@@ -228,7 +231,7 @@ class TestStageOrder:
         with pytest.raises(CapabilityError):
             find_nested_chain(p)
         v = classify(p, SMALL)
-        assert (v.tag, v.reason, v.k) == (PROVED_UNSTABLE, NO_HAMILTONIAN_K, 2)
+        assert (v.tag, v.reason, v.evidence) == (PROVED_UNSTABLE, NO_HAMILTONIAN_K, 2)
         assert verify_certificate(v, p)
 
     def test_block_beyond_the_chain_cap_passing_the_cover_check_raises(self):
@@ -243,7 +246,7 @@ class TestStageOrder:
         )
         p = SparsityPattern(25, frozenset({(1, 1)} | {(i, i % 25 + 1) for i in range(1, 26)}))
         v = classify(p, SMALL)
-        assert (v.tag, v.reason, v.k) == (PROVED_UNSTABLE, NO_HAMILTONIAN_K, 2)
+        assert (v.tag, v.reason, v.evidence) == (PROVED_UNSTABLE, NO_HAMILTONIAN_K, 2)
         assert calls == [p]
 
 
@@ -565,10 +568,30 @@ class TestVerifyCertificate:
     def test_non_finite_oracle_matrix_raises(self, value):
         v = classify(GAP3, SMALL)
         i, j = min(GAP3.free)
-        matrix = v.oracle.matrix.copy()
+        matrix = v.evidence.matrix.copy()
         matrix[i - 1, j - 1] = value
         with pytest.raises(ValidationError):
-            verify_certificate(replace(v, oracle=replace(v.oracle, matrix=matrix)), GAP3)
+            verify_certificate(replace(v, evidence=replace(v.evidence, matrix=matrix)), GAP3)
+
+    def test_a_miss_with_a_found_matrix_fails(self):
+        # Exhausted is backed by a miss; a matrix makes it another
+        # reason's evidence, off the pattern's support here
+        v = classify(GAP3, EngineConfig(oracle_restarts=1))
+        assert v.reason == "Exhausted" and verify_certificate(v, GAP3)
+        forged = replace(v, evidence=replace(v.evidence, matrix=5.0 * np.eye(3)))
+        assert not verify_certificate(forged, GAP3)
+        d = {**verdict_to_dict(v), "oracle": {"matrix": (5.0 * np.eye(3)).tolist()}}
+        with pytest.raises(ValidationError, match=r"^verdict\.oracle "):
+            verdict_from_dict(d)
+
+    def test_a_find_without_its_matrix_fails(self):
+        v = classify(GAP3, SMALL)
+        assert v.reason == ORACLE_FOUND and verify_certificate(v, GAP3)
+        assert not verify_certificate(replace(v, evidence=replace(v.evidence, matrix=None)), GAP3)
+        d = verdict_to_dict(v)
+        del d["oracle"]
+        with pytest.raises(ValidationError, match=r"^verdict is missing 'oracle'"):
+            verdict_from_dict(d)
 
     def test_stabilized_product_beyond_float_range_fails(self):
         # both arrays are finite; their product is not, and that is a
@@ -582,10 +605,10 @@ class TestVerifyCertificate:
         # the 2-cycle has no 1-cycle cover, so k=1 is its exact evidence;
         # True == 1, but a bool is not a size
         p = SparsityPattern.from_pairs(2, [(1, 2), (2, 1)])
-        v = StabilityVerdict(tag=PROVED_UNSTABLE, reason=NO_HAMILTONIAN_K, k=1)
+        v = StabilityVerdict(NO_HAMILTONIAN_K, 1)
         assert verify_certificate(v, p)
-        assert not verify_certificate(replace(v, k=True), p)
-        assert not verify_certificate(replace(v, k=1.0), p)
+        assert not verify_certificate(replace(v, evidence=True), p)
+        assert not verify_certificate(replace(v, evidence=1.0), p)
 
     @pytest.mark.parametrize(
         "d",
@@ -689,13 +712,13 @@ class TestVerifyCertificate:
     def test_sink_verdict_must_name_its_evidence(self, reason, violating):
         genuine = classify(FIG3, SMALL)
         assert verify_certificate(genuine, FIG3)
-        forged = replace(genuine, reason=reason, violating=violating and frozenset(violating))
+        forged = replace(genuine, reason=reason, evidence=violating and frozenset(violating))
         assert not verify_certificate(forged, FIG3)
 
     @pytest.mark.parametrize(
         "pattern,reason",
         [
-            *((SparsityPattern.full(3), reason) for reason in ("OracleFound", "NoSink", "Exhausted", 7)),
+            *((SparsityPattern.full(3), r) for r in ("OracleFound", "NoSink", "Exhausted", 7, ["ChainFound"])),
             (GAP3, "ChainFound"),  # an oracle matrix, not a certificate
             (GAP3, "Exhausted"),
             (GAP4_UNSTABLE, "ChainFound"),  # an Unknown says Exhausted
@@ -706,6 +729,7 @@ class TestVerifyCertificate:
             "chain-as-NoSink",
             "chain-as-Exhausted",
             "chain-as-7",
+            "chain-as-a-list",
             "oracle-as-ChainFound",
             "oracle-as-Exhausted",
             "unknown-as-ChainFound",
@@ -720,36 +744,79 @@ class TestVerifyCertificate:
     @pytest.mark.parametrize("k", [0, 4, "2"])
     def test_hamiltonian_size_out_of_range_fails(self, k):
         v = classify(FIG2_LEFT, SMALL)
-        assert not verify_certificate(replace(v, k=k), FIG2_LEFT)
+        assert not verify_certificate(replace(v, evidence=k), FIG2_LEFT)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_hamiltonian_size_must_fail_in_a_block(self, k):
         # only the 5-block {2,..,6} misses a cover, and only of size 3;
         # 6, 7 and 8 exceed every block
         v = classify(GAP8_BLOCKWISE)
-        assert verify_certificate(replace(v, k=k), GAP8_BLOCKWISE) == (k == 3)
+        assert verify_certificate(replace(v, evidence=k), GAP8_BLOCKWISE) == (k == 3)
 
     @pytest.mark.parametrize("k", [2, 3, 6, 7])
     def test_hamiltonian_size_beyond_every_block_fails(self, k):
         # the whole pattern has no cover of size 3, 6 or 7, but 6 and 7
         # exceed both blocks
         v = classify(TWO_LOOPED_CYCLES)
-        assert (v.tag, v.reason, v.k) == ("ProvedUnstable", "NoHamiltonianK", 2)
-        assert verify_certificate(replace(v, k=k), TWO_LOOPED_CYCLES) == (k in (2, 3))
+        assert (v.tag, v.reason, v.evidence) == ("ProvedUnstable", "NoHamiltonianK", 2)
+        assert verify_certificate(replace(v, evidence=k), TWO_LOOPED_CYCLES) == (k in (2, 3))
 
     def test_block_without_its_full_cover(self):
         # the star {1,2,3} centred on a looped 1 covers sizes 1 and 2, not
         # 3; beside a looped 4 the whole pattern misses only size 4
         p = SparsityPattern.from_pairs(4, [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (3, 4), (4, 4)])
         v = classify(p)
-        assert (v.tag, v.reason, v.k) == ("ProvedUnstable", "NoHamiltonianK", 3)
+        assert (v.tag, v.reason, v.evidence) == ("ProvedUnstable", "NoHamiltonianK", 3)
         assert verify_certificate(v, p)
-        assert not verify_certificate(replace(v, k=4), p)
+        assert not verify_certificate(replace(v, evidence=4), p)
 
     def test_certificate_for_another_pattern_fails(self):
         v = classify(FIG2_RIGHT, SMALL)
         assert verify_certificate(v, FIG2_RIGHT)
         assert not verify_certificate(v, SparsityPattern.full(3))
+
+
+def genuine_verdicts(atlas2, atlas3) -> list:
+    """(verdict, pattern) pairs that give every reason: the n <= 3 atlases
+    and GAP3's oracle miss at one restart."""
+    pairs = [(r.verdict, r.pattern) for r in classify_atlas(1) + atlas2 + atlas3]
+    return pairs + [(classify(GAP3, EngineConfig(oracle_restarts=1)), GAP3)]
+
+
+class TestReasonTable:
+    """Each reason is one row of verdict.REASONS and one of jsonio.EVIDENCE:
+    a reason added without either, or without a genuine verdict that round
+    trips and verifies, fails here."""
+
+    def test_every_reason_has_a_row_in_both_tables(self):
+        assert set(jsonio.EVIDENCE) == set(REASONS) == set(jsonio.VERDICT.tables)
+        assert jsonio.VERDICT.head["tag"] == {PROVED_STABLE, PROVED_UNSTABLE, UNKNOWN}
+
+    def test_every_reason_round_trips_and_verifies(self, atlas2, atlas3):
+        seen = set()
+        for v, p in genuine_verdicts(atlas2, atlas3):
+            text = json.dumps(verdict_to_dict(v, p), sort_keys=True)
+            back = verdict_from_dict(json.loads(text), p)
+            assert json.dumps(verdict_to_dict(back, p), sort_keys=True) == text
+            assert type(back.evidence) is REASONS[v.reason].evidence and back.tag == v.tag
+            assert verify_certificate(v, p)
+            if v.reason != INHERITED:  # a decoded reference is linked by load_atlas
+                assert verify_certificate(back, p)
+            seen.add(v.reason)
+        assert seen == set(REASONS)
+
+    @pytest.mark.parametrize("reason", list(REASONS))
+    def test_another_reasons_field_is_rejected(self, atlas2, atlas3, reason):
+        # a genuine verdict of the reason, and a genuine value of every field
+        encoded = [verdict_to_dict(v) for v, _ in genuine_verdicts(atlas2, atlas3)]
+        values = {name: value for d in encoded for name, value in d.items()}
+        d = next(d for d in encoded if d["reason"] == reason)
+        assert verdict_from_dict(d).reason == reason
+        strays = {name for fields in jsonio.EVIDENCE.values() for name in fields} - set(d)
+        assert strays
+        for name in strays:
+            with pytest.raises(ValidationError, match=rf"^verdict\.{name} must be absent "):
+                verdict_from_dict({**d, name: values[name]})
 
 
 def reference_oracle(p, config, seed, exits):
