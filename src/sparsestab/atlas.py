@@ -208,8 +208,8 @@ def _record_from_dict(d: dict, n: int, verdicts: dict | None = None) -> AtlasRec
     pattern, key = jsonio._keyed_pattern(d)
     if pattern.n != n:
         raise ValidationError(f"record has n={pattern.n}, not the header's n={n}")
-    canon = _orbit_table(n).canon
-    link = None if verdicts is None else lambda entry: verdicts.get(canon[key ^ _key_bit(n, *entry)])
+    canon = None if verdicts is None else _orbit_table(n).canon
+    link = None if canon is None else lambda entry: verdicts.get(canon[key ^ _key_bit(n, *entry)])
     v = jsonio._verdict(d["verdict"], pattern, link)
     if d["minimal_stable"] and (v.tag != PROVED_STABLE or v.reason == INHERITED):
         raise ValidationError(f"a minimally stable record has verdict ({v.tag}, {v.reason})")

@@ -905,6 +905,16 @@ class TestKeysAndLinks:
         matches = query_atlas(atlas3_path, {"verdict": "unstable", "maximal_unstable": True})
         assert calls == {"_scan": len(lines), "_decode_json_pattern": len(matches)}
 
+    def test_a_query_reads_no_orbit_table(self, atlas3_path, monkeypatch):
+        # a query links no reference to its child, so it needs no orbit
+        # table, which takes a while to build at n = 4
+        def fail(n):
+            raise AssertionError(f"query_atlas read the orbit table of n={n}")
+
+        monkeypatch.setattr(atlas_module, "_orbit_table", fail)
+        assert len(query_atlas(atlas3_path, {})) == 74
+        assert query_atlas(atlas3_path, {"verdict": "stable", "minimal_stable": True})
+
     def test_one_encoder_for_every_line(self, tmp_path, monkeypatch):
         # the build writes through jsonio.verdict_to_dict, once per record,
         # and makes no encoder per line
