@@ -197,15 +197,16 @@ def _record_to_dict(rec: AtlasRecord) -> dict:
     }
 
 
-def _record_from_dict(d: dict, n: int, verdicts: dict | None = None) -> AtlasRecord:
+def _record_from_dict(d: dict, n: int, verdicts: dict | None = None, keyed=None) -> AtlasRecord:
     """The record of ``d``; its marks must fit its own verdict: a minimally
     stable record holds a stability proof of its own, not an Inherited one,
     and a maximally unstable one is ProvedUnstable.  With ``verdicts``,
     those of the records before it by orbit, a reference gets the one of
     its key less its entry's bit, and the record's own is added; an entry
-    that is not free links no child."""
+    that is not free links no child.  ``keyed`` is d's (pattern, key) when
+    the caller has decoded it already."""
     jsonio.check(d, jsonio.RECORD, "record")
-    pattern, key = jsonio._keyed_pattern(d)
+    pattern, key = keyed or jsonio._keyed_pattern(d)
     if pattern.n != n:
         raise ValidationError(f"record has n={pattern.n}, not the header's n={n}")
     canon = None if verdicts is None else _orbit_table(n).canon
@@ -230,8 +231,8 @@ def load_atlas(path) -> tuple[dict, list[AtlasRecord]]:
 
 def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
     """The header of a persisted atlas and its records, each reference
-    linked; with ``keep``, only the records whose parsed line it accepts,
-    each reference without its child.
+    linked; with ``keep``, only those whose parsed line it maps to the
+    decoded (pattern, key), not None, each reference without its child.
 
     As in JSON Lines, only "\n" ends a line: U+2028, U+2029 and U+0085
     may stand raw inside a json string.  Blank lines are skipped, and each
@@ -248,12 +249,12 @@ def _read_atlas(path, keep=None) -> tuple[dict, list[AtlasRecord]]:
         jsonio.check(header, jsonio.HEADER, "header")
         if not 1 <= header["n"] <= FULL_ENUMERATION_CAP:
             raise ValidationError(f"header n={header['n']} is outside 1..{FULL_ENUMERATION_CAP}")
-        verdicts = {} if keep is None else None  # by orbit
-        records = [
-            _record_from_dict(d, header["n"], verdicts)
-            for d in map(_parse_line, lines[1:])
-            if keep is None or keep(d)
-        ]
+        if keep is None:
+            verdicts = {}  # by orbit
+            records = [_record_from_dict(d, header["n"], verdicts) for d in map(_parse_line, lines[1:])]
+        else:
+            kept = ((d, keep(d)) for d in map(_parse_line, lines[1:]))
+            records = [_record_from_dict(d, header["n"], None, keyed) for d, keyed in kept if keyed]
     except (ValueError, ValidationError) as exc:
         # any decode failure; JSONDecodeError and UnicodeDecodeError are
         # ValueErrors
@@ -550,17 +551,22 @@ def query_atlas(path, query: dict) -> list[AtlasRecord]:
     if want is not None:
         read["verdict"] = {"tag": jsonio.VERDICT.head["tag"]}
 
-    def keep(d) -> bool:
+    def keep(d):
+        """The (pattern, key) of a record the query keeps, decoded once (under
+        a dimension filter, every record's, first), or None."""
         jsonio.check(d, read, "record")
+        keyed = None
         if "min_dim" in query or "max_codim" in query:
-            p = jsonio.pattern_from_dict(d)
-            if "min_dim" in query and p.dimension < query["min_dim"]:
-                return False
-            if "max_codim" in query and p.codimension > query["max_codim"]:
-                return False
+            keyed = jsonio._keyed_pattern(d)
+            if "min_dim" in query and keyed[0].dimension < query["min_dim"]:
+                return None
+            if "max_codim" in query and keyed[0].codimension > query["max_codim"]:
+                return None
         if want is not None and d["verdict"]["tag"] != want:
-            return False
-        return all(d[name] == value for name, value in flags.items())
+            return None
+        if any(d[name] != value for name, value in flags.items()):
+            return None
+        return keyed or jsonio._keyed_pattern(d)
 
     _, records = _read_atlas(path, keep)
     return sorted(records, key=lambda r: r.key)

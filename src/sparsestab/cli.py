@@ -26,6 +26,7 @@ import numpy as np
 from . import jsonio
 from .atlas import (
     TOOL_VERSION,
+    _record_to_dict,
     classify_atlas,
     enumerate_patterns,
     load_atlas,
@@ -73,52 +74,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sparsestab", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=TOOL_VERSION)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master random seed")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-
-    defaults = EngineConfig()
-
-    def engine(p):
-        # only the subcommands that build an EngineConfig take its settings
-        p.add_argument("--restarts", type=int, default=defaults.oracle_restarts, help="oracle restarts")
-        p.add_argument("--steps", type=int, default=defaults.oracle_steps, help="oracle steps per restart")
-
-    for name in ("analyze", "witness", "oracle", "canon"):
-        p = sub.add_parser(name)
-        p.add_argument("pattern_file")
-        common(p)
-        if name in ("analyze", "oracle"):
-            engine(p)
-
-    p = sub.add_parser("identities")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--n", type=int, default=4)
-    common(p)
-
-    p = sub.add_parser("atlas")
-    asub = p.add_subparsers(dest="atlas_command", required=True)
-    for name in ("enumerate", "classify", "validate", "query"):
-        ap = asub.add_parser(name)
-        if name != "query":
-            ap.add_argument("-n", type=int, required=True)
-        ap.add_argument("--atlas", help="atlas file path")
-        if name == "query":
-            ap.add_argument("--min-dim", type=int)
-            ap.add_argument("--max-codim", type=int)
-            ap.add_argument("--verdict", choices=("stable", "unstable", "unknown"))
-            ap.add_argument("--minimal-stable", action="store_true")
-            ap.add_argument("--maximal-unstable", action="store_true")
-        common(ap)
-        if name in ("classify", "validate"):
-            engine(ap)
-    return parser
+# every flag a command can take, with its add_argument settings
+_FLAGS = {
+    "pattern_file": {},
+    "-n": {"type": int, "required": True},
+    "--n": {"type": int, "default": 4},
+    "--trials": {"type": int, "default": 100},
+    "--atlas": {"help": "atlas file path"},
+    "--min-dim": {"type": int},
+    "--max-codim": {"type": int},
+    "--verdict": {"choices": ("stable", "unstable", "unknown")},
+    "--minimal-stable": {"action": "store_true"},
+    "--maximal-unstable": {"action": "store_true"},
+    "--seed": {"type": int, "default": 0, "help": "master random seed"},
+    "--restarts": {"type": int, "default": EngineConfig.oracle_restarts, "help": "oracle restarts"},
+    "--steps": {"type": int, "default": EngineConfig.oracle_steps, "help": "oracle steps per restart"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--out": {"help": "write output to this path instead of stdout"},
+}
 
 
 def _load_pattern(path: str):
@@ -145,159 +118,95 @@ def _config(args) -> EngineConfig:
         raise _UsageError(str(exc))
 
 
-def _emit(args, text: str, out) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text, file=out)
-
-
-def _cmd_analyze(args, out) -> int:
+def _analyze(args):
     p = _load_pattern(args.pattern_file)
     verdict = classify(p, _config(args), args.seed)
-    if args.format == "json":
-        _emit(args, json.dumps(jsonio.verdict_to_dict(verdict), sort_keys=True), out)
-    else:
-        lines = [f"pattern: {p.describe()}", f"verdict: {verdict.tag} ({verdict.reason})"]
-        lines += REASONS[verdict.reason].lines(verdict.evidence)
-        _emit(args, "\n".join(lines), out)
-    if verdict.tag == PROVED_STABLE:
-        return EXIT_STABLE
-    if verdict.tag == PROVED_UNSTABLE:
-        return EXIT_UNSTABLE
-    return EXIT_UNKNOWN
+    lines = [f"pattern: {p.describe()}", f"verdict: {verdict.tag} ({verdict.reason})"]
+    lines += REASONS[verdict.reason].lines(verdict.evidence)
+    code = {PROVED_STABLE: EXIT_STABLE, PROVED_UNSTABLE: EXIT_UNSTABLE}.get(verdict.tag, EXIT_UNKNOWN)
+    return code, jsonio.verdict_to_dict(verdict), lines
 
 
-def _cmd_witness(args, out) -> int:
+def _witness(args):
     p = _load_pattern(args.pattern_file)
     chain = find_nested_chain(p)
     if chain is None:
-        _emit(args, "no nested chain: the pattern is not chain-certifiably stable", out)
-        return EXIT_UNKNOWN
+        return EXIT_UNKNOWN, None, ["no nested chain: the pattern is not chain-certifiably stable"]
     cert = synthesize_stable_witness(p, seed=args.seed, chain=chain)
-    if args.format == "json":
-        _emit(args, json.dumps(jsonio.certificate_to_dict(cert), sort_keys=True), out)
-    else:
-        _emit(
-            args,
-            "\n".join(
-                [
-                    f"pattern: {p.describe()}",
-                    f"ordering: {list(cert.ordering)}",
-                    f"stabilizer: {[float(x) for x in cert.stabilizer]}",
-                    f"abscissa: {spectral_abscissa(cert.stabilized_matrix()):.6g}",
-                ]
-            ),
-            out,
-        )
-    return EXIT_STABLE
+    lines = [
+        f"pattern: {p.describe()}",
+        f"ordering: {list(cert.ordering)}",
+        f"stabilizer: {[float(x) for x in cert.stabilizer]}",
+        f"abscissa: {spectral_abscissa(cert.stabilized_matrix()):.6g}",
+    ]
+    return EXIT_STABLE, jsonio.certificate_to_dict(cert), lines
 
 
-def _cmd_oracle(args, out) -> int:
+def _oracle(args):
     p = _load_pattern(args.pattern_file)
     result = oracle_search(p, _config(args), args.seed)
-    if args.format == "json":
-        payload = {
-            "found": result.found,
-            "restarts": result.restarts_used,
-            "best_abscissa": result.best_abscissa,
-        }
-        if result.found:
-            payload["matrix"] = [[float(x) for x in row] for row in result.matrix]
-            payload["abscissa"] = result.best_abscissa
-        _emit(args, json.dumps(payload, sort_keys=True), out)
+    if result.found:
+        lines = [
+            f"found Hurwitz matrix after {result.restarts_used} restarts, "
+            f"abscissa {result.best_abscissa:.6g}",
+            str(np.round(result.matrix, 6)),
+        ]
     else:
-        if result.found:
-            _emit(
-                args,
-                f"found Hurwitz matrix after {result.restarts_used} restarts, "
-                f"abscissa {result.best_abscissa:.6g}\n"
-                + str(np.round(result.matrix, 6)),
-                out,
-            )
-        else:
-            _emit(
-                args,
-                f"no Hurwitz matrix found ({result.restarts_used} restarts, "
-                f"best abscissa {result.best_abscissa:.6g}); this proves nothing",
-                out,
-            )
-    return EXIT_STABLE if result.found else EXIT_UNKNOWN
+        lines = [
+            f"no Hurwitz matrix found ({result.restarts_used} restarts, "
+            f"best abscissa {result.best_abscissa:.6g}); this proves nothing"
+        ]
+    code = EXIT_STABLE if result.found else EXIT_UNKNOWN
+    return code, jsonio._oracle_to_dict(result, p), lines
 
 
-def _cmd_canon(args, out) -> int:
-    p = _load_pattern(args.pattern_file)
-    info = canonical_form(p)
-    if args.format == "json":
-        payload = {
-            "canonical": jsonio.pattern_to_dict(info.canonical),
-            "orbit_size": info.orbit_size,
-            "relabeling": list(info.relabeling.mapping),
-            "transposed": info.transposed,
-        }
-        _emit(args, json.dumps(payload, sort_keys=True), out)
-    else:
-        _emit(
-            args,
-            f"orbit size {info.orbit_size}, relabeling {list(info.relabeling.mapping)}, "
-            f"transposed {info.transposed}\n" + serialize_pattern(info.canonical).rstrip(),
-            out,
-        )
-    return 0
+def _canon(args):
+    info = canonical_form(_load_pattern(args.pattern_file))
+    relabeling = list(info.relabeling.mapping)
+    value = {
+        "canonical": jsonio.pattern_to_dict(info.canonical),
+        "orbit_size": info.orbit_size,
+        "relabeling": relabeling,
+        "transposed": info.transposed,
+    }
+    lines = [
+        f"orbit size {info.orbit_size}, relabeling {relabeling}, transposed {info.transposed}",
+        serialize_pattern(info.canonical).rstrip(),
+    ]
+    return 0, value, lines
 
 
-def _cmd_identities(args, out) -> int:
+def _identities(args):
     # n < 1 has no matrices to check and trials < 1 would pass vacuously
     if args.n < 1 or args.trials < 1:
         raise _UsageError(
             f"identities needs --n >= 1 and --trials >= 1, not {args.n} and {args.trials}"
         )
     results = run_identity_suites(args.n, args.trials, args.seed)
-    if args.format == "json":
-        payload = [
-            {"suite": r.name, "trials": r.trials, "failures": r.failures} for r in results
-        ]
-        _emit(args, json.dumps(payload, sort_keys=True), out)
-    else:
-        lines = [
-            f"{r.name:<18} n={args.n} checks={r.trials} failures={r.failures}"
-            for r in results
-        ]
-        _emit(args, "\n".join(lines), out)
-    return 0 if all(r.ok for r in results) else 1
+    value = [{"suite": r.name, "trials": r.trials, "failures": r.failures} for r in results]
+    lines = [f"{r.name:<18} n={args.n} checks={r.trials} failures={r.failures}" for r in results]
+    return 0 if all(r.ok for r in results) else 1, value, lines
 
 
-def _atlas_enumerate(args, out) -> int:
+def _atlas_enumerate(args):
     rows = [
         {"pattern": jsonio.pattern_to_dict(p), "orbit_size": orbit_size}
         for p, orbit_size in enumerate_patterns(args.n)
     ]
     total = sum(row["orbit_size"] for row in rows)
-    if args.format == "json":
-        _emit(args, json.dumps({"representatives": rows, "raw_total": total}), out)
-    else:
-        _emit(
-            args,
-            f"{len(rows)} orbit representatives covering {total} raw patterns at n={args.n}",
-            out,
-        )
-    return 0
+    line = f"{len(rows)} orbit representatives covering {total} raw patterns at n={args.n}"
+    return 0, {"representatives": rows, "raw_total": total}, [line]
 
 
-def _atlas_classify(args, out) -> int:
+def _atlas_classify(args):
     records = classify_atlas(args.n, _config(args), seed=args.seed, path=args.atlas)
     stable = sum(1 for r in records if r.verdict.tag == PROVED_STABLE)
-    _emit(
-        args,
-        f"classified {len(records)} representatives at n={args.n} "
-        f"({stable} stable)" + (f"; written to {args.atlas}" if args.atlas else ""),
-        out,
-    )
-    return 0
+    written = f"; written to {args.atlas}" if args.atlas else ""
+    line = f"classified {len(records)} representatives at n={args.n} ({stable} stable){written}"
+    return 0, None, [line]
 
 
-def _atlas_validate(args, out) -> int:
+def _atlas_validate(args):
     config = _config(args)
     if args.atlas:
         header, records = load_atlas(args.atlas)
@@ -311,11 +220,10 @@ def _atlas_validate(args, out) -> int:
     lines = [report.summary(), f"  re-verified {verified} of {len(records)} records"]
     if failing:
         lines.append(f"  failing keys: {failing}")
-    _emit(args, "\n".join(lines), out)
-    return 0 if report.all_passed and not failing else 1
+    return 0 if report.all_passed and not failing else 1, None, lines
 
 
-def _atlas_query(args, out) -> int:
+def _atlas_query(args):
     if not args.atlas:
         raise _UsageError("atlas query needs --atlas PATH")
     # each flag given, under its query_atlas field name
@@ -325,53 +233,68 @@ def _atlas_query(args, out) -> int:
         if (value := getattr(args, name)) is not None and value is not False
     }
     records = query_atlas(args.atlas, query)
-    if args.format == "json":
-        payload = [
-            {
-                "pattern": jsonio.pattern_to_dict(r.pattern),
-                "orbit_size": r.orbit_size,
-                "dimension": r.dimension,
-                "codimension": r.codimension,
-                "verdict": r.verdict.tag,
-                "minimal_stable": r.minimal_stable,
-                "maximal_unstable": r.maximal_unstable,
-            }
-            for r in records
-        ]
-        _emit(args, json.dumps(payload), out)
-    else:
-        lines = [f"{len(records)} matching records"]
-        for r in records:
-            lines.append(
-                f"  key={r.key} dim={r.dimension} codim={r.codimension} "
-                f"{r.verdict.tag} min={r.minimal_stable} max={r.maximal_unstable}"
-            )
-        _emit(args, "\n".join(lines), out)
-    return 0
+    lines = [f"{len(records)} matching records"] + [
+        f"  key={r.key} dim={r.dimension} codim={r.codimension} "
+        f"{r.verdict.tag} min={r.minimal_stable} max={r.maximal_unstable}"
+        for r in records
+    ]
+    return 0, [_record_to_dict(r) for r in records], lines
 
 
-# every (command, atlas subcommand); argparse's required subparsers reject
-# any other (exit 10)
+# every (command, atlas subcommand): its handler and the flags it reads,
+# each taken with --out; argparse rejects any other command or flag (exit
+# 10).  A handler returns (exit code, JSON value, text lines) and prints
+# nothing; only a command with a JSON value takes --format.
 _COMMANDS = {
-    ("analyze", None): _cmd_analyze,
-    ("witness", None): _cmd_witness,
-    ("oracle", None): _cmd_oracle,
-    ("canon", None): _cmd_canon,
-    ("identities", None): _cmd_identities,
-    ("atlas", "enumerate"): _atlas_enumerate,
-    ("atlas", "classify"): _atlas_classify,
-    ("atlas", "validate"): _atlas_validate,
-    ("atlas", "query"): _atlas_query,
+    ("analyze", None): (_analyze, "pattern_file --seed --restarts --steps --format"),
+    ("witness", None): (_witness, "pattern_file --seed --format"),
+    ("oracle", None): (_oracle, "pattern_file --seed --restarts --steps --format"),
+    ("canon", None): (_canon, "pattern_file --format"),
+    ("identities", None): (_identities, "--trials --n --seed --format"),
+    ("atlas", "enumerate"): (_atlas_enumerate, "-n --format"),
+    ("atlas", "classify"): (_atlas_classify, "-n --atlas --seed --restarts --steps"),
+    ("atlas", "validate"): (_atlas_validate, "-n --atlas --seed --restarts --steps"),
+    ("atlas", "query"): (
+        _atlas_query,
+        "--atlas --min-dim --max-codim --verdict --minimal-stable --maximal-unstable --format",
+    ),
 }
 
 
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="sparsestab", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=TOOL_VERSION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    atlas = None
+    for (command, name), (_, flags) in _COMMANDS.items():
+        if name is None:
+            p = sub.add_parser(command)
+        else:
+            atlas = atlas or sub.add_parser(command).add_subparsers(dest="atlas_command", required=True)
+            p = atlas.add_parser(name)
+        for flag in flags.split() + ["--out"]:
+            p.add_argument(flag, **_FLAGS[flag])
+    return parser
+
+
 def dispatch(argv, out=None) -> int:
-    """Parse argv, run the subcommand, and return the exit code."""
-    out = out if out is not None else sys.stdout
-    parser = _build_parser()
+    """Parse argv, run the subcommand, print its JSON value under
+    --format json and its text lines otherwise, to --out or ``out``
+    (stdout by default), and return the exit code."""
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command, getattr(args, "atlas_command", None)](args, out)
+        args = _build_parser().parse_args(argv)
+        handler = _COMMANDS[args.command, getattr(args, "atlas_command", None)][0]
+        code, value, lines = handler(args)
+        if getattr(args, "format", "text") == "json":
+            text = json.dumps(value, sort_keys=True)
+        else:
+            text = "\n".join(lines)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text, file=out if out is not None else sys.stdout)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -48,9 +48,6 @@ from .patterns import SparsityPattern
 
 CHAIN_N_CAP = 24  # the chain search memoises 2^|B| subsets of a block B in a bytearray
 
-# the pattern object that the last chain search ran on, and the chain it returned
-_last_found: list = [None, None]
-
 
 @dataclass(frozen=True)
 class SccReport:
@@ -394,9 +391,7 @@ def find_nested_chain(p: SparsityPattern) -> ChainCertificate | None:
         ordering.append(v)
         covers[b] = cycles
         prefix_cycles.append(tuple(sorted(cyc for block in covers for cyc in block)))  # by first vertex
-    chain = ChainCertificate(ordering=tuple(ordering), prefix_cycles=tuple(prefix_cycles))
-    _last_found[:] = p, chain
-    return chain
+    return ChainCertificate(ordering=tuple(ordering), prefix_cycles=tuple(prefix_cycles))
 
 
 def verify_chain(p: SparsityPattern, chain: ChainCertificate) -> bool:

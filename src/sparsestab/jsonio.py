@@ -7,11 +7,13 @@ path, e.g. ``verdict.certificate.prefix_cycles[2][0][1]``, or
 build objects.  EVIDENCE names each reason's fields: a verdict must have
 its reason's and no other reason's.  Keys no table lists are ignored.
 Matrices serialize as nested float lists and patterns as {"n": ...,
-"free": [[i, j], ...]}, which patterns.decode_json_pattern alone checks; a
-certificate inside an atlas record leaves its pattern to the record.  Only
-evidence is stored: a verifier recomputes minors and spectra from the
-matrices.  An Inherited verdict stores only its entry; its child verdict
-is the child record's, which atlas.load_atlas links in as it decodes.
+"free": [[i, j], ...]}, which patterns.encode_json_pattern alone writes
+(as pattern_to_dict) and decode_json_pattern alone checks; a
+certificate inside an atlas record leaves its pattern to the record.
+Only evidence is stored: a verifier recomputes minors and spectra from
+the matrices.  An Inherited verdict stores only its entry; its child
+verdict is the child record's, which atlas.load_atlas links in as it
+decodes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PatternFormatError, ValidationError
-from .patterns import SparsityPattern, _decode_json_pattern
+from .patterns import SparsityPattern, _decode_json_pattern, encode_json_pattern
 from .verdict import REASONS, OracleResult, Reference, StabilityVerdict
 from .witness import WitnessCertificate
 
@@ -157,8 +159,7 @@ def _is_leaf(value, kind) -> bool:
     return type(value) is kind
 
 
-def pattern_to_dict(p: SparsityPattern) -> dict:
-    return {"n": p.n, "free": [list(pair) for pair in p.sorted_free()]}
+pattern_to_dict = encode_json_pattern
 
 
 def pattern_from_dict(d: dict) -> SparsityPattern:

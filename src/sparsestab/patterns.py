@@ -388,6 +388,11 @@ def _decode_free(n: int, free: list) -> SparsityPattern:
     return p
 
 
+def encode_json_pattern(p: SparsityPattern) -> dict:
+    """The json object of p, pairs sorted row-major: decode_json_pattern's inverse."""
+    return {"n": p.n, "free": [list(pair) for pair in p.sorted_free()]}
+
+
 def serialize_pattern(p: SparsityPattern, format: str = "mask") -> str:
     if format == "mask":
         rows = []
@@ -395,7 +400,7 @@ def serialize_pattern(p: SparsityPattern, format: str = "mask") -> str:
             rows.append("".join("*" if (i, j) in p.free else "0" for j in range(1, p.n + 1)))
         return "\n".join(rows) + "\n"
     if format == "json":
-        return json.dumps({"n": p.n, "free": [list(pair) for pair in p.sorted_free()]})
+        return json.dumps(encode_json_pattern(p))
     raise ValueError(f"unknown pattern format: {format!r}")
 
 

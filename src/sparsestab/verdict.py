@@ -250,7 +250,7 @@ def classify(
     if chain is not None:
         try:
             cert = synthesize_stable_witness(
-                p, seed=derive_seed(seed, p.n, p.bitkey(), "witness"), chain=chain
+                p, seed=derive_seed(seed, p.n, p.bitkey(), "witness"), chain=chain, _searched=True
             )
             return StabilityVerdict(CHAIN_FOUND, cert)
         except (SynthesisError, StabilizationError) as exc:  # pragma: no cover

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StabilizationError, SynthesisError
-from .graphs import ChainCertificate, _last_found, find_nested_chain, verify_chain
+from .graphs import ChainCertificate, find_nested_chain, verify_chain
 from .numerics import (
     _abscissae,
     is_hurwitz,
@@ -68,11 +68,8 @@ def chain_generic_matrix(
 
 
 def _check_chain(p: SparsityPattern, chain: ChainCertificate) -> None:
-    """Raises ValueError unless ``chain`` verifies against p.  The very
-    chain that the last find_nested_chain call returned for this very
-    pattern object needs no check: the search built it from p's matchings."""
-    searched, found = _last_found
-    if (searched is not p or found is not chain) and not verify_chain(p, chain):
+    """Raises ValueError unless ``chain`` verifies against p."""
+    if not verify_chain(p, chain):
         raise ValueError("chain certificate does not verify against the pattern")
 
 
@@ -162,7 +159,7 @@ def _check_range(bound: float, block: np.ndarray) -> None:
 
 
 def synthesize_stable_witness(
-    p: SparsityPattern, *, seed: int = 0, chain: ChainCertificate | None = None
+    p: SparsityPattern, *, seed: int = 0, chain: ChainCertificate | None = None, _searched: bool = False
 ) -> WitnessCertificate:
     """End-to-end: chain -> generic matrix -> diagonal stabilizer -> certificate.
 
@@ -170,12 +167,16 @@ def synthesize_stable_witness(
     ``chain`` is given; a given chain is checked against the pattern as in
     chain_generic_matrix.  Raises SynthesisError with diagnostics when
     stabilization fails (which signals a bug, not an unstable pattern).
+
+    ``_searched`` is classify's entry: ``chain`` is the one find_nested_chain
+    has just returned for p, built from p's matchings, and is not checked.
     """
     if chain is None:
         chain = find_nested_chain(p)
-    if chain is None:
-        raise ValueError("pattern admits no nested chain; nothing to synthesize")
-    _check_chain(p, chain)
+        if chain is None:
+            raise ValueError("pattern admits no nested chain; nothing to synthesize")
+    elif not _searched:
+        _check_chain(p, chain)
     A, minors = _screened_matrix(p, chain, seed)
     witness = np.array(A, dtype=float)
     stabilizer = _stabilize_ordered(witness, chain.ordering, minors)

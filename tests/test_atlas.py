@@ -969,6 +969,29 @@ class TestQuery:
         with pytest.raises(ValidationError, match=f"query field {field} must be an int"):
             query_atlas(atlas3_path, {field: value})
 
+    @pytest.mark.parametrize("query, matches", [({"min_dim": 5}, 37), ({"max_codim": 3}, 21)])
+    def test_a_dimension_filter_decodes_each_pattern_once(self, atlas3_path, monkeypatch, query, matches):
+        # every record's pattern is decoded to filter on it, and a match
+        # keeps the pattern it was filtered on
+        calls = []
+        decode = jsonio_module._decode_json_pattern
+        monkeypatch.setattr(jsonio_module, "_decode_json_pattern", lambda d: calls.append(d) or decode(d))
+        assert len(query_atlas(atlas3_path, query)) == matches
+        assert len(calls) == 74
+
+    def test_a_dimension_filter_checks_every_pattern(self, atlas3_path, tmp_path):
+        # a malformed pattern on a record that the filter would drop
+        lines = atlas3_path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        assert len(rec["free"]) < 9
+        lines[1] = json.dumps({**rec, "free": [[0, 1]]})
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert len(query_atlas(atlas3_path, {"min_dim": 9})) == 1
+        with pytest.raises(ValidationError, match="malformed atlas file"):
+            query_atlas(path, {"min_dim": 9})
+        assert len(query_atlas(path, {"minimal_stable": True, "verdict": "stable"})) > 0
+
     @pytest.mark.parametrize(
         "query",
         [

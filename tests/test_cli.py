@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import re
@@ -11,6 +12,7 @@ import sparsestab
 import sparsestab.atlas as atlas_module
 from sparsestab import jsonio, load_atlas, verify_certificate
 from sparsestab.atlas import TOOL_VERSION
+import sparsestab.cli as cli_module
 from sparsestab.cli import dispatch
 from sparsestab.errors import ValidationError
 from sparsestab.jsonio import (
@@ -22,7 +24,7 @@ from sparsestab.jsonio import (
 )
 from sparsestab.patterns import key_orbit, key_to_pattern, pattern_to_key
 from sparsestab.patterns import SparsityPattern
-from sparsestab.verdict import REASONS, EngineConfig, classify
+from sparsestab.verdict import REASONS, EngineConfig, classify, oracle_search
 
 from conftest import FIG2_LEFT, FIG2_RIGHT, failed_geev
 
@@ -169,7 +171,7 @@ class TestOracleAndCanon:
         code, text = run(["oracle", fig2_right_file, "--format", "json"])
         assert code == 0
         payload = json.loads(text)
-        assert payload["found"] and payload["abscissa"] < -1e-9
+        assert payload["oracle"]["matrix"] and payload["oracle_stats"]["best_abscissa"] < -1e-9
 
     def test_oracle_miss_is_inconclusive(self, fig2_left_file):
         code, text = run(
@@ -221,7 +223,7 @@ class TestAtlasCommands:
         )
         assert code == 0
         payload = json.loads(text)
-        assert any(r["pattern"]["free"] == [[1, 2], [2, 1]] for r in payload)
+        assert any(r["free"] == [[1, 2], [2, 1]] for r in payload)
 
     def test_validate_without_file_builds_in_memory(self):
         code, text = run(["atlas", "validate", "-n", "2"])
@@ -1036,6 +1038,35 @@ class TestErrorPaths:
         assert code == 10 and text == ""
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["atlas", "classify", "-n", "1"], ["--format", "json"]),
+            (["atlas", "validate", "-n", "1"], ["--format", "json"]),
+            (["canon", "PATTERN"], ["--seed", "1"]),
+            (["atlas", "enumerate", "-n", "1"], ["--seed", "1"]),
+            (["atlas", "query", "--atlas", "ATLAS"], ["--seed", "1"]),
+            (["atlas", "enumerate", "-n", "1"], ["--atlas", "X"]),
+        ],
+        ids=[
+            "classify --format",
+            "validate --format",
+            "canon --seed",
+            "enumerate --seed",
+            "query --seed",
+            "enumerate --atlas",
+        ],
+    )
+    def test_flag_where_unread_is_usage_error(self, fig2_right_file, atlas2_lines, tmp_path, argv, flag):
+        # a command takes only the flags it reads: classify and validate
+        # print no JSON value, and canon, enumerate and query draw no random
+        # number
+        atlas = tmp_path / "n2.jsonl"
+        atlas.write_text("\n".join(atlas2_lines) + "\n")
+        argv = [{"PATTERN": fig2_right_file, "ATLAS": str(atlas)}.get(a, a) for a in argv]
+        assert run(argv)[0] == 0
+        assert run(argv + flag) == (10, "")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["analyze", "PATTERN"],
@@ -1073,6 +1104,96 @@ class TestErrorPaths:
     def test_atlas_enumerate_size_out_of_range(self, n):
         code, text = run(["atlas", "enumerate", "-n", n])
         assert code == 13 and text == ""
+
+
+GAP3 = {"n": 3, "free": [[1, 3], [2, 1], [2, 2], [3, 1], [3, 2]]}
+
+# every command that takes --format json, on each exit path it has
+JSON_RUNS = {
+    "analyze 0": (["analyze", "RIGHT"], 0),
+    "analyze 1": (["analyze", "LEFT"], 1),
+    "analyze 2": (["analyze", "GAP3", "--restarts", "1"], 2),
+    "witness 0": (["witness", "RIGHT"], 0),
+    "witness 2": (["witness", "LEFT"], 2),
+    "oracle 0": (["oracle", "RIGHT"], 0),
+    "oracle 2": (["oracle", "LEFT", "--restarts", "2", "--steps", "50"], 2),
+    "canon": (["canon", "RIGHT"], 0),
+    "identities": (["identities", "--trials", "2", "--n", "2"], 0),
+    "atlas enumerate": (["atlas", "enumerate", "-n", "2"], 0),
+    "atlas query": (["atlas", "query", "--atlas", "ATLAS"], 0),
+}
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("case", list(JSON_RUNS))
+    def test_every_json_output_is_one_json_value(
+        self, fig2_left_file, fig2_right_file, atlas2_lines, tmp_path, case
+    ):
+        gap3, atlas, target = tmp_path / "gap3.json", tmp_path / "n2.jsonl", tmp_path / "out.json"
+        gap3.write_text(json.dumps(GAP3))
+        atlas.write_text("\n".join(atlas2_lines) + "\n")
+        files = {"RIGHT": fig2_right_file, "LEFT": fig2_left_file, "GAP3": str(gap3), "ATLAS": str(atlas)}
+        argv, exit_code = JSON_RUNS[case]
+        argv = [files.get(a, a) for a in argv] + ["--format", "json"]
+        code, text = run(argv)
+        value = json.loads(text)  # the whole of stdout, one value
+        assert code == exit_code and text.endswith("\n")
+        assert run(argv + ["--out", str(target)]) == (exit_code, "")
+        assert json.loads(target.read_text()) == value
+        if case == "witness 2":
+            assert value is None
+        if case.startswith("oracle"):
+            # the verdict's oracle fields, decoded by jsonio as the search returned them
+            found = case == "oracle 0"
+            fields = jsonio.EVIDENCE["OracleFound" if found else "Exhausted"]
+            assert set(value) == set(fields)
+            jsonio.check(value, fields, "oracle")
+            decoded = jsonio._oracle(value, None, None)
+            config = EngineConfig() if found else EngineConfig(oracle_restarts=2, oracle_steps=50)
+            result = oracle_search(FIG2_RIGHT if found else FIG2_LEFT, config, 0)
+            assert (decoded.restarts_used, decoded.best_abscissa) == (result.restarts_used, result.best_abscissa)
+            assert (decoded.matrix is None) == (not found)
+            assert not found or np.array_equal(decoded.matrix, result.matrix)
+        if case == "atlas query":
+            # each record as the file stores it
+            for rec in value:
+                jsonio.check(rec, jsonio.RECORD, "record")
+            assert value == [json.loads(line) for line in atlas2_lines[1:]]
+
+
+def test_only_dispatch_writes_output():
+    """Handlers return what to print: no code in cli.py but dispatch calls
+    print, opens a file for writing or reads args.format."""
+
+    def constant(node):
+        return node.value if isinstance(node, ast.Constant) else node
+
+    def writes(tree):
+        """Which of print, open for writing and args.format ``tree`` uses."""
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "format":
+                if getattr(node.value, "id", None) == "args":
+                    found.add("format")
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            name, args = node.func.id, node.args
+            if name == "print":
+                found.add("print")
+            elif name == "open":
+                mode = args[1] if len(args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), "r")
+                # a mode that is not a literal may write
+                if not (isinstance(constant(mode), str) and set(constant(mode)) <= set("rbt")):
+                    found.add("open")
+            elif name == "getattr" and len(args) > 1 and constant(args[1]) == "format":
+                found.add("format")
+        return found
+
+    module = ast.parse(Path(cli_module.__file__).read_text(encoding="utf-8"))
+    (dispatch_def,) = [node for node in module.body if getattr(node, "name", None) == "dispatch"]
+    module.body.remove(dispatch_def)
+    assert writes(module) == set()
+    assert writes(dispatch_def) == {"print", "open", "format"}
 
 
 # the documented key sets: evidence only, nothing derivable from it

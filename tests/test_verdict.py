@@ -277,7 +277,7 @@ class TestChainCheckedOnce:
         cert = synthesize_stable_witness(FIG2_RIGHT, seed=1, chain=copy)
         assert checks == [copy] and verify_certificate(cert)
         synthesize_stable_witness(FIG2_RIGHT, seed=1, chain=chain)
-        assert checks == [copy, copy]  # the search's own chain, on the pattern it searched
+        assert checks == [copy, copy, chain]  # the search's own chain, handed in from outside
 
     def test_a_chain_of_another_pattern_is_rejected(self, checks):
         chain = find_nested_chain(SIGMA_ALPHA)
